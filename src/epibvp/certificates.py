@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DomainError, EpibvpError, RelaxationError
-from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory
+from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _golden_min, check_lam
 
 SLACK_TOL = 1e-9
 F_TOL = 1e-9
@@ -44,7 +44,6 @@ _DISC_TOL = 1e-9
 _SLACK_GRID_N = 20000
 _F_GRID_N = 100000
 _FIXED_POINT_CAP = 384.0
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CertificateKind(Enum):
@@ -156,8 +155,7 @@ def _slack_grid(n: int = _SLACK_GRID_N) -> np.ndarray:
 
 def lower_function_dirichlet(lam: float) -> Certificate:
     """Existence certificate from the Dirichlet lower-function candidate."""
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
+    check_lam(lam)
     t = _slack_grid()
     s = slack_dirichlet(t, lam)
     i = int(np.argmin(s))
@@ -176,8 +174,7 @@ def lower_function_navier(lam: float) -> Certificate:
     Also checks the endpoint inequality alpha(1/2) >= alpha'(1/2), which the
     candidate meets with equality (both sides are -3).
     """
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
+    check_lam(lam)
     t = _slack_grid()
     s = slack_navier(t, lam)
     i = int(np.argmin(s))
@@ -275,8 +272,7 @@ def nonexistence_dirichlet(lam: float) -> Certificate:
     grid plus golden-section refinement, and a maximum above 1 rules out
     solutions.  At lam = 307 the value f(307, 1/8) already exceeds 1.
     """
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
+    check_lam(lam)
     if lam > _FIXED_POINT_CAP:
         return Certificate(
             kind=CertificateKind.NONEXIST_DIRICHLET,
@@ -291,21 +287,8 @@ def nonexistence_dirichlet(lam: float) -> Certificate:
     lo = t[max(i - 1, 0)]
     hi = t[min(i + 1, len(t) - 1)]
     # golden-section refinement of the grid maximum
-    a, b = lo, hi
-    cpt = b - _INVPHI * (b - a)
-    dpt = a + _INVPHI * (b - a)
-    fc = f_criterion(lam, cpt)
-    fd = f_criterion(lam, dpt)
-    for _ in range(64):
-        if fc >= fd:
-            b, dpt, fd = dpt, cpt, fc
-            cpt = b - _INVPHI * (b - a)
-            fc = f_criterion(lam, cpt)
-        else:
-            a, cpt, fc = cpt, dpt, fd
-            dpt = a + _INVPHI * (b - a)
-            fd = f_criterion(lam, dpt)
-    f_max, f_argmax = (fc, cpt) if fc >= fd else (fd, dpt)
+    f_argmax, neg_f = _golden_min(lambda x: -f_criterion(lam, x), lo, hi, 64)
+    f_max = -neg_f
     if f[i] > f_max:
         f_max, f_argmax = float(f[i]), float(t[i])
     verdict = Verdict.NONEXISTENCE if f_max > 1.0 + F_TOL else Verdict.INCONCLUSIVE
@@ -325,8 +308,7 @@ def nonexistence_navier(lam: float) -> Certificate:
     lam > 128/11, certifies nonexistence.  The exact boundary stays
     Inconclusive (a small guard absorbs float rounding there).
     """
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
+    check_lam(lam)
     disc = 1.0 - 11.0 * lam / 128.0
     verdict = Verdict.NONEXISTENCE if disc < -_DISC_TOL else Verdict.INCONCLUSIVE
     return Certificate(
@@ -344,8 +326,7 @@ def universal_bound() -> float:
 
 def universal_certificate(lam: float) -> Certificate:
     """Nonexistence beyond the universal bound, Inconclusive below it."""
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
+    check_lam(lam)
     bound = universal_bound()
     return Certificate(
         kind=CertificateKind.UNIVERSAL,

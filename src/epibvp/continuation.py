@@ -9,6 +9,7 @@ schemes lose their footing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -57,15 +58,15 @@ def sweep(
 ) -> BifurcationDiagram:
     """Run the root finder at each lam and label branches.
 
-    ``lams`` must be sorted ascending and nonnegative.  With two roots at a
-    given lam the more negative slope goes to the lower branch; a single
-    root is labeled by nearest-neighbor matching against the previous lam's
-    labeled points, so each branch stays consistent across the sweep.  Only
-    validated roots enter the diagram (the root finder guarantees that).
+    ``lams`` must be finite, nonnegative and sorted ascending.  With two
+    roots at a given lam the more negative slope goes to the lower branch; a
+    single root is labeled by nearest-neighbor matching against the previous
+    lam's labeled points, so each branch stays consistent across the sweep.
+    Only validated roots enter the diagram (the root finder guarantees that).
     """
     lams = list(lams)
-    if any(l < 0 for l in lams):
-        raise BracketError("lams", "negative lam in sweep")
+    if not all(0.0 <= l < math.inf for l in lams):
+        raise BracketError("lams", "sweep lams must be finite and >= 0")
     if lams != sorted(lams):
         raise BracketError("lams", "sweep lams must be sorted ascending")
     if spec_defaults is None:
@@ -107,8 +108,9 @@ def locate_fold(
 ) -> tuple[float, float]:
     """Bisect lam on the nontrivial-root count to bracket the fold.
 
-    Preconditions: at bracket[0] the count is >= 1 and at bracket[1] it is 0;
-    monotone solvability below the fold justifies the bisection predicate.
+    Preconditions: fold_tol is finite and > 0, at bracket[0] the count is
+    >= 1 and at bracket[1] it is 0; monotone solvability below the fold
+    justifies the bisection predicate.
     Returns (lam_lo, lam_hi) with lam_hi - lam_lo <= fold_tol; no claim is
     made about solvability exactly at the fold.
 
@@ -120,6 +122,8 @@ def locate_fold(
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise BracketError("lo", f"need 0 <= lo < hi, got ({lo}, {hi})")
+    if not 0.0 < fold_tol < math.inf:
+        raise BracketError("fold_tol", f"need a finite fold_tol > 0, got {fold_tol}")
     fold_tol = max(fold_tol, FOLD_RESOLUTION_FLOOR)
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory
+from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _cumtrapz
 
 # Dormand-Prince 5(4) tableau, embedded error weights, and Shampine's
 # quartic dense-output matrix (order-4 interpolant over each step).
@@ -149,6 +149,87 @@ def _dense_fill(t0, h, y0, k, t_out, us, dus, idx):
     return idx
 
 
+def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, int]:
+    """Adaptive Dormand-Prince 5(4) run from the series launch to t = 1/2.
+
+    Local error per step is bounded by ``spec.step_tol``.  With a dense
+    target ``(t_out, us, dus)`` the output samples are filled from the
+    quartic interpolant as the steps pass them.  Returns the last state
+    ``(u, u', diverged, samples filled)``: the state at t = 1/2, or the last
+    state reached when |u| exceeded ``spec.blowup`` or a stage went
+    non-finite (both flagged as divergence).
+
+    The pair is first-same-as-last: the last stage sits at the 5th-order
+    end state, so an accepted step hands its end state and the next
+    step's first stage over without recomputing them.
+
+    Raises
+    ------
+    IntegrationError
+        On step-size underflow.
+    """
+    lam = spec.lam
+    tol = spec.step_tol
+    u, du = launch_state(a, lam, spec.eps)
+    t = spec.eps
+    idx = 0
+    if dense is not None:
+        t_out, us, dus = dense
+        us[0], dus[0] = u, du
+        idx = 1
+    h = min(1e-4, 0.5 - t)
+    k0 = (du, u * u / (8.0 * t * t) + lam / 2.0)
+    while True:
+        final = h >= 0.5 - t
+        if final:
+            h = 0.5 - t
+        # stages of the 5(4) pair for y = (u, u')
+        k = [k0]
+        for s in range(6):
+            au = 0.0
+            av = 0.0
+            for j, aij in enumerate(_DP_A[s]):
+                au += aij * k[j][0]
+                av += aij * k[j][1]
+            ts = t + _DP_C[s] * h
+            uu = u + h * au
+            vv = du + h * av
+            if not (math.isfinite(uu) and math.isfinite(vv)):
+                # state exploded inside the step: treat as divergence upward
+                return u, du, True, idx
+            k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
+        err_u = 0.0
+        err_v = 0.0
+        for e, (ku, kv) in zip(_DP_E, k):
+            err_u += e * ku
+            err_v += e * kv
+        err = max(
+            abs(h * err_u) / (tol * (1.0 + abs(u))),
+            abs(h * err_v) / (tol * (1.0 + abs(du))),
+        )
+        if not math.isfinite(err):
+            err = 1e16
+        if err <= 1.0:
+            if dense is not None:
+                idx = _dense_fill(t, h, (u, du), k, t_out, us, dus, idx)
+            t += h
+            u, du = uu, vv
+            k0 = k[6]
+            if abs(u) > spec.blowup:
+                return u, du, True, idx
+            if final:
+                if dense is not None:
+                    # landed on 1/2 exactly; flush any samples left by fp drift
+                    while idx < len(t_out):
+                        us[idx], dus[idx] = u, du
+                        idx += 1
+                return u, du, False, idx
+        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if h < _MIN_STEP:
+            raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
+
+
 def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     """Shoot from the series launch at t = eps to t = 1/2 with slope a.
 
@@ -166,81 +247,13 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     IntegrationError
         On step-size underflow.
     """
-    lam = spec.lam
-    eps = spec.eps
-    tol = spec.step_tol
-    t_out = np.linspace(eps, 0.5, spec.grid_n)
+    t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
     us = np.empty(spec.grid_n)
     dus = np.empty(spec.grid_n)
-
-    u, du = launch_state(a, lam, eps)
-    us[0], dus[0] = u, du
-    idx = 1
-    t = eps
-    h = min(1e-4, 0.5 - eps)
-    diverged = False
-
-    while idx < spec.grid_n:
-        final = h >= 0.5 - t
-        if final:
-            h = 0.5 - t
-        # stages of the 5(4) pair for y = (u, u')
-        k = [(du, u * u / (8.0 * t * t) + lam / 2.0)]
-        bad = False
-        for s in range(6):
-            au = 0.0
-            av = 0.0
-            for j, aij in enumerate(_DP_A[s]):
-                au += aij * k[j][0]
-                av += aij * k[j][1]
-            ts = t + _DP_C[s] * h
-            uu = u + h * au
-            vv = du + h * av
-            if not (math.isfinite(uu) and math.isfinite(vv)):
-                bad = True
-                break
-            k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
-        if bad:
-            # state exploded inside the step: treat as divergence upward
-            diverged = True
-            break
-        # stage 6 already sits at the 5th-order end state (FSAL structure)
-        u_new = u + h * sum(_DP_A[5][j] * k[j][0] for j in range(6))
-        v_new = du + h * sum(_DP_A[5][j] * k[j][1] for j in range(6))
-        err_u = h * sum(_DP_E[s] * k[s][0] for s in range(7))
-        err_v = h * sum(_DP_E[s] * k[s][1] for s in range(7))
-        err = max(
-            abs(err_u) / (tol * (1.0 + abs(u))),
-            abs(err_v) / (tol * (1.0 + abs(du))),
-        )
-        if not math.isfinite(err):
-            err = 1e16
-        if err <= 1.0:
-            idx = _dense_fill(t, h, (u, du), k, t_out, us, dus, idx)
-            t += h
-            u, du = u_new, v_new
-            if abs(u) > spec.blowup:
-                diverged = True
-                break
-            if final:
-                # landed on 1/2 exactly; flush any samples left by fp drift
-                while idx < spec.grid_n:
-                    us[idx], dus[idx] = u, du
-                    idx += 1
-                break
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < _MIN_STEP:
-            raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
-
-    launch = SeriesLaunch.from_slope(a, lam)
-    if diverged:
-        return Trajectory(
-            lam=lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx],
-            launch=launch, eps=eps, diverged=True,
-        )
+    _, _, diverged, idx = _dp45(spec, a, (t_out, us, dus))
     return Trajectory(
-        lam=lam, kind=spec.kind, t=t_out, u=us, du=dus, launch=launch, eps=eps,
+        lam=spec.lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx],
+        launch=SeriesLaunch.from_slope(a, spec.lam), eps=spec.eps, diverged=diverged,
     )
 
 
@@ -250,52 +263,31 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
     Same stepper and tolerances as :func:`integrate`; used by root
     refinement where only the endpoint matters.
     """
-    lam = spec.lam
-    tol = spec.step_tol
-    u, du = launch_state(a, lam, spec.eps)
-    t = spec.eps
-    h = min(1e-4, 0.5 - t)
-    while True:
-        final = h >= 0.5 - t
-        if final:
-            h = 0.5 - t
-        k = [(du, u * u / (8.0 * t * t) + lam / 2.0)]
-        bad = False
-        for s in range(6):
-            au = 0.0
-            av = 0.0
-            for j, aij in enumerate(_DP_A[s]):
-                au += aij * k[j][0]
-                av += aij * k[j][1]
-            ts = t + _DP_C[s] * h
-            uu = u + h * au
-            vv = du + h * av
-            if not (math.isfinite(uu) and math.isfinite(vv)):
-                bad = True
-                break
-            k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
-        if bad:
-            return u, du, True
-        err_u = h * sum(_DP_E[s] * k[s][0] for s in range(7))
-        err_v = h * sum(_DP_E[s] * k[s][1] for s in range(7))
-        err = max(
-            abs(err_u) / (tol * (1.0 + abs(u))),
-            abs(err_v) / (tol * (1.0 + abs(du))),
-        )
-        if not math.isfinite(err):
-            err = 1e16
-        if err <= 1.0:
-            t += h
-            u = u + h * sum(_DP_A[5][j] * k[j][0] for j in range(6))
-            du = du + h * sum(_DP_A[5][j] * k[j][1] for j in range(6))
-            if abs(u) > spec.blowup:
-                return u, du, True
-            if final:
-                return u, du, False
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < _MIN_STEP:
-            raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
+    u, du, diverged, _ = _dp45(spec, a)
+    return u, du, diverged
+
+
+def _rk4_step(t0, t1, h, u, du, lam: float):
+    """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
+
+    Works on scalars and, elementwise, on arrays of states.
+    """
+    th = t0 + 0.5 * h
+    k1u = du
+    k1v = u * u / (8.0 * t0 * t0) + lam / 2.0
+    u2 = u + 0.5 * h * k1u
+    k2u = du + 0.5 * h * k1v
+    k2v = u2 * u2 / (8.0 * th * th) + lam / 2.0
+    u3 = u + 0.5 * h * k2u
+    k3u = du + 0.5 * h * k2v
+    k3v = u3 * u3 / (8.0 * th * th) + lam / 2.0
+    u4 = u + h * k3u
+    k4u = du + h * k3v
+    k4v = u4 * u4 / (8.0 * t1 * t1) + lam / 2.0
+    return (
+        u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+        du + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
 
 
 def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:
@@ -315,36 +307,21 @@ def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:
     us = [u]
     dus = [du]
     t = eps
+    diverged = False
     for i in range(n_steps):
-        k1u = du
-        k1v = u * u / (8.0 * t * t) + lam / 2.0
-        th = t + 0.5 * h
-        u2 = u + 0.5 * h * k1u
-        k2u = du + 0.5 * h * k1v
-        k2v = u2 * u2 / (8.0 * th * th) + lam / 2.0
-        u3 = u + 0.5 * h * k2u
-        k3u = du + 0.5 * h * k2v
-        k3v = u3 * u3 / (8.0 * th * th) + lam / 2.0
         t1 = eps + (i + 1) * h
-        u4 = u + h * k3u
-        k4u = du + h * k3v
-        k4v = u4 * u4 / (8.0 * t1 * t1) + lam / 2.0
-        u += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        du += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u, du = _rk4_step(t, t1, h, u, du, lam)
         t = t1
         if (i + 1) % stride == 0 or i == n_steps - 1:
             ts.append(t)
             us.append(u)
             dus.append(du)
         if abs(u) > spec.blowup:
-            return Trajectory(
-                lam=lam, kind=spec.kind, t=np.array(ts), u=np.array(us),
-                du=np.array(dus), launch=SeriesLaunch.from_slope(a, lam),
-                eps=eps, diverged=True,
-            )
+            diverged = True
+            break
     return Trajectory(
         lam=lam, kind=spec.kind, t=np.array(ts), u=np.array(us), du=np.array(dus),
-        launch=SeriesLaunch.from_slope(a, lam), eps=eps,
+        launch=SeriesLaunch.from_slope(a, lam), eps=eps, diverged=diverged,
     )
 
 
@@ -367,8 +344,7 @@ def first_integral_residual(traj: Trajectory) -> float:
     analytic s < eps tail from the series launch (O(eps^2)).
     """
     t, u, du = traj.t, traj.u, traj.du
-    g = u * u / (8.0 * t)
-    quad = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+    quad = _cumtrapz(u * u / (8.0 * t), t)
     quad += _series_tail(traj.launch.a, traj.launch.beta, traj.eps, 8.0)
     resid = t * du - u - quad - traj.lam / 4.0 * t * t
     return float(np.max(np.abs(resid)))
@@ -383,29 +359,13 @@ def representation_residual(traj: Trajectory) -> float:
     t, u = traj.t, traj.u
     lam = traj.lam
     a, beta, eps = traj.launch.a, traj.launch.beta, traj.eps
-    g_left = u * u / (4.0 * t)
-    left = np.concatenate([[0.0], np.cumsum(0.5 * (g_left[1:] + g_left[:-1]) * np.diff(t))])
+    left = _cumtrapz(u * u / (4.0 * t), t)
     left += _series_tail(a, beta, eps, 4.0)
-    g_right = u * u * (0.5 - t) / (4.0 * t * t)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g_right[1:] + g_right[:-1]) * np.diff(t))])
+    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
     right = cum[-1] - cum
     u_half = u[-1]
     predicted = -((0.5 - t) * left + t * right + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u_half)
     return float(np.max(np.abs(u - predicted)))
-
-
-def boundary_residual_value(traj: Trajectory) -> float:
-    """Endpoint residual: u(1/2) for Dirichlet, u(1/2) - u'(1/2) for Navier.
-
-    Diverged trajectories report +inf: convex shots that fail to return to
-    zero overshoot upward, so the sentinel keeps the residual effectively
-    continuous from the divergence side.
-    """
-    if traj.diverged:
-        return math.inf
-    if traj.kind is BoundaryKind.DIRICHLET:
-        return float(traj.u[-1])
-    return float(traj.u[-1] - traj.du[-1])
 
 
 def validate(traj: Trajectory) -> ValidationReport:
@@ -422,5 +382,5 @@ def validate(traj: Trajectory) -> ValidationReport:
         first_integral_resid=first_integral_residual(traj),
         representation_resid=representation_residual(traj),
         sign_violation=float(np.max(traj.u)),
-        boundary_resid=boundary_residual_value(traj),
+        boundary_resid=float(traj.kind.residual(traj.u[-1], traj.du[-1])),
     )

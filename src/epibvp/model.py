@@ -9,7 +9,9 @@ with either a Dirichlet condition u(1/2) = 0 or a Navier condition
 u(1/2) = u'(1/2) at the right endpoint, together with u(t)/t bounded as
 t -> 0+.  Everything downstream (integration, shooting, continuation,
 certificates) works in the u-frame; this module holds the shared value
-types and the transforms back to the physical w(r) / height phi(r) frame.
+types, the boundary rule, the transforms back to the physical w(r) / height
+phi(r) frame, and the trapezoid and golden-section helpers the layers above
+share.
 """
 
 from __future__ import annotations
@@ -29,6 +31,21 @@ class BoundaryKind(Enum):
     DIRICHLET = "dirichlet"
     NAVIER = "navier"
 
+    def residual(self, u, du):
+        """Endpoint residual u(1/2) (Dirichlet) or u(1/2) - u'(1/2) (Navier).
+
+        Accepts scalars or arrays of endpoint states.
+        """
+        if self is BoundaryKind.DIRICHLET:
+            return u
+        return u - du
+
+
+def check_lam(lam: float) -> None:
+    """Raise DomainError unless lam is a finite deposition rate >= 0."""
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lam must be finite and >= 0, got {lam}")
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -37,7 +54,7 @@ class ProblemSpec:
     Parameters
     ----------
     lam : float
-        Dimensionless deposition rate, lam >= 0.
+        Dimensionless deposition rate, finite and >= 0.
     kind : BoundaryKind
         Endpoint condition at t = 1/2.
     eps : float
@@ -45,7 +62,8 @@ class ProblemSpec:
         the two-term expansion u = a*t + beta*t^2, so the trajectory carries
         an O(eps^3) truncation error, far below step_tol at the default.
     step_tol : float
-        Local error tolerance per step of the adaptive integrator.
+        Local error tolerance per step of the adaptive integrator, finite
+        and > 0.
     slope_min, slope_max : float
         Shooting-slope scan window, slope_min <= slope_max <= 0.
     grid_n : int
@@ -83,8 +101,9 @@ class ProblemSpec:
     sign_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
+        check_lam(self.lam)
+        if not 0.0 < self.step_tol < math.inf:
+            raise DomainError(f"step_tol must be finite and > 0, got {self.step_tol}")
         if not 0 < self.eps < 0.5:
             raise DomainError(f"eps must lie in (0, 1/2), got {self.eps}")
         if not self.slope_min <= self.slope_max <= 0:
@@ -179,6 +198,39 @@ def rhs(t, u, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of y over x, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(g, lo: float, hi: float, iters: int, tol: float = 0.0):
+    """Golden-section minimization of g on [lo, hi].
+
+    Runs ``iters`` section steps, stopping early once the interval is
+    narrower than ``tol``; returns (x, g(x)) at the better interior point.
+    """
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        if gc <= gd:
+            hi, d, gd = d, c, gc
+            c = hi - _INVPHI * (hi - lo)
+            gc = g(c)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + _INVPHI * (hi - lo)
+            gd = g(d)
+        if hi - lo < tol:
+            break
+    if gc <= gd:
+        return c, gc
+    return d, gd
+
+
 def reconstruct_phi(traj: Trajectory, report=None) -> RadialProfile:
     """Rebuild the physical profile w(r) = u(r^2/2) and the height phi(r).
 
@@ -211,8 +263,7 @@ def reconstruct_phi(traj: Trajectory, report=None) -> RadialProfile:
         )
     r = np.sqrt(2.0 * traj.t)
     w = traj.u.copy()
-    integrand = w / r
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(r))])
+    cum = _cumtrapz(w / r, r)
     # phi(r) = -int_r^1 w/s ds, exactly 0 at the last sample (r = 1)
     phi = cum - cum[-1]
     return RadialProfile(r=r, w=w, phi=phi)

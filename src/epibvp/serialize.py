@@ -101,7 +101,7 @@ def rootset_from_json(text: str) -> RootSet:
     return RootSet(
         lam=d["lambda"],
         kind=BoundaryKind(d["kind"]),
-        roots=[ShootingRoot(a=r["a"], residual_deriv_sign=1) for r in d["roots"]],
+        roots=[ShootingRoot(a=r["a"]) for r in d["roots"]],
         scan_window=(d["window"][0], d["window"][1]),
     )
 

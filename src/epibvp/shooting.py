@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import WindowTooSmallError
-from .integrator import VALIDATION_GRID_MIN, shoot_endpoint, integrate, validate
-from .model import BoundaryKind, ProblemSpec, Trajectory
+from .integrator import VALIDATION_GRID_MIN, _rk4_step, shoot_endpoint, integrate, validate
+from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
 
 # graded scan grid: geometric cells out of the singular endpoint, uniform after
 _SCAN_SWITCH = 5e-3
@@ -32,13 +32,11 @@ _SCAN_UNI_N = 2400
 # interior |residual| extrema below this are golden-refined (fold handling)
 _EXTREMUM_GATE = 0.1
 _GOLDEN_ITERS = 48
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class ShootingRoot:
     a: float
-    residual_deriv_sign: int
 
 
 @dataclass
@@ -66,9 +64,7 @@ def boundary_residual(traj: Trajectory, kind: BoundaryKind) -> float:
     """
     if traj.diverged:
         return math.inf
-    if kind is BoundaryKind.DIRICHLET:
-        return float(traj.u[-1])
-    return float(traj.u[-1] - traj.du[-1])
+    return float(kind.residual(traj.u[-1], traj.du[-1]))
 
 
 def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
@@ -92,41 +88,21 @@ def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
     blowup = spec.blowup
     for i in range(len(grid) - 1):
         t0 = grid[i]
-        h = grid[i + 1] - t0
-        th = t0 + 0.5 * h
         t1 = grid[i + 1]
-        k1u = du
-        k1v = u * u / (8.0 * t0 * t0) + lam / 2.0
-        u2 = u + 0.5 * h * k1u
-        k2u = du + 0.5 * h * k1v
-        k2v = u2 * u2 / (8.0 * th * th) + lam / 2.0
-        u3 = u + 0.5 * h * k2u
-        k3u = du + 0.5 * h * k2v
-        k3v = u3 * u3 / (8.0 * th * th) + lam / 2.0
-        u4 = u + h * k3u
-        k4u = du + h * k3v
-        k4v = u4 * u4 / (8.0 * t1 * t1) + lam / 2.0
         with np.errstate(invalid="ignore", over="ignore"):
-            u_new = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            du_new = du + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            u_new, du_new = _rk4_step(t0, t1, t1 - t0, u, du, lam)
         step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= blowup)
         u = np.where(step_ok, u_new, u)
         du = np.where(step_ok, du_new, du)
         alive = step_ok
-    if spec.kind is BoundaryKind.DIRICHLET:
-        res = u
-    else:
-        res = u - du
-    return np.where(alive, res, np.inf)
+    return np.where(alive, spec.kind.residual(u, du), np.inf)
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
     u, du, diverged = shoot_endpoint(spec, a)
     if diverged:
         return math.inf
-    if spec.kind is BoundaryKind.DIRICHLET:
-        return u
-    return u - du
+    return spec.kind.residual(u, du)
 
 
 def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float):
@@ -182,23 +158,8 @@ def _golden_descend(spec: ProblemSpec, lo: float, hi: float, sign: float):
         r = _residual_at(spec, x)
         return sign * r if math.isfinite(r) else math.inf
 
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    for _ in range(_GOLDEN_ITERS):
-        if gc <= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INVPHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INVPHI * (hi - lo)
-            gd = g(d)
-        if hi - lo < spec.root_tol:
-            break
-    if gc <= gd:
-        return c, sign * gc
-    return d, sign * gd
+    a_min, g_min = _golden_min(g, lo, hi, _GOLDEN_ITERS, spec.root_tol)
+    return a_min, sign * g_min
 
 
 def find_shooting_roots(spec: ProblemSpec) -> RootSet:
@@ -221,18 +182,13 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
     res = _scan_residuals(spec, a_grid)
     finite = np.isfinite(res)
 
-    candidates: list[tuple[float, float, int]] = []  # (a, f, deriv_sign)
-
-    def note_root(a: float, f: float, lo: float, flo: float) -> None:
-        sign = 1 if flo < 0 else -1
-        candidates.append((a, f, sign))
+    candidates: list[tuple[float, float]] = []  # (a, f)
 
     # sign-change brackets
     bracketed_cells = set()
     for i in range(spec.scan_n - 1):
         if finite[i] and finite[i + 1] and res[i] * res[i + 1] < 0:
-            a, f = _refine_bracket(spec, a_grid[i], a_grid[i + 1], res[i], res[i + 1])
-            note_root(a, f, a_grid[i], res[i])
+            candidates.append(_refine_bracket(spec, a_grid[i], a_grid[i + 1], res[i], res[i + 1]))
             bracketed_cells.update((i - 1, i, i + 1))
 
     # interior extrema of |residual|: dig for root pairs the scan missed
@@ -255,20 +211,18 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
             flo = _residual_at(spec, lo)
             fhi = _residual_at(spec, hi)
             if math.isfinite(flo) and flo * f_min < 0:
-                a, f = _refine_bracket(spec, lo, a_min, flo, f_min)
-                note_root(a, f, lo, flo)
+                candidates.append(_refine_bracket(spec, lo, a_min, flo, f_min))
             if math.isfinite(fhi) and f_min * fhi < 0:
-                a, f = _refine_bracket(spec, a_min, hi, f_min, fhi)
-                note_root(a, f, a_min, f_min)
+                candidates.append(_refine_bracket(spec, a_min, hi, f_min, fhi))
         elif abs(f_min) <= spec.boundary_tol:
             # tangency: double root at the fold
-            candidates.append((a_min, f_min, 1 if sign < 0 else -1))
+            candidates.append((a_min, f_min))
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)
     if spec.slope_max == 0.0:
         f0 = _residual_at(spec, 0.0)
         if abs(f0) <= spec.boundary_tol:
-            candidates.append((0.0, f0, 1))
+            candidates.append((0.0, f0))
 
     # window adequacy: no root may sit at a true edge
     f_lo_edge = _residual_at(spec, spec.slope_min)
@@ -278,7 +232,7 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
         f_hi_edge = _residual_at(spec, spec.slope_max)
         if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= spec.boundary_tol:
             raise WindowTooSmallError("slope_max", spec.slope_max)
-    for a, _, _ in candidates:
+    for a, _ in candidates:
         if a != 0.0:
             if a - spec.slope_min < spec.cluster_tol:
                 raise WindowTooSmallError("slope_min", a)
@@ -287,7 +241,7 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
 
     # merge near-coincident roots (fold proximity), best residual wins
     candidates.sort(key=lambda c: c[0])
-    merged: list[tuple[float, float, int]] = []
+    merged: list[tuple[float, float]] = []
     for cand in candidates:
         if merged and cand[0] - merged[-1][0] <= spec.cluster_tol:
             if abs(cand[1]) < abs(merged[-1][1]):
@@ -300,10 +254,10 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
     # caller's output grid so a coarse grid_n cannot drop a genuine root
     vspec = replace(spec, grid_n=max(spec.grid_n, VALIDATION_GRID_MIN))
     roots = []
-    for a, f, sign in merged:
+    for a, _ in merged:
         traj = integrate(vspec, a)
         if validate(traj).accepted(spec):
-            roots.append(ShootingRoot(a=a, residual_deriv_sign=sign))
+            roots.append(ShootingRoot(a=a))
     return RootSet(
         lam=spec.lam,
         kind=spec.kind,

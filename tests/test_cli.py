@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from epibvp import serialize
 from epibvp.cli import main
@@ -132,6 +133,23 @@ def test_precondition_error_bad_bracket(tmp_path):
         tmp_path, "fold", "--bc", "navier", "--lo", "12", "--hi", "13", "--tol", "0.05"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--lambda", "nan", "--bc", "navier"],
+    ["certify", "--lambda", "inf", "--bc", "dirichlet"],
+    ["sweep", "--lambdas", "100,nan", "--bc", "dirichlet"],
+    ["solve", "--tol", "0", "--a", "-16", "--lambda", "100", "--bc", "dirichlet"],
+    ["solve", "--tol=-1e-10", "--a", "-16", "--lambda", "100", "--bc", "dirichlet"],
+    ["fold", "--bc", "navier", "--tol", "nan"],
+], ids=["certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan"])
+def test_precondition_error_bad_number(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("precondition error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_numerical_error_unvalidated_solve(tmp_path):

@@ -55,7 +55,7 @@ def test_rootset_json_roundtrip():
     rs = RootSet(
         lam=100.0,
         kind=BoundaryKind.DIRICHLET,
-        roots=[ShootingRoot(-108.52567289833944, -1), ShootingRoot(-16.2635630662405, 1)],
+        roots=[ShootingRoot(-108.52567289833944), ShootingRoot(-16.2635630662405)],
         scan_window=(-500.0, 0.0),
     )
     back = serialize.rootset_from_json(serialize.rootset_to_json(rs))

@@ -175,4 +175,3 @@ def test_rootset_fields(root_cache):
     assert rs.lam == 100.0
     assert rs.kind is BoundaryKind.DIRICHLET
     assert rs.scan_window == (-500.0, 0.0)
-    assert all(r.residual_deriv_sign in (-1, 1) for r in rs.roots)
