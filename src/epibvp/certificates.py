@@ -8,9 +8,11 @@ solvability for the given deposition rate:
   are lower functions whenever their slack
       alpha'' - alpha^2/(8 t^2) - lam/2
   is nonnegative on (0, 1/2]; together with the zero upper function this
-  certifies existence.  The slack has an exact factorization (see
-  ``slack_dirichlet`` / ``slack_navier``) evaluated on a grid with
-  quadratic clustering at the singular endpoint.
+  certifies existence.  The slack factors exactly (see ``slack_dirichlet`` /
+  ``slack_navier``) into a term that is >= 0 and vanishes at t = 1/8
+  (Dirichlet) or t = 1/2 (Navier), plus the constant 72 - lam/2 or
+  9/2 - lam/2.  The minimum slack is that constant, so the verdict is
+  exact: existence for lam <= 144 (Dirichlet) or lam <= 9 (Navier).
 * nonexistence certificates: any solution forces v(t) = -u(t)/t to majorize
   c0 (1/2 - t) with c0 the smallest fixed point of  c -> c^2/384 + lam/4,
   which exists only for lam <= 384.  Feeding that bound back through the
@@ -38,12 +40,18 @@ from scipy.linalg import solve_banded
 from .errors import DomainError, EpibvpError, RelaxationError
 from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _golden_min, check_lam
 
-SLACK_TOL = 1e-9
 F_TOL = 1e-9
 _DISC_TOL = 1e-9
-_SLACK_GRID_N = 20000
 _F_GRID_N = 100000
 _FIXED_POINT_CAP = 384.0
+# fixed-point iteration of c -> c^2/384 + lam/4: stop on an increment
+# below _C0_STEP_TOL or after _C0_MAX_ITER map steps
+_C0_STEP_TOL = 1e-14
+_C0_MAX_ITER = 10 ** 6
+# damped Newton of the monotone solver: iteration cap and update size
+# that declares convergence
+_NEWTON_MAX_ITER = 80
+_NEWTON_XTOL = 1e-11
 
 
 class CertificateKind(Enum):
@@ -143,52 +151,44 @@ def slack_navier(t, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _slack_grid(n: int = _SLACK_GRID_N) -> np.ndarray:
-    """Quadratically clustered grid t_k = (k/n)^2 / 2, k = 1..n.
-
-    The 1/sqrt(t) factors in the slack vary fastest near the singular
-    endpoint, and the clustering puts t = 1/8 and t = 1/2 exactly on-grid.
-    """
-    k = np.arange(1, n + 1, dtype=float)
-    return (k / n) ** 2 * 0.5
-
-
 def lower_function_dirichlet(lam: float) -> Certificate:
-    """Existence certificate from the Dirichlet lower-function candidate."""
+    """Existence certificate from the Dirichlet lower-function candidate.
+
+    The minimum slack over (0, 1/2] is exactly 72 - lam/2, attained at
+    t = 1/8 (see ``slack_dirichlet``), so existence holds iff lam <= 144.
+    """
     check_lam(lam)
-    t = _slack_grid()
-    s = slack_dirichlet(t, lam)
-    i = int(np.argmin(s))
-    verdict = Verdict.EXISTENCE if s[i] >= -SLACK_TOL else Verdict.INCONCLUSIVE
+    min_slack = 72.0 - lam / 2.0
     return Certificate(
         kind=CertificateKind.LOWER_DIRICHLET,
         lam=lam,
-        verdict=verdict,
-        witness={"min_slack": float(s[i]), "argmin_t": float(t[i])},
+        verdict=Verdict.EXISTENCE if min_slack >= 0.0 else Verdict.INCONCLUSIVE,
+        witness={"min_slack": min_slack, "argmin_t": 0.125},
     )
 
 
 def lower_function_navier(lam: float) -> Certificate:
     """Existence certificate from the Navier lower-function candidate.
 
-    Also checks the endpoint inequality alpha(1/2) >= alpha'(1/2), which the
-    candidate meets with equality (both sides are -3).
+    The minimum slack over (0, 1/2] is exactly 9/2 - lam/2, attained at
+    t = 1/2 (see ``slack_navier``), so the slack condition holds iff
+    lam <= 9.  Also checks the endpoint inequality alpha(1/2) >= alpha'(1/2),
+    which the candidate meets with equality (both sides are -3, exactly in
+    floating point too).
     """
     check_lam(lam)
-    t = _slack_grid()
-    s = slack_navier(t, lam)
-    i = int(np.argmin(s))
+    min_slack = 4.5 - lam / 2.0
     # alpha(1/2) = -3 and alpha'(t) = -12 + 9 sqrt(2 t) gives alpha'(1/2) = -3
     endpoint_gap = alpha_navier(0.5) - (-12.0 + 9.0 * math.sqrt(2.0 * 0.5))
-    ok = s[i] >= -SLACK_TOL and endpoint_gap >= -SLACK_TOL
+    ok = min_slack >= 0.0 and endpoint_gap >= 0.0
     return Certificate(
         kind=CertificateKind.LOWER_NAVIER,
         lam=lam,
         verdict=Verdict.EXISTENCE if ok else Verdict.INCONCLUSIVE,
         witness={
-            "min_slack": float(s[i]),
-            "argmin_t": float(t[i]),
-            "endpoint_gap": float(endpoint_gap),
+            "min_slack": min_slack,
+            "argmin_t": 0.5,
+            "endpoint_gap": endpoint_gap,
         },
     )
 
@@ -204,7 +204,7 @@ def c0_closed_form(lam: float) -> float:
     return 192.0 * (1.0 - math.sqrt(1.0 - lam / _FIXED_POINT_CAP))
 
 
-def fixed_point_c0(lam: float, step_tol: float = 1e-14, max_iter: int = 10 ** 6):
+def fixed_point_c0(lam: float):
     """Iterate c_1 = lam/4, c_{n+1} = c_n^2/384 + lam/4 to its limit.
 
     The sequence is non-decreasing and bounded by 192 for lam <= 384 (it is
@@ -226,13 +226,13 @@ def fixed_point_c0(lam: float, step_tol: float = 1e-14, max_iter: int = 10 ** 6)
         raise DomainError(f"fixed point exists only for 0 <= lam <= 384, got {lam}")
     c = lam / 4.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _C0_MAX_ITER + 1):
         c_next = c * c / 384.0 + lam / 4.0
         if c_next < c:
             raise EpibvpError(f"fixed-point sequence decreased at step {iterations}")
         if c_next > 192.0 + 1e-9:
             raise EpibvpError(f"fixed-point sequence escaped its bound at step {iterations}")
-        done = c_next - c < step_tol
+        done = c_next - c < _C0_STEP_TOL
         c = c_next
         if done:
             break
@@ -355,9 +355,7 @@ def certificates_for(lam: float, kind: BoundaryKind) -> list[Certificate]:
 # truncated-domain monotone solver
 # ---------------------------------------------------------------------------
 
-def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
-                      u0: np.ndarray, ftol: float, max_newton: int = 80,
-                      xtol: float = 1e-11):
+def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray, u0: np.ndarray):
     """Damped Newton for the discretized problem on one truncation level.
 
     Second-order central differences inside, u = 0 at the left end, and at
@@ -370,6 +368,7 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
     sits near |u| * eps_mach / h^2 and the residual alone cannot certify
     fine grids.
     """
+    ftol = 1e-9 * (1.0 + lam)
     n = t.size
     h = t[1] - t[0]
     alpha = alpha_dirichlet(t) if kind is BoundaryKind.DIRICHLET else alpha_navier(t)
@@ -390,7 +389,7 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
 
     r = resid(u)
     trace = [float(np.max(np.abs(r)))]
-    for _ in range(max_newton):
+    for _ in range(_NEWTON_MAX_ITER):
         if trace[-1] <= ftol:
             return u, trace
         if kind is BoundaryKind.DIRICHLET:
@@ -412,7 +411,7 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
             ab[2, -2] = -4.0
             ab[3, -3] = 1.0
             upd = solve_banded((2, 1), ab, -r)
-        if float(np.max(np.abs(upd))) <= xtol:
+        if float(np.max(np.abs(upd))) <= _NEWTON_XTOL:
             u = np.clip(u + upd, alpha, 0.0)
             return u, trace
         step = 1.0
@@ -427,7 +426,7 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
             step *= 0.5
         if chosen is None:
             # residual at its rounding floor: take the full step and let the
-            # local Newton phase drive the update below xtol
+            # local Newton phase drive the update below _NEWTON_XTOL
             cand = np.clip(u + upd, alpha, 0.0)
             rc = resid(cand)
             chosen = (cand, rc, float(np.max(np.abs(rc))))
@@ -438,12 +437,13 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray,
     )
 
 
-def truncated_monotone_solve(spec: ProblemSpec, alpha_kind: CertificateKind) -> Trajectory:
+def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
     """Solve via the lower/upper-function construction on shrinking truncations.
 
     The equation is solved on [t_n, 1/2] for t_n = 2^{-n-1} decreasing to
     spec.eps, each solve constrained to the strip [alpha, 0] with boundary
-    value u(t_n) = 0 and the spec's condition at 1/2; every level is
+    value u(t_n) = 0 and the spec's condition at 1/2, where alpha is the
+    lower-function candidate of spec.kind; every level is
     warm-started from the previous one.  The finest-truncation solution is
     returned as a Trajectory with derivatives from second-order differences.
 
@@ -454,21 +454,15 @@ def truncated_monotone_solve(spec: ProblemSpec, alpha_kind: CertificateKind) -> 
     Raises
     ------
     DomainError
-        If alpha_kind does not match spec.kind, or the matching
-        lower-function certificate does not certify existence at spec.lam.
+        If the lower-function certificate of spec.kind does not certify
+        existence at spec.lam.
     RelaxationError
         If a Newton level fails to converge (residual trace attached).
     """
-    if alpha_kind is CertificateKind.LOWER_DIRICHLET:
-        if spec.kind is not BoundaryKind.DIRICHLET:
-            raise DomainError("Dirichlet lower function requires a Dirichlet spec")
+    if spec.kind is BoundaryKind.DIRICHLET:
         cert = lower_function_dirichlet(spec.lam)
-    elif alpha_kind is CertificateKind.LOWER_NAVIER:
-        if spec.kind is not BoundaryKind.NAVIER:
-            raise DomainError("Navier lower function requires a Navier spec")
-        cert = lower_function_navier(spec.lam)
     else:
-        raise DomainError(f"alpha_kind must be a Lower* certificate kind, got {alpha_kind}")
+        cert = lower_function_navier(spec.lam)
     if cert.verdict is not Verdict.EXISTENCE:
         raise DomainError(
             f"no lower-function existence certificate at lam={spec.lam} "
@@ -482,7 +476,6 @@ def truncated_monotone_solve(spec: ProblemSpec, alpha_kind: CertificateKind) -> 
         n += 1
     levels.append(spec.eps)
 
-    ftol = 1e-9 * (1.0 + spec.lam)
     u_prev = None
     t_prev = None
     for t_lo in levels:
@@ -491,7 +484,7 @@ def truncated_monotone_solve(spec: ProblemSpec, alpha_kind: CertificateKind) -> 
             u0 = np.zeros(spec.grid_n)
         else:
             u0 = np.interp(t, t_prev, u_prev, left=0.0)
-        u, _ = _newton_truncated(spec.lam, spec.kind, t, u0, ftol)
+        u, _ = _newton_truncated(spec.lam, spec.kind, t, u0)
         u_prev, t_prev = u, t
 
     t, u = t_prev, u_prev

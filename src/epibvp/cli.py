@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .certificates import CertificateKind, certificates_for, truncated_monotone_solve
+from .certificates import certificates_for, truncated_monotone_solve
 from .continuation import (
     default_fold_bracket,
     default_fold_tol,
@@ -170,12 +170,7 @@ def _cmd_solve(args) -> int:
         raise UsageError("--lambda is required for solve")
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
-        alpha_kind = (
-            CertificateKind.LOWER_DIRICHLET
-            if spec.kind is BoundaryKind.DIRICHLET
-            else CertificateKind.LOWER_NAVIER
-        )
-        traj = truncated_monotone_solve(spec, alpha_kind)
+        traj = truncated_monotone_solve(spec)
         _emit_solution(args, spec, traj, validate(traj))
         return EXIT_OK
     if args.a is not None:
@@ -200,7 +195,9 @@ def _cmd_sweep(args) -> int:
         lams = [args.lo + i * step for i in range(args.n)]
     else:
         raise UsageError("sweep needs --lambdas or --lo/--hi/--n")
-    spec = _spec_from_args(args, lams[0] if lams else 0.0)
+    if not lams:
+        raise UsageError("sweep needs at least one lambda value")
+    spec = _spec_from_args(args, lams[0])
     diagram = sweep(spec.kind, lams, spec)
     if args.format == "csv":
         _write(args, "diagram.csv", serialize.diagram_to_csv(diagram))

@@ -18,7 +18,7 @@ from .errors import BracketError
 from .model import BoundaryKind, ProblemSpec
 from .shooting import RootSet, find_shooting_roots
 
-# lam resolution floor: below this, root merging at cluster_tol makes
+# lam resolution floor: below this, the shooting root merge distance makes
 # finer fold claims meaningless at the default tolerances
 FOLD_RESOLUTION_FLOOR = 1e-3
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _cumtrapz
+from .model import ProblemSpec, SeriesLaunch, Trajectory, _cumtrapz
 
 # Dormand-Prince 5(4) tableau, embedded error weights, and Shampine's
 # quartic dense-output matrix (order-4 interpolant over each step).
@@ -61,21 +61,25 @@ _DP_P = (
 
 _MIN_STEP = 1e-16
 
-# the residual validators use trapezoid quadrature on the sample grid; their
-# default thresholds are calibrated at this output resolution
-VALIDATION_GRID_MIN = 16001
+# |u| above which a shot is flagged as diverged
+BLOWUP = 1e6
 
-# tolerance carrier for ValidationReport.accepted() without an explicit spec
-_DEFAULT_TOLS = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET)
+# the residual validators use trapezoid quadrature on the sample grid; their
+# acceptance thresholds below are calibrated at this output resolution
+VALIDATION_GRID_MIN = 16001
+FI_TOL = 1e-6  # first-integral residual
+REP_TOL = 1e-5  # integral-representation residual
+SIGN_TOL = 1e-8  # max u (sign property)
+BOUNDARY_TOL = 1e-8  # endpoint residual
 
 
 @dataclass
 class ValidationReport:
     """Residuals of one trajectory against the exact solution identities.
 
-    A trajectory is accepted iff every residual is below its configured
-    tolerance; ``sign_violation`` is max u over the samples and may be of
-    either sign.
+    A trajectory is accepted iff it did not diverge, every residual is
+    below its threshold and ``sign_violation``, which is max u over the
+    samples and may be of either sign, is at most ``SIGN_TOL``.
     """
 
     first_integral_resid: float
@@ -84,19 +88,14 @@ class ValidationReport:
     boundary_resid: float
     diverged: bool = False
 
-    def accepted(self, spec: ProblemSpec | None = None) -> bool:
-        """Check all residuals against the tolerances of ``spec``.
-
-        Default tolerances apply when no spec is given.
-        """
-        if spec is None:
-            spec = _DEFAULT_TOLS
+    def accepted(self) -> bool:
+        """Check all residuals against the module's acceptance thresholds."""
         return (
             not self.diverged
-            and self.first_integral_resid < spec.fi_tol
-            and self.representation_resid < spec.rep_tol
-            and self.sign_violation <= spec.sign_tol
-            and abs(self.boundary_resid) < spec.boundary_tol
+            and self.first_integral_resid < FI_TOL
+            and self.representation_resid < REP_TOL
+            and self.sign_violation <= SIGN_TOL
+            and abs(self.boundary_resid) < BOUNDARY_TOL
         )
 
     def to_dict(self) -> dict:
@@ -156,7 +155,7 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
     target ``(t_out, us, dus)`` the output samples are filled from the
     quartic interpolant as the steps pass them.  Returns the last state
     ``(u, u', diverged, samples filled)``: the state at t = 1/2, or the last
-    state reached when |u| exceeded ``spec.blowup`` or a stage went
+    state reached when |u| exceeded ``BLOWUP`` or a stage went
     non-finite (both flagged as divergence).
 
     The pair is first-same-as-last: the last stage sits at the 5th-order
@@ -215,7 +214,7 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
             t += h
             u, du = uu, vv
             k0 = k[6]
-            if abs(u) > spec.blowup:
+            if abs(u) > BLOWUP:
                 return u, du, True, idx
             if final:
                 if dense is not None:
@@ -235,7 +234,7 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
 
     Adaptive Dormand-Prince 5(4) with local error per step bounded by
     ``spec.step_tol``; output on ``spec.grid_n`` uniform t samples (endpoint
-    included) via dense interpolation.  If |u| exceeds ``spec.blowup`` the
+    included) via dense interpolation.  If |u| exceeds ``BLOWUP`` the
     run stops and the truncated trajectory is returned with ``diverged``
     set -- root scanning relies on probing such slopes, so divergence is
     not an error.
@@ -316,7 +315,7 @@ def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:
             ts.append(t)
             us.append(u)
             dus.append(du)
-        if abs(u) > spec.blowup:
+        if abs(u) > BLOWUP:
             diverged = True
             break
     return Trajectory(

@@ -49,7 +49,7 @@ def check_lam(lam: float) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full numerical configuration of one solve.
+    """Numerical configuration of one solve.
 
     Parameters
     ----------
@@ -69,19 +69,12 @@ class ProblemSpec:
     grid_n : int
         Number of output samples (uniform in t, endpoint included).  Also
         sets the trapezoid resolution of the residual validators.
-    blowup : float
-        |u| threshold above which a shot is flagged as diverged.
     scan_n : int
         Number of slope samples in the bracketing scan.
-    root_tol : float
-        Refinement stops once the slope bracket is narrower than this.
-    cluster_tol : float
-        Roots closer than this are merged (fold proximity).
-    boundary_tol : float
-        Acceptance threshold on the endpoint residual.
-    fi_tol, rep_tol, sign_tol : float
-        Acceptance thresholds on the first-integral residual, the integral
-        representation residual, and max u (sign property).
+
+    The divergence threshold and the validation thresholds are fixed
+    constants of :mod:`epibvp.integrator`; the root-refinement and merge
+    distances are fixed in :mod:`epibvp.shooting`.
     """
 
     lam: float
@@ -91,14 +84,7 @@ class ProblemSpec:
     slope_min: float = -500.0
     slope_max: float = 0.0
     grid_n: int = 16001
-    blowup: float = 1e6
     scan_n: int = 2000
-    root_tol: float = 1e-10
-    cluster_tol: float = 1e-6
-    boundary_tol: float = 1e-8
-    fi_tol: float = 1e-6
-    rep_tol: float = 1e-5
-    sign_tol: float = 1e-8
 
     def __post_init__(self):
         check_lam(self.lam)

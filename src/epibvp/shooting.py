@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import WindowTooSmallError
-from .integrator import VALIDATION_GRID_MIN, _rk4_step, shoot_endpoint, integrate, validate
+from .integrator import (
+    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, _rk4_step, integrate, shoot_endpoint, validate,
+)
 from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
 
 # graded scan grid: geometric cells out of the singular endpoint, uniform after
@@ -32,6 +34,10 @@ _SCAN_UNI_N = 2400
 # interior |residual| extrema below this are golden-refined (fold handling)
 _EXTREMUM_GATE = 0.1
 _GOLDEN_ITERS = 48
+# refinement stops once the slope bracket is narrower than this
+_ROOT_TOL = 1e-10
+# roots closer than this are merged (fold proximity)
+_CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,12 @@ def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
         np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
     ])
     alive = np.ones(a.shape, dtype=bool)
-    blowup = spec.blowup
     for i in range(len(grid) - 1):
         t0 = grid[i]
         t1 = grid[i + 1]
         with np.errstate(invalid="ignore", over="ignore"):
             u_new, du_new = _rk4_step(t0, t1, t1 - t0, u, du, lam)
-        step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= blowup)
+        step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= BLOWUP)
         u = np.where(step_ok, u_new, u)
         du = np.where(step_ok, du_new, du)
         alive = step_ok
@@ -108,7 +113,7 @@ def _residual_at(spec: ProblemSpec, a: float) -> float:
 def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float):
     """Bisection then secant inside a sign-change bracket.
 
-    Returns (a, f(a)) with the bracket narrowed below root_tol and the
+    Returns (a, f(a)) with the bracket narrowed below _ROOT_TOL and the
     residual driven as close to zero as the secant allows.
     """
     # bisection: cut the scan-cell bracket down to secant-friendly width
@@ -119,13 +124,13 @@ def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: fl
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-        if hi - lo <= spec.root_tol:
+        if hi - lo <= _ROOT_TOL:
             break
     # secant with bracket safeguard
     x0, f0, x1, f1 = lo, flo, hi, fhi
     best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
     for _ in range(60):
-        if hi - lo <= spec.root_tol and abs(best_f) <= 0.5 * spec.boundary_tol:
+        if hi - lo <= _ROOT_TOL and abs(best_f) <= 0.5 * BOUNDARY_TOL:
             break
         denom = f1 - f0
         if denom == 0.0 or not math.isfinite(denom):
@@ -158,7 +163,7 @@ def _golden_descend(spec: ProblemSpec, lo: float, hi: float, sign: float):
         r = _residual_at(spec, x)
         return sign * r if math.isfinite(r) else math.inf
 
-    a_min, g_min = _golden_min(g, lo, hi, _GOLDEN_ITERS, spec.root_tol)
+    a_min, g_min = _golden_min(g, lo, hi, _GOLDEN_ITERS, _ROOT_TOL)
     return a_min, sign * g_min
 
 
@@ -167,9 +172,9 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
 
     Scans ``spec.scan_n`` slopes over [slope_min, slope_max], brackets sign
     changes of the boundary residual, refines each bracket by bisection then
-    secant to |delta a| < root_tol, golden-refines interior residual extrema
+    secant to |delta a| < _ROOT_TOL, golden-refines interior residual extrema
     (so near-fold root pairs and the exact-fold double root are not lost),
-    merges roots closer than cluster_tol, and keeps only roots whose full
+    merges roots closer than _CLUSTER_TOL, and keeps only roots whose full
     trajectory passes validation.
 
     Raises
@@ -214,36 +219,36 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
                 candidates.append(_refine_bracket(spec, lo, a_min, flo, f_min))
             if math.isfinite(fhi) and f_min * fhi < 0:
                 candidates.append(_refine_bracket(spec, a_min, hi, f_min, fhi))
-        elif abs(f_min) <= spec.boundary_tol:
+        elif abs(f_min) <= BOUNDARY_TOL:
             # tangency: double root at the fold
             candidates.append((a_min, f_min))
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)
     if spec.slope_max == 0.0:
         f0 = _residual_at(spec, 0.0)
-        if abs(f0) <= spec.boundary_tol:
+        if abs(f0) <= BOUNDARY_TOL:
             candidates.append((0.0, f0))
 
     # window adequacy: no root may sit at a true edge
     f_lo_edge = _residual_at(spec, spec.slope_min)
-    if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= spec.boundary_tol:
+    if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= BOUNDARY_TOL:
         raise WindowTooSmallError("slope_min", spec.slope_min)
     if spec.slope_max < 0.0:
         f_hi_edge = _residual_at(spec, spec.slope_max)
-        if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= spec.boundary_tol:
+        if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
             raise WindowTooSmallError("slope_max", spec.slope_max)
     for a, _ in candidates:
         if a != 0.0:
-            if a - spec.slope_min < spec.cluster_tol:
+            if a - spec.slope_min < _CLUSTER_TOL:
                 raise WindowTooSmallError("slope_min", a)
-            if spec.slope_max - a < spec.cluster_tol and spec.slope_max < 0.0:
+            if spec.slope_max - a < _CLUSTER_TOL and spec.slope_max < 0.0:
                 raise WindowTooSmallError("slope_max", a)
 
     # merge near-coincident roots (fold proximity), best residual wins
     candidates.sort(key=lambda c: c[0])
     merged: list[tuple[float, float]] = []
     for cand in candidates:
-        if merged and cand[0] - merged[-1][0] <= spec.cluster_tol:
+        if merged and cand[0] - merged[-1][0] <= _CLUSTER_TOL:
             if abs(cand[1]) < abs(merged[-1][1]):
                 merged[-1] = cand
         else:
@@ -256,7 +261,7 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
     roots = []
     for a, _ in merged:
         traj = integrate(vspec, a)
-        if validate(traj).accepted(spec):
+        if validate(traj).accepted():
             roots.append(ShootingRoot(a=a))
     return RootSet(
         lam=spec.lam,

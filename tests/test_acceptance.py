@@ -15,7 +15,6 @@ import pytest
 from epibvp.cli import main as cli_main
 
 from epibvp.certificates import (
-    CertificateKind,
     Verdict,
     alpha_dirichlet,
     alpha_navier,
@@ -181,12 +180,12 @@ def test_criterion_8_branch_structure(root_cache):
 
 def test_criterion_9_cross_solver_agreement(root_cache):
     sups = {}
-    for lam, kind, alpha_kind, alpha_fn in [
-        (144.0, BoundaryKind.DIRICHLET, CertificateKind.LOWER_DIRICHLET, alpha_dirichlet),
-        (9.0, BoundaryKind.NAVIER, CertificateKind.LOWER_NAVIER, alpha_navier),
+    for lam, kind, alpha_fn in [
+        (144.0, BoundaryKind.DIRICHLET, alpha_dirichlet),
+        (9.0, BoundaryKind.NAVIER, alpha_navier),
     ]:
         spec = ProblemSpec(lam=lam, kind=kind)
-        fd = truncated_monotone_solve(spec, alpha_kind)
+        fd = truncated_monotone_solve(spec)
         # the strip solution is maximal: it corresponds to the best-matching
         # (upper-branch) shooting root
         best = math.inf

@@ -71,14 +71,16 @@ def test_navier_slack_zero_and_endpoint():
 def test_lower_dirichlet_existence(lam):
     cert = lower_function_dirichlet(lam)
     assert cert.verdict is Verdict.EXISTENCE
-    assert cert.witness["min_slack"] >= -1e-9
+    assert cert.witness["min_slack"] >= 0.0
 
 
 def test_lower_dirichlet_inconclusive_and_witness():
-    cert = lower_function_dirichlet(150.0)
-    assert cert.verdict is Verdict.INCONCLUSIVE
-    assert cert.witness["min_slack"] == pytest.approx(-3.0, abs=1e-9)
-    assert cert.witness["argmin_t"] == pytest.approx(0.125, abs=1e-9)
+    # the second input is the first double above the threshold 144
+    for lam, min_slack in [(150.0, -3.0), (math.nextafter(144.0, math.inf), 0.0)]:
+        cert = lower_function_dirichlet(lam)
+        assert cert.verdict is Verdict.INCONCLUSIVE, lam
+        assert cert.witness["min_slack"] == pytest.approx(min_slack, abs=1e-9)
+        assert cert.witness["argmin_t"] == pytest.approx(0.125, abs=1e-9)
 
 
 def test_lower_dirichlet_lam0_witness():
@@ -93,10 +95,12 @@ def test_lower_navier_existence(lam):
 
 
 def test_lower_navier_inconclusive():
-    cert = lower_function_navier(10.0)
-    assert cert.verdict is Verdict.INCONCLUSIVE
-    assert cert.witness["min_slack"] == pytest.approx(-0.5, abs=1e-9)
-    assert cert.witness["argmin_t"] == pytest.approx(0.5, abs=1e-9)
+    # the second input is the first double above the threshold 9
+    for lam, min_slack in [(10.0, -0.5), (math.nextafter(9.0, math.inf), 0.0)]:
+        cert = lower_function_navier(lam)
+        assert cert.verdict is Verdict.INCONCLUSIVE, lam
+        assert cert.witness["min_slack"] == pytest.approx(min_slack, abs=1e-9)
+        assert cert.witness["argmin_t"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_lower_function_rejects_negative_lam():
@@ -262,23 +266,23 @@ def test_verdict_source_invariant():
 
 def test_monotone_solver_dirichlet_strip():
     spec = ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET)
-    traj = truncated_monotone_solve(spec, CertificateKind.LOWER_DIRICHLET)
+    traj = truncated_monotone_solve(spec)
     alpha = alpha_dirichlet(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
     report = validate(traj)
-    assert report.accepted(spec), report
+    assert report.accepted(), report
 
 
 def test_monotone_solver_zero_at_lam0():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET)
-    traj = truncated_monotone_solve(spec, CertificateKind.LOWER_DIRICHLET)
+    traj = truncated_monotone_solve(spec)
     assert np.all(traj.u == 0.0)
 
 
 def test_monotone_solver_navier_endpoint():
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER)
-    traj = truncated_monotone_solve(spec, CertificateKind.LOWER_NAVIER)
+    traj = truncated_monotone_solve(spec)
     alpha = alpha_navier(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
@@ -288,12 +292,4 @@ def test_monotone_solver_navier_endpoint():
 def test_monotone_solver_requires_certificate():
     spec = ProblemSpec(lam=150.0, kind=BoundaryKind.DIRICHLET)
     with pytest.raises(DomainError):
-        truncated_monotone_solve(spec, CertificateKind.LOWER_DIRICHLET)
-
-
-def test_monotone_solver_rejects_mismatched_kind():
-    spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER)
-    with pytest.raises(DomainError):
-        truncated_monotone_solve(spec, CertificateKind.LOWER_DIRICHLET)
-    with pytest.raises(DomainError):
-        truncated_monotone_solve(spec, CertificateKind.UNIVERSAL)
+        truncated_monotone_solve(spec)

@@ -128,6 +128,16 @@ def test_usage_error_missing_lambda(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lo", "0", "--hi", "5", "--n", "-1", "--bc", "navier"],
+    ["sweep", "--lambdas", ",", "--bc", "navier"],
+], ids=["range-n-negative", "lambdas-empty"])
+def test_usage_error_empty_sweep(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 def test_precondition_error_bad_bracket(tmp_path):
     code, _ = run(
         tmp_path, "fold", "--bc", "navier", "--lo", "12", "--hi", "13", "--tol", "0.05"
@@ -142,7 +152,12 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["solve", "--tol", "0", "--a", "-16", "--lambda", "100", "--bc", "dirichlet"],
     ["solve", "--tol=-1e-10", "--a", "-16", "--lambda", "100", "--bc", "dirichlet"],
     ["fold", "--bc", "navier", "--tol", "nan"],
-], ids=["certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan"])
+    ["solve", "--monotone", "--lambda", "144.000000001", "--bc", "dirichlet"],
+    ["solve", "--monotone", "--lambda", "9.000000001", "--bc", "navier"],
+], ids=[
+    "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
+    "monotone-above-144", "monotone-above-9",
+])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
     err = capsys.readouterr().err

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from epibvp.integrator import (
+    BOUNDARY_TOL,
+    FI_TOL,
+    REP_TOL,
+    SIGN_TOL,
+    ValidationReport,
     first_integral_residual,
     integrate,
     integrate_rk4,
@@ -114,13 +119,32 @@ def test_first_integral_zero_case():
     assert representation_residual(integrate(spec, 0.0)) == 0.0
 
 
+def test_acceptance_thresholds_at_their_edges():
+    """Residuals exactly at FI_TOL, REP_TOL or BOUNDARY_TOL fail (strict <);
+    max u exactly at SIGN_TOL passes (<=); a diverged report never passes."""
+    clean = dict(
+        first_integral_resid=0.0, representation_resid=0.0, sign_violation=0.0, boundary_resid=0.0
+    )
+    assert ValidationReport(**clean).accepted()
+    assert ValidationReport(**{**clean, "sign_violation": SIGN_TOL}).accepted()
+    for field, value in [
+        ("first_integral_resid", FI_TOL),
+        ("representation_resid", REP_TOL),
+        ("boundary_resid", BOUNDARY_TOL),
+        ("boundary_resid", -BOUNDARY_TOL),
+        ("sign_violation", math.nextafter(SIGN_TOL, math.inf)),
+    ]:
+        assert not ValidationReport(**{**clean, field: value}).accepted(), (field, value)
+    assert not ValidationReport(**clean, diverged=True).accepted()
+
+
 def test_residuals_small_on_roots(root_cache):
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
         traj = integrate(spec, root.a)
         fi = first_integral_residual(traj)
         rep = representation_residual(traj)
-        assert fi < spec.fi_tol
+        assert fi < FI_TOL
         # the two exact identities agree on accepted Dirichlet solutions
         assert rep < 10.0 * fi
 
@@ -144,7 +168,7 @@ def test_representation_resampling_stability(root_cache):
     r1 = representation_residual(integrate(spec1, a))
     r2 = representation_residual(integrate(spec2, a))
     assert r2 < r1
-    assert r1 < spec1.rep_tol
+    assert r1 < REP_TOL
 
 
 def test_convergence_under_step_tol_halving(root_cache):

@@ -5,7 +5,7 @@ import pytest
 
 from epibvp.certificates import alpha_dirichlet_dd
 from epibvp.errors import DomainError, UnvalidatedTrajectoryError
-from epibvp.integrator import integrate, validate
+from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, integrate, validate
 from epibvp.model import (
     BoundaryKind,
     ProblemSpec,
@@ -123,10 +123,10 @@ def test_reconstruct_anchor_and_sign(dirichlet_spec, root_cache):
     traj = integrate(dirichlet_spec, rs.roots[0].a)
     prof = reconstruct_phi(traj)
     assert prof.phi[-1] == 0.0  # anchored at r = 1 by construction
-    assert np.max(prof.w) <= dirichlet_spec.sign_tol
+    assert np.max(prof.w) <= SIGN_TOL
     assert np.min(prof.phi) >= 0.0  # w <= 0 forces phi >= 0
     # Dirichlet input: w(1) vanishes within the boundary tolerance
-    assert abs(prof.w[-1]) < dirichlet_spec.boundary_tol
+    assert abs(prof.w[-1]) < BOUNDARY_TOL
 
 
 def test_reconstruct_derivative_identity(dirichlet_spec, root_cache):

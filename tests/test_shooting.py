@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from epibvp.errors import WindowTooSmallError
-from epibvp.integrator import integrate, validate
+from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, integrate, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 from epibvp.shooting import (
+    _CLUSTER_TOL,
+    _ROOT_TOL,
     _scan_residuals,
     boundary_residual,
     find_shooting_roots,
@@ -86,9 +88,8 @@ def test_roots_sorted_and_separated(root_cache):
         rs = root_cache(lam, BoundaryKind.DIRICHLET)
         slopes = rs.slopes()
         assert slopes == sorted(slopes)
-        spec = ProblemSpec(lam=lam, kind=BoundaryKind.DIRICHLET)
         for x, y in zip(slopes, slopes[1:]):
-            assert y - x > spec.cluster_tol
+            assert y - x > _CLUSTER_TOL
 
 
 def test_every_root_validates(root_cache):
@@ -97,9 +98,9 @@ def test_every_root_validates(root_cache):
     for root in rs.roots:
         traj = integrate(spec, root.a)
         report = validate(traj)
-        assert report.accepted(spec), report
-        assert abs(report.boundary_resid) < spec.boundary_tol
-        assert report.sign_violation <= spec.sign_tol
+        assert report.accepted(), report
+        assert abs(report.boundary_resid) < BOUNDARY_TOL
+        assert report.sign_violation <= SIGN_TOL
 
 
 def test_reconstructed_w_sign_property(root_cache):
@@ -108,7 +109,7 @@ def test_reconstructed_w_sign_property(root_cache):
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
         traj = integrate(spec, root.a)
         prof = reconstruct_phi(traj)
-        assert np.max(prof.w) <= spec.sign_tol
+        assert np.max(prof.w) <= SIGN_TOL
         assert abs(prof.w[0]) < 1e-4
 
 
@@ -118,7 +119,7 @@ def test_root_stability_under_scan_doubling(root_cache):
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == len(base.roots)
     for a_new, a_old in zip(rs.slopes(), base.slopes()):
-        assert abs(a_new - a_old) < spec.root_tol * 10
+        assert abs(a_new - a_old) < _ROOT_TOL * 10
 
 
 def test_window_error_at_edge_root():
