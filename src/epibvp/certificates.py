@@ -454,11 +454,14 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
     Raises
     ------
     DomainError
-        If the lower-function certificate of spec.kind does not certify
+        If spec.grid_n < 3 (the end derivatives take three samples), or if
+        the lower-function certificate of spec.kind does not certify
         existence at spec.lam.
     RelaxationError
         If a Newton level fails to converge (residual trace attached).
     """
+    if spec.grid_n < 3:
+        raise DomainError(f"the monotone solver needs grid_n >= 3, got {spec.grid_n}")
     if spec.kind is BoundaryKind.DIRICHLET:
         cert = lower_function_dirichlet(spec.lam)
     else:

@@ -1,7 +1,7 @@
 """Command-line front end: solve, sweep, fold, and certify subcommands.
 
-Every run is fully determined by its flags (or a flat JSON config file;
-flags win), contains no randomness, and writes its artifacts atomically,
+Every run is fully determined by its flags (or a flat JSON config file
+keyed by flag name; flags win), contains no randomness, and writes its artifacts atomically,
 so identical configurations produce identical output bytes.
 
 Exit codes: 0 success, 1 usage error, 2 precondition error, 3 numerical
@@ -23,15 +23,7 @@ from .continuation import (
     locate_fold,
     sweep,
 )
-from .errors import (
-    BracketError,
-    DomainError,
-    EpibvpError,
-    IntegrationError,
-    RelaxationError,
-    UnvalidatedTrajectoryError,
-    WindowTooSmallError,
-)
+from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import VALIDATION_GRID_MIN, integrate, validate
 from .model import BoundaryKind, ProblemSpec, reconstruct_phi
 from . import serialize
@@ -54,85 +46,110 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _command(sub, name: str, summary: str) -> _Parser:
+    """A subcommand parser with the flags every command reads."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--bc", choices=[k.value for k in BoundaryKind], required=True,
+                   help="boundary condition kind")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--config", help="flat JSON config file of flag names and values; flags win")
+    return p
+
+
+def _add_numerics(p, tol_dest: str, tol_help: str) -> None:
+    """The ProblemSpec flags, named after the fields they set."""
+    p.add_argument("--eps", type=float, help="series launch point")
+    p.add_argument("--tol", dest=tol_dest, type=float, help=tol_help)
+    p.add_argument("--grid", dest="grid_n", type=int, help="output sample count")
+    p.add_argument("--a-min", dest="slope_min", type=float, help="scan window lower slope")
+    p.add_argument("--a-max", dest="slope_max", type=float, help="scan window upper slope")
+
+
+def float_list(text: str) -> list[float]:
+    """Comma-separated floats; empty fields are skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="epibvp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--bc", choices=["dirichlet", "navier"], required=False,
-                       help="boundary condition kind")
-        p.add_argument("--eps", type=float, default=None, help="series launch point")
-        p.add_argument("--tol", type=float, default=None,
-                       help="step tolerance (solve/sweep) or fold bracket tolerance (fold)")
-        p.add_argument("--grid", type=int, default=None, help="output sample count")
-        p.add_argument("--a-min", type=float, default=None, help="scan window lower slope")
-        p.add_argument("--a-max", type=float, default=None, help="scan window upper slope")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default="csv",
-                       help="tabular output format")
-        p.add_argument("--config", default=None, help="flat JSON config file; flags win")
+    p_solve = _command(sub, "solve", "integrate one problem and emit artifacts")
+    p_solve.add_argument("--lambda", dest="lam", type=float, required=True)
+    method = p_solve.add_mutually_exclusive_group()
+    method.add_argument("--a", type=float,
+                        help="shooting slope; all roots are solved when omitted")
+    method.add_argument("--monotone", action="store_true",
+                        help="use the truncated-domain monotone solver instead of shooting")
+    _add_numerics(p_solve, "step_tol", "integrator step tolerance")
+    p_solve.add_argument("--format", choices=["csv", "json"], default="csv",
+                         help="tabular output format")
 
-    p_solve = sub.add_parser("solve", help="integrate one problem and emit artifacts")
-    p_solve.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_solve.add_argument("--a", type=float, default=None,
-                         help="shooting slope; all roots are solved when omitted")
-    p_solve.add_argument("--monotone", action="store_true",
-                         help="use the truncated-domain monotone solver instead of shooting")
-    add_common(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="root sets across a list of lambda values")
-    p_sweep.add_argument("--lambdas", default=None,
+    p_sweep = _command(sub, "sweep", "root sets across a list of lambda values")
+    p_sweep.add_argument("--lambdas", type=float_list, required=True,
                          help="comma-separated lambda values, ascending")
-    p_sweep.add_argument("--lo", type=float, default=None, help="range start (with --hi/--n)")
-    p_sweep.add_argument("--hi", type=float, default=None, help="range end")
-    p_sweep.add_argument("--n", type=int, default=None, help="range point count")
-    add_common(p_sweep)
+    _add_numerics(p_sweep, "step_tol", "integrator step tolerance")
+    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv",
+                         help="tabular output format")
 
-    p_fold = sub.add_parser("fold", help="bracket the fold value by count bisection")
-    p_fold.add_argument("--lo", type=float, default=None, help="bracket start")
-    p_fold.add_argument("--hi", type=float, default=None, help="bracket end")
-    add_common(p_fold)
+    p_fold = _command(sub, "fold", "bracket the fold value by count bisection")
+    p_fold.add_argument("--lo", type=float, help="bracket start")
+    p_fold.add_argument("--hi", type=float, help="bracket end")
+    _add_numerics(p_fold, "fold_tol", "fold bracket width")
 
-    p_cert = sub.add_parser("certify", help="run all applicable certificates")
-    p_cert.add_argument("--lambda", dest="lam", type=float, default=None)
-    add_common(p_cert)
+    p_cert = _command(sub, "certify", "run all applicable certificates")
+    p_cert.add_argument("--lambda", dest="lam", type=float, required=True)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset attributes from the flat JSON config file, flags winning."""
-    if not getattr(args, "config", None):
-        return args
+def _with_config(argv: list[str]) -> list[str]:
+    """Splice the ``--config`` file into argv as flags right after the command name.
+
+    Each key is a flag name without its dashes: ``true`` gives the bare
+    flag, ``false`` gives nothing, a string or number ``v`` gives
+    ``--key=v``.  The flags go before the command line's own, so argparse's
+    last-one-wins lets explicit flags win, and every value meets the same
+    checks as on the command line.
+    """
+    pre = _Parser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv  # a --config without a value: the full parser reports it
+    if path is None:
+        return argv
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    aliases = {"lambda": "lam", "a-min": "a_min", "a-max": "a_max"}
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    flags = []
     for key, value in config.items():
-        attr = aliases.get(key, key.replace("-", "_"))
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
-    return args
+        if value is False:
+            continue
+        if value is True:
+            flags.append(f"--{key}")
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"--{key}={value}")
+        else:
+            raise UsageError(f"config key {key!r} needs a string, number or boolean")
+    return argv[:1] + flags + argv[1:]
+
+
+_SPEC_FLAGS = ("eps", "step_tol", "grid_n", "slope_min", "slope_max")
 
 
 def _spec_from_args(args, lam: float) -> ProblemSpec:
-    if args.bc is None:
-        raise UsageError("--bc is required")
-    kind = BoundaryKind(args.bc)
-    overrides = {}
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if getattr(args, "tol", None) is not None and args.command != "fold":
-        overrides["step_tol"] = args.tol
-    if args.grid is not None:
-        overrides["grid_n"] = args.grid
-    if args.a_min is not None:
-        overrides["slope_min"] = args.a_min
-    if args.a_max is not None:
-        overrides["slope_max"] = args.a_max
-    return ProblemSpec(lam=lam, kind=kind, **overrides)
+    overrides = {
+        name: getattr(args, name)
+        for name in _SPEC_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    return ProblemSpec(lam=lam, kind=BoundaryKind(args.bc), **overrides)
 
 
 def _write(args, name: str, text: str) -> str:
@@ -166,8 +183,6 @@ def _emit_solution(args, spec: ProblemSpec, traj, report, suffix: str = "") -> N
 
 
 def _cmd_solve(args) -> int:
-    if args.lam is None:
-        raise UsageError("--lambda is required for solve")
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
         traj = truncated_monotone_solve(spec)
@@ -188,17 +203,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.lambdas is not None:
-        lams = [float(v) for v in args.lambdas.split(",") if v.strip()]
-    elif args.lo is not None and args.hi is not None and args.n:
-        step = (args.hi - args.lo) / (args.n - 1) if args.n > 1 else 0.0
-        lams = [args.lo + i * step for i in range(args.n)]
-    else:
-        raise UsageError("sweep needs --lambdas or --lo/--hi/--n")
-    if not lams:
+    if not args.lambdas:
         raise UsageError("sweep needs at least one lambda value")
-    spec = _spec_from_args(args, lams[0])
-    diagram = sweep(spec.kind, lams, spec)
+    spec = _spec_from_args(args, args.lambdas[0])
+    diagram = sweep(spec.kind, args.lambdas, spec)
     if args.format == "csv":
         _write(args, "diagram.csv", serialize.diagram_to_csv(diagram))
     else:
@@ -207,14 +215,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    if args.bc is None:
-        raise UsageError("--bc is required")
-    kind = BoundaryKind(args.bc)
+    spec = _spec_from_args(args, 0.0)
+    kind = spec.kind
     bracket = default_fold_bracket(kind)
     lo = args.lo if args.lo is not None else bracket[0]
     hi = args.hi if args.hi is not None else bracket[1]
-    fold_tol = args.tol if args.tol is not None else default_fold_tol(kind)
-    spec = _spec_from_args(args, 0.0)
+    fold_tol = args.fold_tol if args.fold_tol is not None else default_fold_tol(kind)
     lam_lo, lam_hi = locate_fold(kind, (lo, hi), fold_tol, spec)
     _write(args, "fold.json", serialize.fold_to_json(kind, lam_lo, lam_hi))
     sys.stdout.write(serialize.fold_to_json(kind, lam_lo, lam_hi))
@@ -222,10 +228,6 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.lam is None:
-        raise UsageError("--lambda is required for certify")
-    if args.bc is None:
-        raise UsageError("--bc is required")
     certs = certificates_for(args.lam, BoundaryKind(args.bc))
     text = serialize.certificates_to_json(certs)
     _write(args, "certificates.json", text)
@@ -242,10 +244,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args)
+        args = _build_parser().parse_args(_with_config(list(argv)))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -253,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, BracketError, WindowTooSmallError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (IntegrationError, RelaxationError, UnvalidatedTrajectoryError, EpibvpError) as exc:
+    except EpibvpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -108,8 +108,9 @@ def locate_fold(
 ) -> tuple[float, float]:
     """Bisect lam on the nontrivial-root count to bracket the fold.
 
-    Preconditions: fold_tol is finite and > 0, at bracket[0] the count is
-    >= 1 and at bracket[1] it is 0; monotone solvability below the fold
+    Preconditions: fold_tol is finite and >= FOLD_RESOLUTION_FLOOR (finer
+    claims would be below the root merge distance), at bracket[0] the count
+    is >= 1 and at bracket[1] it is 0; monotone solvability below the fold
     justifies the bisection predicate.
     Returns (lam_lo, lam_hi) with lam_hi - lam_lo <= fold_tol; no claim is
     made about solvability exactly at the fold.
@@ -122,9 +123,10 @@ def locate_fold(
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise BracketError("lo", f"need 0 <= lo < hi, got ({lo}, {hi})")
-    if not 0.0 < fold_tol < math.inf:
-        raise BracketError("fold_tol", f"need a finite fold_tol > 0, got {fold_tol}")
-    fold_tol = max(fold_tol, FOLD_RESOLUTION_FLOOR)
+    if not FOLD_RESOLUTION_FLOOR <= fold_tol < math.inf:
+        raise BracketError(
+            "fold_tol", f"need a finite fold_tol >= {FOLD_RESOLUTION_FLOOR}, got {fold_tol}"
+        )
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
 

@@ -58,14 +58,16 @@ class ProblemSpec:
     kind : BoundaryKind
         Endpoint condition at t = 1/2.
     eps : float
-        Series launch point in (0, 1/2).  The integration starts here with
-        the two-term expansion u = a*t + beta*t^2, so the trajectory carries
-        an O(eps^3) truncation error, far below step_tol at the default.
+        Series launch point in (0, 1/2), large enough that 8*eps^2 does not
+        underflow to 0 (the right-hand side divides by it at launch).  The
+        integration starts here with the two-term expansion
+        u = a*t + beta*t^2, so the trajectory carries an O(eps^3)
+        truncation error, far below step_tol at the default.
     step_tol : float
         Local error tolerance per step of the adaptive integrator, finite
         and > 0.
     slope_min, slope_max : float
-        Shooting-slope scan window, slope_min <= slope_max <= 0.
+        Shooting-slope scan window, finite with slope_min <= slope_max <= 0.
     grid_n : int
         Number of output samples (uniform in t, endpoint included).  Also
         sets the trapezoid resolution of the residual validators.
@@ -90,11 +92,11 @@ class ProblemSpec:
         check_lam(self.lam)
         if not 0.0 < self.step_tol < math.inf:
             raise DomainError(f"step_tol must be finite and > 0, got {self.step_tol}")
-        if not 0 < self.eps < 0.5:
-            raise DomainError(f"eps must lie in (0, 1/2), got {self.eps}")
-        if not self.slope_min <= self.slope_max <= 0:
+        if not 0 < self.eps < 0.5 or 8.0 * self.eps * self.eps == 0.0:
+            raise DomainError(f"eps must lie in (0, 1/2) with 8*eps^2 > 0, got {self.eps}")
+        if not -math.inf < self.slope_min <= self.slope_max <= 0:
             raise DomainError(
-                f"need slope_min <= slope_max <= 0, got [{self.slope_min}, {self.slope_max}]"
+                f"need finite slope_min <= slope_max <= 0, got [{self.slope_min}, {self.slope_max}]"
             )
         if self.grid_n < 2:
             raise DomainError("grid_n must be at least 2")

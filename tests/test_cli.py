@@ -1,14 +1,16 @@
 """CLI subcommands, exit codes, artifact round-trips, and determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epibvp import serialize
 from epibvp.cli import main
-from epibvp.model import BoundaryKind
 
 
 def run(tmp_path, *argv):
@@ -16,20 +18,21 @@ def run(tmp_path, *argv):
     return main(list(argv) + ["--out", out]), out
 
 
+def load_csv(path):
+    """Numeric columns of a CSV artifact, one row per sample."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def test_solve_zero_solution(tmp_path):
     code, out = run(tmp_path, "solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0")
     assert code == 0
-    report = serialize.validation_from_json(
-        open(os.path.join(out, "validation.json")).read()
-    )
-    assert report.first_integral_resid == 0.0
-    assert report.boundary_resid == 0.0
-    t, u, du = serialize.trajectory_samples_from_csv(
-        open(os.path.join(out, "trajectory.csv")).read()
-    )
+    report = json.load(open(os.path.join(out, "validation.json")))
+    assert report["first_integral_resid"] == 0.0
+    assert report["boundary_resid"] == 0.0
+    t, u, du = load_csv(os.path.join(out, "trajectory.csv")).T
     assert np.all(u == 0.0)
-    prof = serialize.profile_from_csv(open(os.path.join(out, "profile.csv")).read())
-    assert np.all(prof.phi == 0.0)
+    r, w, phi = load_csv(os.path.join(out, "profile.csv")).T
+    assert np.all(phi == 0.0)
 
 
 def test_solve_all_roots(tmp_path):
@@ -71,7 +74,9 @@ def test_fold_navier(tmp_path):
         "--lo", "9", "--hi", "11.6363", "--tol", "0.05",
     )
     assert code == 0
-    kind, lo, hi = serialize.fold_from_json(open(os.path.join(out, "fold.json")).read())
+    fold = json.load(open(os.path.join(out, "fold.json")))
+    assert fold["kind"] == "navier"
+    lo, hi = fold["lo"], fold["hi"]
     assert hi - lo <= 0.05
     assert abs(0.5 * (lo + hi) - 11.3) <= 0.1
 
@@ -79,21 +84,10 @@ def test_fold_navier(tmp_path):
 def test_sweep_csv(tmp_path):
     code, out = run(tmp_path, "sweep", "--lambdas", "0,5", "--bc", "navier")
     assert code == 0
-    text = open(os.path.join(out, "diagram.csv")).read()
-    diagram = serialize.diagram_from_csv(text, BoundaryKind.NAVIER)
-    lams = {p.lam for p in diagram.points}
-    assert lams == {0.0, 5.0}
-
-
-def test_sweep_range_flags(tmp_path):
-    code, out = run(
-        tmp_path, "sweep", "--lo", "0", "--hi", "5", "--n", "2", "--bc", "navier"
-    )
-    assert code == 0
-    diagram = serialize.diagram_from_csv(
-        open(os.path.join(out, "diagram.csv")).read(), BoundaryKind.NAVIER
-    )
-    assert {p.lam for p in diagram.points} == {0.0, 5.0}
+    path = os.path.join(out, "diagram.csv")
+    assert open(path).readline() == "lambda,a,branch\n"
+    lams = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, ndmin=1)
+    assert set(lams) == {0.0, 5.0}
 
 
 def test_scan_window_override(tmp_path):
@@ -113,14 +107,22 @@ def test_monotone_solve_cli(tmp_path):
         tmp_path, "solve", "--lambda", "9", "--bc", "navier", "--monotone"
     )
     assert code == 0
-    report = serialize.validation_from_json(
-        open(os.path.join(out, "validation.json")).read()
-    )
-    assert abs(report.boundary_resid) < 1e-8
+    report = json.load(open(os.path.join(out, "validation.json")))
+    assert abs(report["boundary_resid"]) < 1e-8
 
 
-def test_usage_error_unknown_flag(tmp_path):
-    assert main(["solve", "--no-such-flag"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["solve", "--no-such-flag"],
+    ["sweep", "--lo", "0", "--hi", "5", "--n", "-1", "--bc", "navier"],
+    ["certify", "--lambda", "5", "--bc", "navier", "--grid", "2"],
+    ["fold", "--bc", "navier", "--format", "json"],
+    ["solve", "--lambda", "100", "--bc", "dirichlet", "--a", "-5", "--monotone"],
+], ids=["no-such-flag", "range-n-negative", "certify-grid", "fold-format", "a-with-monotone"])
+def test_usage_error_unknown_flag(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_usage_error_missing_lambda(tmp_path):
@@ -129,9 +131,8 @@ def test_usage_error_missing_lambda(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--lo", "0", "--hi", "5", "--n", "-1", "--bc", "navier"],
     ["sweep", "--lambdas", ",", "--bc", "navier"],
-], ids=["range-n-negative", "lambdas-empty"])
+], ids=["lambdas-empty"])
 def test_usage_error_empty_sweep(tmp_path, argv):
     code, out = run(tmp_path, *argv)
     assert code == 1
@@ -154,9 +155,14 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["fold", "--bc", "navier", "--tol", "nan"],
     ["solve", "--monotone", "--lambda", "144.000000001", "--bc", "dirichlet"],
     ["solve", "--monotone", "--lambda", "9.000000001", "--bc", "navier"],
+    ["fold", "--bc", "navier", "--lo", "11.3", "--hi", "11.4", "--tol", "1e-4"],
+    ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-inf"],
+    ["solve", "--lambda", "1", "--bc", "dirichlet", "--a=-1", "--eps", "1e-300"],
+    ["solve", "--monotone", "--lambda", "100", "--bc", "dirichlet", "--grid", "2"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
-    "monotone-above-144", "monotone-above-9",
+    "monotone-above-144", "monotone-above-9", "fold-tol-below-floor", "slope-min-inf",
+    "eps-underflow", "monotone-grid-2",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -206,3 +212,98 @@ def test_config_file_with_flag_override(tmp_path):
     certs = json.load(open(os.path.join(out, "certificates.json")))
     assert certs[0]["lambda"] == 307.0
     assert any(c["kind"] == "NonexistDirichlet" for c in certs)
+
+
+def test_config_matches_flags(tmp_path):
+    config = os.path.join(tmp_path, "run.json")
+    with open(config, "w") as handle:
+        json.dump({"lambda": 307, "bc": "dirichlet"}, handle)
+    code, out = run(tmp_path, "certify", "--config", config)
+    assert code == 0
+    flags = os.path.join(tmp_path, "flags")
+    assert main(["certify", "--lambda", "307", "--bc", "dirichlet", "--out", flags]) == 0
+    name = "certificates.json"
+    assert open(os.path.join(out, name), "rb").read() == open(os.path.join(flags, name), "rb").read()
+
+
+def test_config_sets_format(tmp_path):
+    config = os.path.join(tmp_path, "run.json")
+    with open(config, "w") as handle:
+        json.dump({"format": "json", "lambda": 0, "bc": "dirichlet", "a": 0}, handle)
+    code, out = run(tmp_path, "solve", "--config", config)
+    assert code == 0
+    assert sorted(os.listdir(out)) == ["profile.json", "trajectory.json", "validation.json"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("certify", {"lambda": "abc", "bc": "navier"}),
+    ("solve", {"lambda": 5, "bc": "navier", "a": -1, "grid": 2.5}),
+    ("sweep", {"lambdas": [1, 2], "bc": "navier"}),
+    ("certify", [1, 2]),
+    ("certify", {"lambda": 5, "bc": "navier", "tolerance": 1}),
+], ids=["lambda-not-a-number", "grid-not-an-int", "list-value", "not-an-object", "unknown-key"])
+def test_config_usage_error(tmp_path, capsys, command, config):
+    path = os.path.join(tmp_path, "run.json")
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    code, out = run(tmp_path, command, "--config", path)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+# flag values around and beyond every domain edge; argparse takes a leading
+# "-" as a value only in the --flag=value form
+_NUMBER = st.one_of(
+    st.floats(-2.0, 400.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-10", "1e300", "-1e300"]),
+)
+# integer grids stay small: a huge one would allocate its samples
+_GRID = st.one_of(st.integers(-2, 400).map(str), st.sampled_from(["nan", "inf", "1e300", "2.5"]))
+_EPS = st.sampled_from(["1e-8", "1e-3", "0", "0.5", "-1e-8", "1e-300", "nan"])
+_TOL = st.sampled_from(["1e-10", "1e-6", "0", "-1e-10", "inf", "nan"])
+
+
+@st.composite
+def _argv(draw):
+    variant = draw(st.sampled_from(["certify", "solve --a", "solve --monotone"]))
+    argv = [
+        variant.split()[0],
+        f"--lambda={draw(_NUMBER)}",
+        f"--bc={draw(st.sampled_from(['dirichlet', 'navier']))}",
+    ]
+    if variant == "certify":
+        return argv
+    argv.append(f"--a={draw(_NUMBER)}" if variant == "solve --a" else "--monotone")
+    argv.append(f"--grid={draw(_GRID)}")
+    for flag, values in (("--eps", _EPS), ("--tol", _TOL)):
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=_argv())
+def test_fuzz_main_exit_contract(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        artifacts = os.listdir(out) if os.path.exists(out) else []
+        for name in artifacts:
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as handle:
+                    json.load(handle, parse_constant=_reject_constant)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("error: ", "precondition error: ", "numerical failure: "))
+        assert artifacts == []

@@ -115,6 +115,13 @@ def test_locate_fold_rejects_reversed():
         locate_fold(BoundaryKind.NAVIER, (12.0, 9.0), 0.05)
 
 
+def test_locate_fold_rejects_tol_below_floor():
+    # checked before any root set: this bracket would fail at "lo" otherwise
+    with pytest.raises(BracketError) as err:
+        locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), 1e-4)
+    assert err.value.end == "fold_tol"
+
+
 def test_default_brackets_and_tols():
     assert default_fold_bracket(BoundaryKind.DIRICHLET) == (144.0, 307.0)
     assert default_fold_bracket(BoundaryKind.NAVIER) == (9.0, 128.0 / 11.0)

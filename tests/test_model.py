@@ -94,6 +94,10 @@ def test_problem_spec_validation():
         ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, slope_min=0.0, slope_max=-1.0)
     with pytest.raises(DomainError):
         ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, slope_max=1.0)
+    with pytest.raises(DomainError):
+        ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-np.inf)
+    with pytest.raises(DomainError):
+        ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, eps=1e-300)
 
 
 def test_trajectory_requires_increasing_t():
