@@ -63,7 +63,7 @@ from .model import (
     rhs,
     to_u_frame,
 )
-from .shooting import RootSet, ShootingRoot, boundary_residual, find_shooting_roots
+from .shooting import RootSet, ShootingRoot, find_shooting_roots
 
 __version__ = "1.0.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "WindowTooSmallError",
-    "boundary_residual",
     "certificates_for",
     "default_fold_bracket",
     "default_fold_tol",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -41,7 +42,6 @@ from .errors import DomainError, EpibvpError, RelaxationError
 from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _golden_min, check_lam
 
 F_TOL = 1e-9
-_DISC_TOL = 1e-9
 _F_GRID_N = 100000
 _FIXED_POINT_CAP = 384.0
 # fixed-point iteration of c -> c^2/384 + lam/4: stop on an increment
@@ -305,12 +305,15 @@ def nonexistence_navier(lam: float) -> Certificate:
 
     Any solution makes (11/128) x^2 - x + lam/4 <= 0 solvable in x, which
     needs discriminant 1 - 11 lam/128 >= 0; a negative discriminant, i.e.
-    lam > 128/11, certifies nonexistence.  The exact boundary stays
-    Inconclusive (a small guard absorbs float rounding there).
+    lam > 128/11, certifies nonexistence.  The verdict compares the double
+    lam with the rational 128/11 exactly, so every lam above 128/11 is
+    Nonexistence and every lam at or below it Inconclusive; the float
+    discriminant is reported as the witness.
     """
     check_lam(lam)
     disc = 1.0 - 11.0 * lam / 128.0
-    verdict = Verdict.NONEXISTENCE if disc < -_DISC_TOL else Verdict.INCONCLUSIVE
+    above = Fraction(lam) > Fraction(128, 11)
+    verdict = Verdict.NONEXISTENCE if above else Verdict.INCONCLUSIVE
     return Certificate(
         kind=CertificateKind.NONEXIST_NAVIER,
         lam=lam,

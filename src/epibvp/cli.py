@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .certificates import certificates_for, truncated_monotone_solve
 from .continuation import (
@@ -24,9 +23,9 @@ from .continuation import (
     sweep,
 )
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
-from .integrator import VALIDATION_GRID_MIN, integrate, validate
+from .integrator import integrate, validate
 from .model import BoundaryKind, ProblemSpec, reconstruct_phi
-from . import serialize
+from . import serialize, shooting
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,20 +157,7 @@ def _write(args, name: str, text: str) -> str:
     return path
 
 
-def _shooting_report(spec: ProblemSpec, traj):
-    """Validation report at the calibrated resolution.
-
-    A coarse output grid raises the trapezoid error of the residual
-    validators past their thresholds, so shooting runs are re-validated on
-    the calibration grid when the caller sampled more coarsely.
-    """
-    if spec.grid_n < VALIDATION_GRID_MIN and not traj.diverged:
-        vspec = replace(spec, grid_n=VALIDATION_GRID_MIN)
-        return validate(integrate(vspec, traj.launch.a))
-    return validate(traj)
-
-
-def _emit_solution(args, spec: ProblemSpec, traj, report, suffix: str = "") -> None:
+def _emit_solution(args, traj, report, suffix: str = "") -> None:
     profile = reconstruct_phi(traj, report)
     if args.format == "csv":
         _write(args, f"trajectory{suffix}.csv", serialize.trajectory_to_csv(traj))
@@ -186,19 +172,16 @@ def _cmd_solve(args) -> int:
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
         traj = truncated_monotone_solve(spec)
-        _emit_solution(args, spec, traj, validate(traj))
+        _emit_solution(args, traj, validate(traj))
         return EXIT_OK
     if args.a is not None:
         traj = integrate(spec, args.a)
-        _emit_solution(args, spec, traj, _shooting_report(spec, traj))
+        _emit_solution(args, traj, shooting.calibrated_report(spec, traj))
         return EXIT_OK
-    from .shooting import find_shooting_roots
-
-    roots = find_shooting_roots(spec)
+    roots = shooting.find_shooting_roots(spec)
     _write(args, "roots.json", serialize.rootset_to_json(roots))
     for i, root in enumerate(roots.roots):
-        traj = integrate(spec, root.a)
-        _emit_solution(args, spec, traj, _shooting_report(spec, traj), suffix=f"_root{i}")
+        _emit_solution(args, root.traj, root.report, suffix=f"_root{i}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import BracketError
 from .model import BoundaryKind, ProblemSpec
-from .shooting import RootSet, find_shooting_roots
+from .shooting import find_shooting_roots
 
 # lam resolution floor: below this, the shooting root merge distance makes
 # finer fold claims meaningless at the default tolerances
@@ -42,13 +42,6 @@ class BifurcationDiagram:
     kind: BoundaryKind
     points: list[DiagramPoint]
     fold: Optional[tuple[float, float]] = None
-
-
-def _count_nontrivial(rs: RootSet, lam: float) -> int:
-    """Nontrivial roots; a = 0 counts as trivial only where it can occur (lam = 0)."""
-    if lam == 0.0:
-        return len(rs.nontrivial())
-    return len(rs.roots)
 
 
 def sweep(
@@ -132,7 +125,7 @@ def locate_fold(
 
     def count(lam: float) -> int:
         spec = replace(spec_defaults, lam=lam, kind=kind)
-        return _count_nontrivial(find_shooting_roots(spec), lam)
+        return len(find_shooting_roots(spec).nontrivial())
 
     if count(lo) < 1:
         raise BracketError("lo", f"no nontrivial root at lam = {lo}")

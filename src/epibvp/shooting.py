@@ -1,17 +1,18 @@
 """Shooting: find all launch slopes whose trajectory meets the boundary condition.
 
-The residual a -> boundary_residual(integrate(a)) is scanned over the slope
-window with a vectorized fixed-grid RK4 sweep (cheap, bracketing-grade),
-then every sign-change bracket is refined with the accurate adaptive
-integrator by bisection followed by secant steps.  Interior extrema of the
-residual are additionally pushed to their bottom by golden-section search,
-which recovers root pairs whose separation falls below the scan spacing and
-the tangency double root at the fold itself.
+The endpoint residual a -> BoundaryKind.residual(u(1/2), u'(1/2)) is
+scanned over the slope window with a vectorized fixed-grid RK4 sweep
+(cheap, bracketing-grade), then every sign-change bracket is refined with
+the accurate adaptive integrator by bisection followed by secant steps.
+Interior extrema of the residual are additionally pushed to their bottom by
+golden-section search, which recovers root pairs whose separation falls
+below the scan spacing and the tangency double root at the fold itself.
 
 Diverged shots report +inf residual; a bracket formed against the
 divergence boundary therefore never refines to a small residual, and the
 final validation pass discards such artifacts: every root returned here
-carries a fully validated trajectory.
+carries its trajectory on the caller's grid and the report that accepted
+it, taken at the validators' calibrated resolution (``calibrated_report``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, _rk4_step, integrate, shoot_endpoint, validate,
+    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_step, integrate,
+    launch_state, shoot_endpoint, validate,
 )
 from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
 
@@ -42,7 +44,11 @@ _CLUSTER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ShootingRoot:
+    """An accepted slope with its trajectory on the spec's grid and its report."""
+
     a: float
+    traj: Trajectory
+    report: ValidationReport
 
 
 @dataclass
@@ -62,15 +68,18 @@ class RootSet:
         return [r.a for r in self.roots if r.a != 0.0]
 
 
-def boundary_residual(traj: Trajectory, kind: BoundaryKind) -> float:
-    """Endpoint residual of a trajectory under the given boundary kind.
+def calibrated_report(spec: ProblemSpec, traj: Trajectory) -> ValidationReport:
+    """Validation report of a shot at the validators' calibrated resolution.
 
-    Dirichlet: u(1/2).  Navier: u(1/2) - u'(1/2).  Diverged trajectories
-    yield +inf (convex shots that miss the condition overshoot upward).
+    A coarse output grid raises the trapezoid error of the residual
+    validators past their thresholds, so a shot sampled on fewer than
+    ``VALIDATION_GRID_MIN`` points is re-integrated on that many before it
+    is judged; a diverged shot is rejected as it stands.
     """
-    if traj.diverged:
-        return math.inf
-    return float(kind.residual(traj.u[-1], traj.du[-1]))
+    if spec.grid_n < VALIDATION_GRID_MIN and not traj.diverged:
+        vspec = replace(spec, grid_n=VALIDATION_GRID_MIN)
+        return validate(integrate(vspec, traj.launch.a))
+    return validate(traj)
 
 
 def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
@@ -82,25 +91,26 @@ def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
     lam = spec.lam
     eps = spec.eps
     a = np.asarray(a_grid, dtype=float)
-    beta = a * a / 16.0 + lam / 4.0
-    u = a * eps + beta * eps * eps
-    du = a + 2.0 * beta * eps
     switch = max(_SCAN_SWITCH, 2.0 * eps)
     grid = np.concatenate([
         np.geomspace(eps, switch, _SCAN_GEO_N + 1)[:-1],
         np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
     ])
     alive = np.ones(a.shape, dtype=bool)
-    for i in range(len(grid) - 1):
-        t0 = grid[i]
-        t1 = grid[i + 1]
-        with np.errstate(invalid="ignore", over="ignore"):
+    # overflowing slopes, states and residuals all end up as +inf entries,
+    # so numpy's warnings about them carry no information
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, du = launch_state(a, lam, eps)
+        for i in range(len(grid) - 1):
+            t0 = grid[i]
+            t1 = grid[i + 1]
             u_new, du_new = _rk4_step(t0, t1, t1 - t0, u, du, lam)
-        step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= BLOWUP)
-        u = np.where(step_ok, u_new, u)
-        du = np.where(step_ok, du_new, du)
-        alive = step_ok
-    return np.where(alive, spec.kind.residual(u, du), np.inf)
+            step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= BLOWUP)
+            u = np.where(step_ok, u_new, u)
+            du = np.where(step_ok, du_new, du)
+            alive = step_ok
+        resid = spec.kind.residual(u, du)
+    return np.where(alive, resid, np.inf)
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
@@ -175,7 +185,9 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
     secant to |delta a| < _ROOT_TOL, golden-refines interior residual extrema
     (so near-fold root pairs and the exact-fold double root are not lost),
     merges roots closer than _CLUSTER_TOL, and keeps only roots whose full
-    trajectory passes validation.
+    trajectory passes validation at the calibrated resolution.  Each root
+    carries that trajectory, sampled on ``spec.grid_n`` points, and its
+    report.
 
     Raises
     ------
@@ -254,15 +266,13 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
         else:
             merged.append(cand)
 
-    # final gate: the full trajectory of every reported root must validate;
-    # run the validators at their calibrated resolution regardless of the
-    # caller's output grid so a coarse grid_n cannot drop a genuine root
-    vspec = replace(spec, grid_n=max(spec.grid_n, VALIDATION_GRID_MIN))
+    # final gate: the full trajectory of every reported root must validate
     roots = []
     for a, _ in merged:
-        traj = integrate(vspec, a)
-        if validate(traj).accepted():
-            roots.append(ShootingRoot(a=a))
+        traj = integrate(spec, a)
+        report = calibrated_report(spec, traj)
+        if report.accepted():
+            roots.append(ShootingRoot(a=a, traj=traj, report=report))
     return RootSet(
         lam=spec.lam,
         kind=spec.kind,

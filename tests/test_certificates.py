@@ -200,7 +200,10 @@ def test_nonexistence_dirichlet_inconclusive():
 def test_nonexistence_navier_verdicts():
     assert nonexistence_navier(12.0).verdict is Verdict.NONEXISTENCE
     assert nonexistence_navier(11.0).verdict is Verdict.INCONCLUSIVE
-    assert nonexistence_navier(128.0 / 11.0).verdict is Verdict.INCONCLUSIVE
+    # the double 128/11 lies above the rational 128/11, its predecessor below
+    assert nonexistence_navier(128.0 / 11.0).verdict is Verdict.NONEXISTENCE
+    assert nonexistence_navier(math.nextafter(128.0 / 11.0, 0.0)).verdict is Verdict.INCONCLUSIVE
+    assert nonexistence_navier(11.636363647363636).verdict is Verdict.NONEXISTENCE
     assert nonexistence_navier(0.0).verdict is Verdict.INCONCLUSIVE
     assert nonexistence_navier(12.0).witness["discriminant"] == pytest.approx(
         -0.03125, abs=1e-15

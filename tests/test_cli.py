@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,22 @@ def test_precondition_error_bad_number(tmp_path, capsys, argv):
     assert err.startswith("precondition error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307"],
+    ["sweep", "--lambdas", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307",
+     "--grid", "10"],
+], ids=["solve", "sweep"])
+def test_overflowing_scan_window_is_silent(tmp_path, capsys, argv):
+    # every slope here overflows at launch and is masked to +inf by the scan;
+    # a successful run still writes nothing to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_numerical_error_unvalidated_solve(tmp_path):

@@ -16,7 +16,6 @@ from epibvp.certificates import certificates_for
 from epibvp.continuation import sweep
 from epibvp.integrator import integrate, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
-from epibvp.shooting import RootSet, ShootingRoot
 
 
 def _traj():
@@ -62,13 +61,9 @@ def test_validation_json_roundtrip():
     assert back == report.to_dict()
 
 
-def test_rootset_json_roundtrip():
-    rs = RootSet(
-        lam=100.0,
-        kind=BoundaryKind.DIRICHLET,
-        roots=[ShootingRoot(-108.52567289833944), ShootingRoot(-16.2635630662405)],
-        scan_window=(-500.0, 0.0),
-    )
+def test_rootset_json_roundtrip(root_cache):
+    rs = root_cache(100.0, BoundaryKind.DIRICHLET)
+    assert len(rs.roots) == 2
     back = json.loads(serialize.rootset_to_json(rs))
     assert back["lambda"] == rs.lam
     assert back["kind"] == rs.kind.value

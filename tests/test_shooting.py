@@ -1,6 +1,7 @@
 """Boundary residuals, root finding, scan stability, and window policing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 from epibvp.shooting import (
     _CLUSTER_TOL,
     _ROOT_TOL,
+    _residual_at,
     _scan_residuals,
-    boundary_residual,
     find_shooting_roots,
 )
 
@@ -24,8 +25,8 @@ LAM100_DIRICHLET = (-108.52567289833944, -16.2635630662405)
 def test_boundary_residual_zero_solution():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=501)
     traj = integrate(spec, 0.0)
-    assert boundary_residual(traj, BoundaryKind.DIRICHLET) == 0.0
-    assert boundary_residual(traj, BoundaryKind.NAVIER) == 0.0
+    assert BoundaryKind.DIRICHLET.residual(traj.u[-1], traj.du[-1]) == 0.0
+    assert BoundaryKind.NAVIER.residual(traj.u[-1], traj.du[-1]) == 0.0
 
 
 def test_boundary_residual_navier_arithmetic():
@@ -33,16 +34,36 @@ def test_boundary_residual_navier_arithmetic():
     # candidate -6t(2 - sqrt(2t)) ends exactly there
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=501)
     traj = integrate(spec, -4.742307280271374)
-    r = boundary_residual(traj, BoundaryKind.NAVIER)
+    r = BoundaryKind.NAVIER.residual(traj.u[-1], traj.du[-1])
     assert abs(r) < 1e-7
     traj.u[-1], traj.du[-1] = -1.0, 0.0
-    assert boundary_residual(traj, BoundaryKind.NAVIER) == -1.0
+    assert BoundaryKind.NAVIER.residual(traj.u[-1], traj.du[-1]) == -1.0
+    assert validate(traj).boundary_resid == -1.0
 
 
 def test_boundary_residual_diverged_sentinel():
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=501)
     traj = integrate(spec, -2000.0)
-    assert math.isinf(boundary_residual(traj, BoundaryKind.DIRICHLET))
+    assert traj.diverged
+    assert validate(traj).boundary_resid == math.inf
+    assert _residual_at(spec, -2000.0) == math.inf
+
+
+@pytest.mark.parametrize("grid_n", [16001, 4001])
+def test_roots_carry_gate_trajectory_and_report(grid_n):
+    """Each root holds its trajectory on the spec's grid and its calibrated report."""
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+    rs = find_shooting_roots(spec)
+    assert len(rs.roots) == 2
+    for root in rs.roots:
+        traj = integrate(spec, root.a)
+        assert root.traj.t.size == grid_n
+        assert np.array_equal(root.traj.t, traj.t)
+        assert np.array_equal(root.traj.u, traj.u)
+        assert np.array_equal(root.traj.du, traj.du)
+        assert root.traj.launch == traj.launch and not root.traj.diverged
+        assert root.report == validate(integrate(replace(spec, grid_n=16001), root.a))
+        assert root.report.accepted()
 
 
 def test_lam0_dirichlet_roots(root_cache):
