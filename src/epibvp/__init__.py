@@ -6,8 +6,9 @@ arising as the radial reduction of a stationary epitaxial-growth equation,
 with Dirichlet (u(1/2) = 0) or Navier (u(1/2) = u'(1/2)) endpoint
 conditions.  The package shoots from a series launch at the singular
 endpoint, tracks the two solution branches across the deposition rate lam,
-brackets the fold where they merge, and runs closed-form existence and
-nonexistence certificates that rigorously confine that fold.
+solves for the fold where they merge and certifies a bracket around it, and
+runs closed-form existence and nonexistence certificates that rigorously
+confine that fold.
 """
 
 from .certificates import (

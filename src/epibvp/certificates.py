@@ -311,7 +311,8 @@ def nonexistence_navier(lam: float) -> Certificate:
     discriminant is reported as the witness.
     """
     check_lam(lam)
-    disc = 1.0 - 11.0 * lam / 128.0
+    # dividing by 128 first is exact and keeps 11 lam from overflowing
+    disc = 1.0 - 11.0 * (lam / 128.0)
     above = Fraction(lam) > Fraction(128, 11)
     verdict = Verdict.NONEXISTENCE if above else Verdict.INCONCLUSIVE
     return Certificate(

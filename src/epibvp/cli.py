@@ -91,10 +91,10 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv",
                          help="tabular output format")
 
-    p_fold = _command(sub, "fold", "bracket the fold value by count bisection")
+    p_fold = _command(sub, "fold", "solve for the fold by Newton, certify a bracket by root counts")
     p_fold.add_argument("--lo", type=float, help="bracket start")
     p_fold.add_argument("--hi", type=float, help="bracket end")
-    _add_numerics(p_fold, "fold_tol", "fold bracket width")
+    _add_numerics(p_fold, "fold_tol", "largest certified fold bracket width")
 
     p_cert = _command(sub, "certify", "run all applicable certificates")
     p_cert.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -204,9 +204,9 @@ def _cmd_fold(args) -> int:
     lo = args.lo if args.lo is not None else bracket[0]
     hi = args.hi if args.hi is not None else bracket[1]
     fold_tol = args.fold_tol if args.fold_tol is not None else default_fold_tol(kind)
-    lam_lo, lam_hi = locate_fold(kind, (lo, hi), fold_tol, spec)
-    _write(args, "fold.json", serialize.fold_to_json(kind, lam_lo, lam_hi))
-    sys.stdout.write(serialize.fold_to_json(kind, lam_lo, lam_hi))
+    text = serialize.fold_to_json(kind, *locate_fold(kind, (lo, hi), fold_tol, spec))
+    _write(args, "fold.json", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -59,6 +59,10 @@ _DP_P = (
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
 )
 
+# the same tableau rows as arrays, for the vector state of shoot_variational
+_DP_A_ROWS = [np.array(row) for row in _DP_A]
+_DP_E_ROW = np.array(_DP_E)
+
 _MIN_STEP = 1e-16
 
 # |u| above which a shot is flagged as diverged
@@ -123,29 +127,32 @@ def launch_state(a: float, lam: float, eps: float) -> tuple[float, float]:
 def _dense_fill(t0, h, y0, k, t_out, us, dus, idx):
     """Fill output samples interior to the step [t0, t0+h) from the interpolant.
 
+    All samples of the step are evaluated at once, elementwise and in a
+    fixed order (acc += q_j theta^(j+1) for j = 0..3), so each sample's
+    bits do not depend on how many samples the step covers.
+
     Samples landing exactly on a step end are deferred: the next step fills
     them at theta = 0, which reproduces the stepped state bit-for-bit, and
     the final step's flush covers the right endpoint.
     """
-    n = len(t_out)
-    end = t0 + h
+    stop = int(np.searchsorted(t_out, t0 + h, "left"))
+    if stop <= idx:
+        return idx
     q = [[0.0] * 4, [0.0] * 4]
     for comp in range(2):
         for j in range(4):
             q[comp][j] = sum(k[s][comp] * _DP_P[s][j] for s in range(7))
-    while idx < n and t_out[idx] < end:
-        theta = (t_out[idx] - t0) / h
-        poly = theta
-        acc_u = 0.0
-        acc_v = 0.0
-        for j in range(4):
-            acc_u += q[0][j] * poly
-            acc_v += q[1][j] * poly
-            poly *= theta
-        us[idx] = y0[0] + h * acc_u
-        dus[idx] = y0[1] + h * acc_v
-        idx += 1
-    return idx
+    theta = (t_out[idx:stop] - t0) / h
+    poly = theta.copy()
+    acc_u = np.zeros(stop - idx)
+    acc_v = np.zeros(stop - idx)
+    for j in range(4):
+        acc_u += q[0][j] * poly
+        acc_v += q[1][j] * poly
+        poly *= theta
+    us[idx:stop] = y0[0] + h * acc_u
+    dus[idx:stop] = y0[1] + h * acc_v
+    return stop
 
 
 def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, int]:
@@ -264,6 +271,81 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
     """
     u, du, diverged, _ = _dp45(spec, a)
     return u, du, diverged
+
+
+def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float, float, float]:
+    """Endpoint residual R(a, lam) and its derivatives (R, R_a, R_lam, R_aa, R_alam).
+
+    Carries the variational equations of u'' = u^2/(8t^2) + lam/2 with the
+    shot, as the 10-component state (u, u', u_a, u_a', u_lam, u_lam', u_aa,
+    u_aa', u_alam, u_alam'):
+
+        u_a''    = u u_a / (4t^2)
+        u_lam''  = u u_lam / (4t^2) + 1/2
+        u_aa''   = (u_a^2 + u u_aa) / (4t^2)
+        u_alam'' = (u_lam u_a + u u_alam) / (4t^2)
+
+    launched from the a- and lam-derivatives of the series launch.  Same
+    tableau, step control on (u, u') and guards as :func:`shoot_endpoint`.
+    The boundary residual is linear in (u, u'), so it maps each pair of
+    components to the matching derivative of R.
+
+    Raises
+    ------
+    IntegrationError
+        If the shot diverges (the derivatives have no meaning there) or on
+        step-size underflow.
+    """
+    lam = spec.lam
+    tol = spec.step_tol
+    t = spec.eps
+    u, du = launch_state(a, lam, t)
+    y = np.array([
+        u, du, t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0,
+        t * t / 8.0, t / 4.0, 0.0, 0.0,
+    ])
+
+    def rhs(ts, ys):
+        u, ua, ul, uaa, ual = ys[0::2]
+        c = 4.0 * ts * ts
+        return (
+            ys[1], u * u / (8.0 * ts * ts) + lam / 2.0, ys[3], u * ua / c, ys[5],
+            u * ul / c + 0.5, ys[7], (ua * ua + u * uaa) / c, ys[9], (ul * ua + u * ual) / c,
+        )
+
+    k = np.empty((7, 10))
+    k[0] = rhs(t, y)
+    h = min(1e-4, 0.5 - t)
+    # a huge trial step may overflow a stage; the finiteness guard rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            final = h >= 0.5 - t
+            if final:
+                h = 0.5 - t
+            for s in range(6):
+                ys = y + h * (_DP_A_ROWS[s] @ k[: s + 1])
+                if not np.isfinite(ys).all():
+                    raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
+                k[s + 1] = rhs(t + _DP_C[s] * h, ys)
+            err_u, err_v = h * (_DP_E_ROW @ k[:, :2])
+            err = max(
+                abs(err_u) / (tol * (1.0 + abs(y[0]))),
+                abs(err_v) / (tol * (1.0 + abs(y[1]))),
+            )
+            if not math.isfinite(err):
+                err = 1e16
+            if err <= 1.0:
+                t += h
+                y = ys
+                k[0] = k[6]
+                if abs(y[0]) > BLOWUP:
+                    raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
+                if final:
+                    return tuple(float(r) for r in spec.kind.residual(y[0::2], y[1::2]))
+            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if h < _MIN_STEP:
+                raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
 
 
 def _rk4_step(t0, t1, h, u, du, lam: float):

@@ -21,6 +21,10 @@ from .model import BoundaryKind, RadialProfile, Trajectory
 from .shooting import RootSet
 
 
+# rows per format operation in _csv: bounds the cell list and tuple it builds
+_CSV_BLOCK_ROWS = 8192
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -41,10 +45,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _csv(header: str, columns: list[np.ndarray]) -> str:
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    # one %-format per block of rows: "%.17g" gives the same text as _fmt
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    table = np.column_stack(columns)
+    parts = [header + "\n"]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        rows = table[start:start + _CSV_BLOCK_ROWS]
+        parts.append((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -56,7 +64,7 @@ def profile_to_csv(profile: RadialProfile) -> str:
 
 
 def validation_to_json(report: ValidationReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def rootset_to_json(rs: RootSet) -> str:
@@ -66,7 +74,7 @@ def rootset_to_json(rs: RootSet) -> str:
         "roots": [{"a": r.a} for r in rs.roots],
         "window": [rs.scan_window[0], rs.scan_window[1]],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def diagram_to_csv(diagram: BifurcationDiagram) -> str:
@@ -76,26 +84,27 @@ def diagram_to_csv(diagram: BifurcationDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fold_to_json(kind: BoundaryKind, lo: float, hi: float) -> str:
-    return json.dumps({"lo": lo, "hi": hi, "kind": kind.value}, indent=2) + "\n"
+def fold_to_json(kind: BoundaryKind, lo: float, hi: float, lam0: float, a_star: float) -> str:
+    payload = {"lo": lo, "hi": hi, "kind": kind.value, "lam0": lam0, "a_star": a_star}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def certificates_to_json(certs: list[Certificate]) -> str:
-    return json.dumps([c.to_dict() for c in certs], indent=2) + "\n"
+    return json.dumps([c.to_dict() for c in certs], indent=2, allow_nan=False) + "\n"
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
     payload = {"t": list(traj.t), "u": list(traj.u), "du": list(traj.du)}
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def profile_to_json(profile: RadialProfile) -> str:
     payload = {"r": list(profile.r), "w": list(profile.w), "phi": list(profile.phi)}
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def diagram_to_json(diagram: BifurcationDiagram) -> str:
     payload = [
         {"lambda": p.lam, "a": p.a, "branch": p.branch.value} for p in diagram.points
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -177,6 +178,34 @@ def _golden_descend(spec: ProblemSpec, lo: float, hi: float, sign: float):
     return a_min, sign * g_min
 
 
+def _gated_root(spec: ProblemSpec, a: float) -> Optional[ShootingRoot]:
+    """The root at slope a if its full trajectory validates, else None.
+
+    The final gate of every reported root: the trajectory on the spec's
+    grid, judged at the calibrated resolution.
+    """
+    traj = integrate(spec, a)
+    report = calibrated_report(spec, traj)
+    return ShootingRoot(a=a, traj=traj, report=report) if report.accepted() else None
+
+
+def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[ShootingRoot]:
+    """The validated root inside the slope bracket [lo, hi], or None.
+
+    The residual must change sign across the bracket; the root is refined
+    as in :func:`find_shooting_roots`, must lie inside the scan window and
+    must pass the same final gate.
+    """
+    flo = _residual_at(spec, lo)
+    fhi = _residual_at(spec, hi)
+    if not (math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0):
+        return None
+    a, _ = _refine_bracket(spec, lo, hi, flo, fhi)
+    if not spec.slope_min <= a <= spec.slope_max:
+        return None
+    return _gated_root(spec, a)
+
+
 def find_shooting_roots(spec: ProblemSpec) -> RootSet:
     """Locate every slope in the scan window meeting the boundary condition.
 
@@ -267,12 +296,8 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
             merged.append(cand)
 
     # final gate: the full trajectory of every reported root must validate
-    roots = []
-    for a, _ in merged:
-        traj = integrate(spec, a)
-        report = calibrated_report(spec, traj)
-        if report.accepted():
-            roots.append(ShootingRoot(a=a, traj=traj, report=report))
+    gated = (_gated_root(spec, a) for a, _ in merged)
+    roots = [root for root in gated if root is not None]
     return RootSet(
         lam=spec.lam,
         kind=spec.kind,

@@ -51,7 +51,7 @@ def dirichlet_fold(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def navier_fold():
-    return locate_fold(BoundaryKind.NAVIER, default_fold_bracket(BoundaryKind.NAVIER), 0.05)
+    return locate_fold(BoundaryKind.NAVIER, default_fold_bracket(BoundaryKind.NAVIER), 0.05)[:2]
 
 
 def test_criterion_1_fold_dirichlet(dirichlet_fold):

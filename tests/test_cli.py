@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epibvp import continuation
 from epibvp.cli import main
 
 
 def run(tmp_path, *argv):
     out = os.path.join(tmp_path, "out")
     return main(list(argv) + ["--out", out]), out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def load_csv(path):
@@ -69,17 +74,41 @@ def test_certify_dirichlet_307(tmp_path):
     assert nonexist[0]["witness"]["f_max"] > 1.0
 
 
-def test_fold_navier(tmp_path):
+def test_fold_navier(tmp_path, capsys):
     code, out = run(
         tmp_path, "fold", "--bc", "navier",
         "--lo", "9", "--hi", "11.6363", "--tol", "0.05",
     )
     assert code == 0
-    fold = json.load(open(os.path.join(out, "fold.json")))
+    text = open(os.path.join(out, "fold.json")).read()
+    assert capsys.readouterr().out == text
+    fold = json.loads(text)
+    assert list(fold) == ["lo", "hi", "kind", "lam0", "a_star"]
     assert fold["kind"] == "navier"
     lo, hi = fold["lo"], fold["hi"]
     assert hi - lo <= 0.05
     assert abs(0.5 * (lo + hi) - 11.3) <= 0.1
+    assert lo < fold["lam0"] < hi
+    assert fold["a_star"] < 0.0
+
+
+def test_fold_singular_jacobian_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(continuation, "shoot_variational", lambda spec, a: (1.0, 0.0, 0.0, 0.0, 0.0))
+    code, out = run(tmp_path, "fold", "--bc", "navier")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "singular" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "navier"])
+def test_certify_largest_double_is_strict_json(tmp_path, bc):
+    code, out = run(tmp_path, "certify", "--lambda", "1.7976931348623157e308", "--bc", bc)
+    assert code == 0
+    with open(os.path.join(out, "certificates.json")) as handle:
+        certs = json.load(handle, parse_constant=_reject_constant)
+    assert all(c["lambda"] == 1.7976931348623157e308 for c in certs)
 
 
 def test_sweep_csv(tmp_path):
@@ -273,7 +302,7 @@ def test_config_usage_error(tmp_path, capsys, command, config):
 # "-" as a value only in the --flag=value form
 _NUMBER = st.one_of(
     st.floats(-2.0, 400.0).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-10", "1e300", "-1e300"]),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-10", "1e300", "-1e300", "1e308"]),
 )
 # integer grids stay small: a huge one would allocate its samples
 _GRID = st.one_of(st.integers(-2, 400).map(str), st.sampled_from(["nan", "inf", "1e300", "2.5"]))
@@ -282,8 +311,27 @@ _TOL = st.sampled_from(["1e-10", "1e-6", "0", "-1e-10", "inf", "nan"])
 
 
 @st.composite
+def _fold_argv(draw):
+    """fold argv that its bracket or tolerance check rejects before any root set."""
+    argv = ["fold", f"--bc={draw(st.sampled_from(['dirichlet', 'navier']))}"]
+    flaw = draw(st.sampled_from(["reversed", "lo", "hi", "tol"]))
+    if flaw == "reversed":
+        hi, lo = sorted(draw(st.lists(st.floats(0.0, 400.0), min_size=2, max_size=2)))
+        argv += [f"--lo={lo!r}", f"--hi={hi!r}"]
+    elif flaw == "lo":
+        argv.append(f"--lo={draw(st.sampled_from(['nan', 'inf', '-inf', '-1e-10']))}")
+    elif flaw == "hi":
+        argv.append(f"--hi={draw(st.sampled_from(['nan', 'inf', '-inf']))}")
+    else:
+        argv.append(f"--tol={draw(st.sampled_from(['nan', 'inf', '0', '-1', '1e-4', '9.99e-4']))}")
+    return argv
+
+
+@st.composite
 def _argv(draw):
-    variant = draw(st.sampled_from(["certify", "solve --a", "solve --monotone"]))
+    variant = draw(st.sampled_from(["certify", "solve --a", "solve --monotone", "fold"]))
+    if variant == "fold":
+        return draw(_fold_argv())
     argv = [
         variant.split()[0],
         f"--lambda={draw(_NUMBER)}",
@@ -300,10 +348,6 @@ def _argv(draw):
     return argv
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(argv=_argv())
 def test_fuzz_main_exit_contract(argv):
@@ -318,6 +362,8 @@ def test_fuzz_main_exit_contract(argv):
                 with open(os.path.join(out, name)) as handle:
                     json.load(handle, parse_constant=_reject_constant)
     assert code in (0, 1, 2, 3)
+    if argv[0] == "fold":
+        assert code == 2
     if code == 0:
         assert err.getvalue() == ""
     else:

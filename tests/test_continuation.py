@@ -1,4 +1,6 @@
-"""Sweeps, branch labels, and the count-bisection fold locator."""
+"""Sweeps, branch labels, and the fold point with its certified bracket."""
+
+import math
 
 import pytest
 
@@ -12,7 +14,10 @@ from epibvp.continuation import (
 from epibvp.errors import BracketError
 from epibvp.model import BoundaryKind
 
-NAVIER_FOLD = 11.3387  # refined reference value (count bisection at tol 1e-3)
+# independent fold values: scipy DOP853 at rtol 1e-12 on the 10-state
+# variational system, eps = 1e-6
+DIRICHLET_FOLD = 168.769431276654
+NAVIER_FOLD = 11.340809421457
 
 
 def _counts(diagram):
@@ -76,26 +81,35 @@ def test_sweep_rejects_bad_input():
 
 
 def test_locate_fold_navier():
-    lo, hi = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
-    assert hi - lo <= 0.05
+    lo, hi, lam0, a_star = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
+    assert 0.0 < hi - lo <= 1e-5
     assert lo <= NAVIER_FOLD <= hi
-    assert hi <= 128.0 / 11.0
+    assert lo < lam0 < hi <= 128.0 / 11.0
+    assert -500.0 < a_star < 0.0
 
 
 def test_locate_fold_dirichlet_from_certificate_bracket():
-    # refined reference value 168.77 (count bisection at tol 0.01)
-    lo, hi = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
-    assert hi - lo <= 0.5
-    assert 168.0 <= lo and hi <= 171.0
+    lo, hi, lam0, a_star = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
+    assert 0.0 < hi - lo <= 1e-5
+    assert lo <= DIRICHLET_FOLD <= hi
+    assert 168.0 <= lo < lam0 < hi <= 171.0
+    assert -500.0 < a_star < 0.0
 
 
 def test_locate_fold_bracket_independence():
     """Any valid starting bracket localizes the same fold within tolerance."""
-    lo1, hi1 = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
-    lo2, hi2 = locate_fold(BoundaryKind.NAVIER, (10.0, 11.5), 0.05)
+    lo1, hi1, _, _ = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
+    lo2, hi2, _, _ = locate_fold(BoundaryKind.NAVIER, (10.0, 11.5), 0.05)
     mid1 = 0.5 * (lo1 + hi1)
     mid2 = 0.5 * (lo2 + hi2)
     assert abs(mid1 - mid2) <= 0.05
+
+
+def test_locate_fold_dirichlet_from_zero():
+    """From lo = 0 (trivial root counted in the Newton start) to the same bracket."""
+    fold = locate_fold(BoundaryKind.DIRICHLET, (0.0, 307.0), 0.5)
+    default = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
+    assert fold == pytest.approx(default, rel=0.0, abs=1e-9)
 
 
 def test_locate_fold_bad_bracket_lo():
@@ -113,6 +127,13 @@ def test_locate_fold_bad_bracket_hi():
 def test_locate_fold_rejects_reversed():
     with pytest.raises(BracketError):
         locate_fold(BoundaryKind.NAVIER, (12.0, 9.0), 0.05)
+
+
+def test_locate_fold_rejects_infinite_hi():
+    # checked before any root set
+    with pytest.raises(BracketError) as err:
+        locate_fold(BoundaryKind.NAVIER, (12.0, math.inf), 0.05)
+    assert err.value.end == "hi"
 
 
 def test_locate_fold_rejects_tol_below_floor():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from epibvp import integrator
+from epibvp.errors import IntegrationError
 from epibvp.integrator import (
     BOUNDARY_TOL,
     FI_TOL,
@@ -18,6 +20,7 @@ from epibvp.integrator import (
     launch_state,
     representation_residual,
     shoot_endpoint,
+    shoot_variational,
     validate,
 )
 from epibvp.model import BoundaryKind, ProblemSpec, rhs
@@ -103,6 +106,74 @@ def test_shoot_endpoint_matches_dense_output(root_cache):
         assert not diverged
         assert u == traj.u[-1]
         assert du == traj.du[-1]
+
+
+@pytest.mark.parametrize("kind, lam, a", [
+    (BoundaryKind.DIRICHLET, 100.0, -16.0),
+    (BoundaryKind.DIRICHLET, 168.7694, -52.35),
+    (BoundaryKind.NAVIER, 5.0, -3.0),
+    (BoundaryKind.NAVIER, 11.34, -10.0),
+], ids=["dirichlet-100", "dirichlet-near-fold", "navier-5", "navier-near-fold"])
+def test_variational_derivatives_match_differences(kind, lam, a):
+    """R_a and R_lam match central differences of shoot_endpoint; R_aa and
+    R_alam match central differences of the variational R_a."""
+
+    def resid(lam, a):
+        u, du, diverged = shoot_endpoint(ProblemSpec(lam=lam, kind=kind), a)
+        assert not diverged
+        return kind.residual(u, du)
+
+    def r_a_at(lam, a):
+        return shoot_variational(ProblemSpec(lam=lam, kind=kind), a)[1]
+
+    h = 1e-4
+    r, r_a, r_lam, r_aa, r_alam = shoot_variational(ProblemSpec(lam=lam, kind=kind), a)
+    close = dict(rel=1e-6, abs=1e-10)
+    assert r == pytest.approx(resid(lam, a), rel=0.0, abs=1e-12)
+    assert r_a == pytest.approx((resid(lam, a + h) - resid(lam, a - h)) / (2 * h), **close)
+    assert r_lam == pytest.approx((resid(lam + h, a) - resid(lam - h, a)) / (2 * h), **close)
+    assert r_aa == pytest.approx((r_a_at(lam, a + h) - r_a_at(lam, a - h)) / (2 * h), **close)
+    assert r_alam == pytest.approx((r_a_at(lam + h, a) - r_a_at(lam - h, a)) / (2 * h), **close)
+
+
+def test_variational_shot_refuses_divergence():
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
+    with pytest.raises(IntegrationError):
+        shoot_variational(spec, -2000.0)
+
+
+def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
+    """Sample-by-sample reference for the per-step vectorized dense fill."""
+    q = [[sum(k[s][c] * integrator._DP_P[s][j] for s in range(7)) for j in range(4)]
+         for c in range(2)]
+    while idx < len(t_out) and t_out[idx] < t0 + h:
+        theta = (t_out[idx] - t0) / h
+        poly = theta
+        acc_u = 0.0
+        acc_v = 0.0
+        for j in range(4):
+            acc_u += q[0][j] * poly
+            acc_v += q[1][j] * poly
+            poly *= theta
+        us[idx] = y0[0] + h * acc_u
+        dus[idx] = y0[1] + h * acc_v
+        idx += 1
+    return idx
+
+
+@pytest.mark.parametrize("kind, lam, a, grid_n", [
+    (BoundaryKind.DIRICHLET, 100.0, -16.2635630662405, 16001),
+    (BoundaryKind.DIRICHLET, 100.0, -2000.0, 2001),
+    (BoundaryKind.NAVIER, 9.0, -4.742307280271374, 64001),
+], ids=["dirichlet-16001", "diverged-2001", "navier-64001"])
+def test_dense_fill_matches_sample_by_sample_reference(monkeypatch, kind, lam, a, grid_n):
+    spec = ProblemSpec(lam=lam, kind=kind, grid_n=grid_n)
+    fast = integrate(spec, a)
+    monkeypatch.setattr(integrator, "_dense_fill", _dense_fill_by_sample)
+    slow = integrate(spec, a)
+    assert fast.diverged == slow.diverged
+    for got, want in ((fast.t, slow.t), (fast.u, slow.u), (fast.du, slow.du)):
+        assert np.array_equal(got, want)
 
 
 def test_determinism():

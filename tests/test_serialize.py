@@ -27,6 +27,21 @@ def _columns(text, **kwargs):
     return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2, **kwargs).T
 
 
+def test_csv_text_matches_per_cell_format():
+    """One format operation per block of rows gives the text of formatting
+    each cell, across block boundaries."""
+    rng = np.random.default_rng(7)
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0 / 3.0, -1e300]
+    n = 2 * serialize._CSV_BLOCK_ROWS + 50
+    first = np.concatenate([edge, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])
+    columns = [first, first[::-1].copy(), -first]
+    want = "a,b,c\n" + "".join(
+        ",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns)
+    )
+    assert serialize._csv("a,b,c", columns) == want
+    assert serialize._csv("a,b,c", [np.empty(0)] * 3) == "a,b,c\n"
+
+
 def test_float_formatting_roundtrips_bits():
     values = [np.pi, 1.0 / 3.0, 1e-300, -1.23456789012345678e17, 0.0]
     for v in values:
@@ -83,8 +98,10 @@ def test_diagram_csv_roundtrip():
 
 
 def test_fold_json_roundtrip():
-    text = serialize.fold_to_json(BoundaryKind.NAVIER, 11.30, 11.35)
-    assert json.loads(text) == {"lo": 11.30, "hi": 11.35, "kind": "navier"}
+    text = serialize.fold_to_json(BoundaryKind.NAVIER, 11.30, 11.35, 11.32, -8.87)
+    back = json.loads(text)
+    assert back == {"lo": 11.30, "hi": 11.35, "kind": "navier", "lam0": 11.32, "a_star": -8.87}
+    assert list(back) == ["lo", "hi", "kind", "lam0", "a_star"]
 
 
 def test_certificates_json_roundtrip():

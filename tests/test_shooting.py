@@ -15,6 +15,7 @@ from epibvp.shooting import (
     _residual_at,
     _scan_residuals,
     find_shooting_roots,
+    root_in_bracket,
 )
 
 # production root values, frozen from refined runs at default tolerances
@@ -190,6 +191,20 @@ def test_near_fold_roots_recovered_below_scan_resolution():
     assert len(rs.roots) == 2
     assert rs.roots[0].a == pytest.approx(-52.86091514, abs=1e-6)
     assert rs.roots[1].a == pytest.approx(-51.85082742, abs=1e-6)
+
+
+def test_root_in_bracket_matches_root_set(root_cache):
+    """A sign-change bracket around one root gives that root through the same
+    gate; a bracket without a sign change or outside the window gives None."""
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
+    upper = root_cache(100.0, BoundaryKind.DIRICHLET).roots[1]
+    root = root_in_bracket(spec, upper.a - 1.0, upper.a + 1.0)
+    assert root.a == pytest.approx(upper.a, abs=1e-8)
+    assert root.report.accepted()
+    assert np.array_equal(root.traj.u, integrate(spec, root.a).u)
+    assert root_in_bracket(spec, upper.a + 1.0, upper.a + 2.0) is None
+    narrow = replace(spec, slope_min=upper.a + 0.5)
+    assert root_in_bracket(narrow, upper.a - 1.0, upper.a + 1.0) is None
 
 
 def test_rootset_fields(root_cache):
