@@ -59,10 +59,7 @@ from .model import (
     RadialProfile,
     SeriesLaunch,
     Trajectory,
-    from_u_frame,
     reconstruct_phi,
-    rhs,
-    to_u_frame,
 )
 from .shooting import RootSet, ShootingRoot, find_shooting_roots
 
@@ -97,7 +94,6 @@ __all__ = [
     "find_shooting_roots",
     "first_integral_residual",
     "fixed_point_c0",
-    "from_u_frame",
     "integrate",
     "integrate_rk4",
     "launch_state",
@@ -108,9 +104,7 @@ __all__ = [
     "nonexistence_navier",
     "reconstruct_phi",
     "representation_residual",
-    "rhs",
     "sweep",
-    "to_u_frame",
     "truncated_monotone_solve",
     "universal_bound",
     "universal_certificate",

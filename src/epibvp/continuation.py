@@ -22,9 +22,6 @@ from .integrator import BOUNDARY_TOL, shoot_variational
 from .model import BoundaryKind, ProblemSpec
 from .shooting import find_shooting_roots, root_in_bracket
 
-# floor of fold_tol: below this, the shooting root merge distance makes
-# finer fold claims meaningless at the default tolerances
-FOLD_RESOLUTION_FLOOR = 1e-3
 # Newton on the fold stops once both steps are below this, relative to
 # 1 + |a| and 1 + lam; quadratic convergence makes the last iterate far
 # more accurate still.  A regular start takes 4-10 steps.
@@ -46,11 +43,10 @@ class DiagramPoint:
 
 @dataclass
 class BifurcationDiagram:
-    """(lam, slope) branch points, plus a fold bracket when one was located."""
+    """(lam, slope) branch points."""
 
     kind: BoundaryKind
     points: list[DiagramPoint]
-    fold: Optional[tuple[float, float]] = None
 
 
 def sweep(
@@ -140,9 +136,9 @@ def locate_fold(
 ) -> tuple[float, float, float, float]:
     """Solve for the fold point by Newton and certify a bracket around it.
 
-    Preconditions: 0 <= bracket[0] < bracket[1] < inf, fold_tol is finite
-    and >= FOLD_RESOLUTION_FLOOR, and at bracket[0] the nontrivial-root
-    count is >= 1.  Newton on R = 0, R_a = 0 (:func:`_fold_newton`)
+    Preconditions: 0 <= bracket[0] < bracket[1] < inf, 0 < fold_tol < inf,
+    and at bracket[0] the nontrivial-root count is >= 1.  The bracket and
+    fold_tol are checked before any root set is computed.  Newton on R = 0, R_a = 0 (:func:`_fold_newton`)
     starts from bracket[0] at the midpoint of the smallest and largest root
     there (the trivial a = 0 counted) and gives the fold (a*, lam0).
 
@@ -164,17 +160,16 @@ def locate_fold(
         Naming the failing end when a precondition does not hold, or "hi"
         when lam0 + d exceeds bracket[1].
     EpibvpError
-        When Newton fails, or no bracket of width <= fold_tol certifies.
+        When Newton fails, or no bracket of width <= fold_tol certifies
+        (among them a fold_tol below 2 d at the first d).
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise BracketError("lo", f"need 0 <= lo < hi, got ({lo}, {hi})")
     if hi == math.inf:
         raise BracketError("hi", "need a finite hi")
-    if not FOLD_RESOLUTION_FLOOR <= fold_tol < math.inf:
-        raise BracketError(
-            "fold_tol", f"need a finite fold_tol >= {FOLD_RESOLUTION_FLOOR}, got {fold_tol}"
-        )
+    if not 0.0 < fold_tol < math.inf:
+        raise BracketError("fold_tol", f"need a finite fold_tol > 0, got {fold_tol}")
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
     spec = replace(spec_defaults, lam=lo, kind=kind)

@@ -2,9 +2,11 @@
 
 The initial value problem is launched at t = eps with the two-term series
 u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
-embedded Dormand-Prince 5(4) pair.  Output samples on the uniform grid are
-filled from the pair's quartic dense interpolant, so step sizes are chosen
-by the error controller alone.
+embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
+every shot.  Output samples on the uniform grid are filled from the pair's
+quartic dense interpolant, and the variational equations are advanced on
+the same accepted steps, so step sizes are chosen by the error controller
+alone.
 
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
@@ -59,9 +61,8 @@ _DP_P = (
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
 )
 
-# the same tableau rows as arrays, for the vector state of shoot_variational
+# the same tableau rows as arrays, for the variational state of shoot_variational
 _DP_A_ROWS = [np.array(row) for row in _DP_A]
-_DP_E_ROW = np.array(_DP_E)
 
 _MIN_STEP = 1e-16
 
@@ -155,15 +156,18 @@ def _dense_fill(t0, h, y0, k, t_out, us, dus, idx):
     return stop
 
 
-def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, int]:
+def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool]:
     """Adaptive Dormand-Prince 5(4) run from the series launch to t = 1/2.
 
-    Local error per step is bounded by ``spec.step_tol``.  With a dense
-    target ``(t_out, us, dus)`` the output samples are filled from the
-    quartic interpolant as the steps pass them.  Returns the last state
-    ``(u, u', diverged, samples filled)``: the state at t = 1/2, or the last
-    state reached when |u| exceeded ``BLOWUP`` or a stage went
-    non-finite (both flagged as divergence).
+    The one step-size controller of the package: local error per step is
+    bounded by ``spec.step_tol``, measured on (u, u').  Each accepted step
+    calls ``on_step(t, h, u, du, k)`` with its start time, size, start state
+    and the seven stage derivatives ``k[s] = (u', u'')`` before moving on;
+    :func:`integrate` fills its output samples from there and
+    :func:`shoot_variational` advances the variational equations.  Returns
+    the last state ``(u, u', diverged)``: the state at t = 1/2, or the last
+    state reached when |u| exceeded ``BLOWUP`` or a stage went non-finite
+    (both flagged as divergence).
 
     The pair is first-same-as-last: the last stage sits at the 5th-order
     end state, so an accepted step hands its end state and the next
@@ -178,11 +182,6 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
     tol = spec.step_tol
     u, du = launch_state(a, lam, spec.eps)
     t = spec.eps
-    idx = 0
-    if dense is not None:
-        t_out, us, dus = dense
-        us[0], dus[0] = u, du
-        idx = 1
     h = min(1e-4, 0.5 - t)
     k0 = (du, u * u / (8.0 * t * t) + lam / 2.0)
     while True:
@@ -202,7 +201,7 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
             vv = du + h * av
             if not (math.isfinite(uu) and math.isfinite(vv)):
                 # state exploded inside the step: treat as divergence upward
-                return u, du, True, idx
+                return u, du, True
             k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
         err_u = 0.0
         err_v = 0.0
@@ -216,20 +215,15 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
         if not math.isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if dense is not None:
-                idx = _dense_fill(t, h, (u, du), k, t_out, us, dus, idx)
+            if on_step is not None:
+                on_step(t, h, u, du, k)
             t += h
             u, du = uu, vv
             k0 = k[6]
             if abs(u) > BLOWUP:
-                return u, du, True, idx
+                return u, du, True
             if final:
-                if dense is not None:
-                    # landed on 1/2 exactly; flush any samples left by fp drift
-                    while idx < len(t_out):
-                        us[idx], dus[idx] = u, du
-                        idx += 1
-                return u, du, False, idx
+                return u, du, False
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < _MIN_STEP:
@@ -239,12 +233,11 @@ def _dp45(spec: ProblemSpec, a: float, dense=None) -> tuple[float, float, bool, 
 def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     """Shoot from the series launch at t = eps to t = 1/2 with slope a.
 
-    Adaptive Dormand-Prince 5(4) with local error per step bounded by
-    ``spec.step_tol``; output on ``spec.grid_n`` uniform t samples (endpoint
-    included) via dense interpolation.  If |u| exceeds ``BLOWUP`` the
-    run stops and the truncated trajectory is returned with ``diverged``
-    set -- root scanning relies on probing such slopes, so divergence is
-    not an error.
+    The :func:`_dp45` stepper, with output on ``spec.grid_n`` uniform t
+    samples (endpoint included) filled from the quartic interpolant of each
+    accepted step.  If |u| exceeds ``BLOWUP`` the run stops and the
+    truncated trajectory is returned with ``diverged`` set -- root scanning
+    relies on probing such slopes, so divergence is not an error.
 
     Deterministic: identical spec and slope give bit-identical samples.
 
@@ -256,7 +249,18 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
     us = np.empty(spec.grid_n)
     dus = np.empty(spec.grid_n)
-    _, _, diverged, idx = _dp45(spec, a, (t_out, us, dus))
+    us[0], dus[0] = launch_state(a, spec.lam, spec.eps)
+    idx = 1
+
+    def fill(t, h, u, du, k):
+        nonlocal idx
+        idx = _dense_fill(t, h, (u, du), k, t_out, us, dus, idx)
+
+    u, du, diverged = _dp45(spec, a, fill)
+    if not diverged:
+        # landed on 1/2 exactly; flush any samples left by fp drift
+        us[idx:], dus[idx:] = u, du
+        idx = spec.grid_n
     return Trajectory(
         lam=spec.lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx],
         launch=SeriesLaunch.from_slope(a, spec.lam), eps=spec.eps, diverged=diverged,
@@ -269,25 +273,27 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
     Same stepper and tolerances as :func:`integrate`; used by root
     refinement where only the endpoint matters.
     """
-    u, du, diverged, _ = _dp45(spec, a)
-    return u, du, diverged
+    return _dp45(spec, a)
 
 
 def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float, float, float]:
     """Endpoint residual R(a, lam) and its derivatives (R, R_a, R_lam, R_aa, R_alam).
 
-    Carries the variational equations of u'' = u^2/(8t^2) + lam/2 with the
-    shot, as the 10-component state (u, u', u_a, u_a', u_lam, u_lam', u_aa,
-    u_aa', u_alam, u_alam'):
+    Rides on the accepted steps of :func:`_dp45` and advances, with the same
+    tableau, the variational equations of u'' = u^2/(8t^2) + lam/2 as the
+    8-component state (u_a, u_a', u_lam, u_lam', u_aa, u_aa', u_alam,
+    u_alam'):
 
         u_a''    = u u_a / (4t^2)
         u_lam''  = u u_lam / (4t^2) + 1/2
         u_aa''   = (u_a^2 + u u_aa) / (4t^2)
         u_alam'' = (u_lam u_a + u u_alam) / (4t^2)
 
-    launched from the a- and lam-derivatives of the series launch.  Same
-    tableau, step control on (u, u') and guards as :func:`shoot_endpoint`.
-    The boundary residual is linear in (u, u'), so it maps each pair of
+    launched from the a- and lam-derivatives of the series launch.  The
+    stage values of u are rebuilt from the step's stages in the stepper's
+    own summation order, and R comes from the stepper's end state, so R is
+    bit for bit the residual of :func:`shoot_endpoint`.  The boundary
+    residual is linear in (u, u'), so it maps each pair of variational
     components to the matching derivative of R.
 
     Raises
@@ -297,55 +303,41 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
         step-size underflow.
     """
     lam = spec.lam
-    tol = spec.step_tol
     t = spec.eps
-    u, du = launch_state(a, lam, t)
+    u0, _ = launch_state(a, lam, t)
     y = np.array([
-        u, du, t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0,
-        t * t / 8.0, t / 4.0, 0.0, 0.0,
+        t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0,
     ])
 
-    def rhs(ts, ys):
-        u, ua, ul, uaa, ual = ys[0::2]
+    def rhs(ts, u, ys):
+        ua, ul, uaa, ual = ys[0::2]
         c = 4.0 * ts * ts
         return (
-            ys[1], u * u / (8.0 * ts * ts) + lam / 2.0, ys[3], u * ua / c, ys[5],
-            u * ul / c + 0.5, ys[7], (ua * ua + u * uaa) / c, ys[9], (ul * ua + u * ual) / c,
+            ys[1], u * ua / c, ys[3], u * ul / c + 0.5,
+            ys[5], (ua * ua + u * uaa) / c, ys[7], (ul * ua + u * ual) / c,
         )
 
-    k = np.empty((7, 10))
-    k[0] = rhs(t, y)
-    h = min(1e-4, 0.5 - t)
-    # a huge trial step may overflow a stage; the finiteness guard rejects it
+    kv = np.empty((7, 8))
+    kv[0] = rhs(t, u0, y)
+
+    def advance(t, h, u, du, k):
+        nonlocal y
+        for s in range(6):
+            au = 0.0
+            for j, aij in enumerate(_DP_A[s]):
+                au += aij * k[j][0]
+            ys = y + h * (_DP_A_ROWS[s] @ kv[: s + 1])
+            kv[s + 1] = rhs(t + _DP_C[s] * h, u + h * au, ys)
+        y = ys
+        kv[0] = kv[6]
+
+    # the variational state may overflow on the way to a divergent shot
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            final = h >= 0.5 - t
-            if final:
-                h = 0.5 - t
-            for s in range(6):
-                ys = y + h * (_DP_A_ROWS[s] @ k[: s + 1])
-                if not np.isfinite(ys).all():
-                    raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-                k[s + 1] = rhs(t + _DP_C[s] * h, ys)
-            err_u, err_v = h * (_DP_E_ROW @ k[:, :2])
-            err = max(
-                abs(err_u) / (tol * (1.0 + abs(y[0]))),
-                abs(err_v) / (tol * (1.0 + abs(y[1]))),
-            )
-            if not math.isfinite(err):
-                err = 1e16
-            if err <= 1.0:
-                t += h
-                y = ys
-                k[0] = k[6]
-                if abs(y[0]) > BLOWUP:
-                    raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-                if final:
-                    return tuple(float(r) for r in spec.kind.residual(y[0::2], y[1::2]))
-            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            if h < _MIN_STEP:
-                raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
+        u, du, diverged = _dp45(spec, a, advance)
+        derivs = spec.kind.residual(y[0::2], y[1::2])
+    if diverged or not np.isfinite(derivs).all():
+        raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
+    return (float(spec.kind.residual(u, du)), *(float(d) for d in derivs))
 
 
 def _rk4_step(t0, t1, h, u, du, lam: float):

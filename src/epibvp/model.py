@@ -1,4 +1,4 @@
-"""Domain types, the r <-> t change of variables, and the ODE right-hand side.
+"""Domain types, the boundary rule, and the profile reconstruction.
 
 The radial stationary growth equation on the unit disk reduces, after the
 substitution t = r^2/2, u(t) = w(r), to the scalar second-order equation
@@ -9,9 +9,9 @@ with either a Dirichlet condition u(1/2) = 0 or a Navier condition
 u(1/2) = u'(1/2) at the right endpoint, together with u(t)/t bounded as
 t -> 0+.  Everything downstream (integration, shooting, continuation,
 certificates) works in the u-frame; this module holds the shared value
-types, the boundary rule, the transforms back to the physical w(r) / height
-phi(r) frame, and the trapezoid and golden-section helpers the layers above
-share.
+types, the boundary rule, the reconstruction of the physical w(r) / height
+phi(r) profile, and the trapezoid and golden-section helpers the layers
+above share.
 """
 
 from __future__ import annotations
@@ -153,37 +153,6 @@ class RadialProfile:
     r: np.ndarray
     w: np.ndarray
     phi: np.ndarray
-
-
-def to_u_frame(r: float, w: float) -> tuple[float, float]:
-    """Map a physical-frame point (r, w) to the u-frame, t = r^2/2, u = w.
-
-    Raises DomainError unless 0 < r <= 1.
-    """
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"r must lie in (0, 1], got {r}")
-    return r * r / 2.0, w
-
-
-def from_u_frame(t: float, u: float) -> tuple[float, float]:
-    """Inverse of :func:`to_u_frame`: r = sqrt(2 t), w = u."""
-    if not 0.0 < t <= 0.5:
-        raise DomainError(f"t must lie in (0, 1/2], got {t}")
-    return math.sqrt(2.0 * t), u
-
-
-def rhs(t, u, lam: float):
-    """Right-hand side u^2/(8 t^2) + lam/2 of the second-order equation.
-
-    Accepts scalars or arrays.  Always >= lam/2; the equation is singular
-    at t = 0, so callers must stay on t > 0 and use the series launch below
-    any cutoff.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("rhs is singular at t <= 0; use the series launch instead")
-    out = np.square(u) / (8.0 * t * t) + lam / 2.0
-    return float(out) if out.ndim == 0 else out
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

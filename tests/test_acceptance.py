@@ -38,15 +38,17 @@ from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 
 @pytest.fixture(scope="module")
 def dirichlet_fold(tmp_path_factory):
-    """The actual CLI run `fold --bc dirichlet` at default tolerances, timed."""
+    """The actual CLI run `fold --bc dirichlet` at default tolerances, timed,
+    with the text of the fold.json it wrote."""
     out = str(tmp_path_factory.mktemp("foldd"))
     start = time.perf_counter()
     code = cli_main(["fold", "--bc", "dirichlet", "--out", out])
     elapsed = time.perf_counter() - start
     assert code == 0
     with open(os.path.join(out, "fold.json")) as handle:
-        record = json.load(handle)
-    return (record["lo"], record["hi"]), elapsed
+        text = handle.read()
+    record = json.loads(text)
+    return (record["lo"], record["hi"]), elapsed, text
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +58,7 @@ def navier_fold():
 
 def test_criterion_1_fold_dirichlet(dirichlet_fold):
     """Dirichlet fold inside [160, 178], bracket width <= 0.5, under 60 s."""
-    (lo, hi), elapsed = dirichlet_fold
+    (lo, hi), elapsed, _ = dirichlet_fold
     assert hi - lo <= 0.5
     assert 160.0 <= lo and hi <= 178.0
     assert elapsed < 60.0
@@ -76,12 +78,21 @@ def test_criterion_2_fold_navier(navier_fold):
 
 def test_criterion_3_bound_consistency(dirichlet_fold, navier_fold):
     """Computed folds lie inside the certificate bounds, exactly."""
-    (dlo, dhi), _ = dirichlet_fold
+    (dlo, dhi), _, _ = dirichlet_fold
     nlo, nhi = navier_fold
     assert 144.0 <= dlo and dhi <= 307.0
     assert 9.0 <= nlo and nhi <= 128.0 / 11.0
     print(f"PASS criterion 3: Dirichlet fold [{dlo:.3f},{dhi:.3f}] in [144,307]; "
           f"Navier fold [{nlo:.4f},{nhi:.4f}] in [9,128/11]")
+
+
+def test_readme_fold_example_is_the_cli_output(dirichlet_fold):
+    """The README's fold.json example is the file `fold --bc dirichlet` writes."""
+    *_, text = dirichlet_fold
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as handle:
+        readme = handle.read()
+    example = readme.split("At the defaults:\n\n```\n", 1)[1].split("```\n", 1)[0]
+    assert example == text
 
 
 def test_criterion_4_certificate_truth_table():

@@ -92,6 +92,18 @@ def test_fold_navier(tmp_path, capsys):
     assert fold["a_star"] < 0.0
 
 
+def test_fold_tol_1e_4_certifies(tmp_path):
+    # any positive --tol is accepted; the Navier fold certifies a bracket
+    # far narrower than 1e-4
+    code, out = run(
+        tmp_path, "fold", "--bc", "navier", "--lo", "11.3", "--hi", "11.4", "--tol", "1e-4",
+    )
+    assert code == 0
+    with open(os.path.join(out, "fold.json")) as handle:
+        fold = json.load(handle)
+    assert fold["hi"] - fold["lo"] <= 1e-4
+
+
 def test_fold_singular_jacobian_is_numerical_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(continuation, "shoot_variational", lambda spec, a: (1.0, 0.0, 0.0, 0.0, 0.0))
     code, out = run(tmp_path, "fold", "--bc", "navier")
@@ -185,13 +197,12 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["fold", "--bc", "navier", "--tol", "nan"],
     ["solve", "--monotone", "--lambda", "144.000000001", "--bc", "dirichlet"],
     ["solve", "--monotone", "--lambda", "9.000000001", "--bc", "navier"],
-    ["fold", "--bc", "navier", "--lo", "11.3", "--hi", "11.4", "--tol", "1e-4"],
     ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-inf"],
     ["solve", "--lambda", "1", "--bc", "dirichlet", "--a=-1", "--eps", "1e-300"],
     ["solve", "--monotone", "--lambda", "100", "--bc", "dirichlet", "--grid", "2"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
-    "monotone-above-144", "monotone-above-9", "fold-tol-below-floor", "slope-min-inf",
+    "monotone-above-144", "monotone-above-9", "slope-min-inf",
     "eps-underflow", "monotone-grid-2",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
@@ -323,7 +334,7 @@ def _fold_argv(draw):
     elif flaw == "hi":
         argv.append(f"--hi={draw(st.sampled_from(['nan', 'inf', '-inf']))}")
     else:
-        argv.append(f"--tol={draw(st.sampled_from(['nan', 'inf', '0', '-1', '1e-4', '9.99e-4']))}")
+        argv.append(f"--tol={draw(st.sampled_from(['nan', 'inf', '0', '-1']))}")
     return argv
 
 

@@ -137,10 +137,12 @@ def test_locate_fold_rejects_infinite_hi():
 
 
 def test_locate_fold_rejects_tol_below_floor():
-    # checked before any root set: this bracket would fail at "lo" otherwise
-    with pytest.raises(BracketError) as err:
-        locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), 1e-4)
-    assert err.value.end == "fold_tol"
+    # fold_tol must be positive, checked before any root set: this bracket
+    # would fail at "lo" otherwise
+    for fold_tol in (0.0, -1.0):
+        with pytest.raises(BracketError) as err:
+            locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), fold_tol)
+        assert err.value.end == "fold_tol"
 
 
 def test_default_brackets_and_tols():

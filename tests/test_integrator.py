@@ -23,7 +23,7 @@ from epibvp.integrator import (
     shoot_variational,
     validate,
 )
-from epibvp.model import BoundaryKind, ProblemSpec, rhs
+from epibvp.model import BoundaryKind, ProblemSpec
 
 
 def test_launch_zero():
@@ -47,7 +47,7 @@ def test_launch_series_defect_is_first_order():
     defects = []
     for eps in (1e-3, 1e-4, 1e-5):
         u0, _ = launch_state(a, lam, eps)
-        defects.append(abs(2.0 * beta - rhs(eps, u0, lam)))
+        defects.append(abs(2.0 * beta - (u0 * u0 / (8.0 * eps * eps) + lam / 2.0)))
     # one decade in eps -> one decade in the defect
     assert defects[0] / defects[1] == pytest.approx(10.0, rel=0.05)
     assert defects[1] / defects[2] == pytest.approx(10.0, rel=0.05)
@@ -115,8 +115,9 @@ def test_shoot_endpoint_matches_dense_output(root_cache):
     (BoundaryKind.NAVIER, 11.34, -10.0),
 ], ids=["dirichlet-100", "dirichlet-near-fold", "navier-5", "navier-near-fold"])
 def test_variational_derivatives_match_differences(kind, lam, a):
-    """R_a and R_lam match central differences of shoot_endpoint; R_aa and
-    R_alam match central differences of the variational R_a."""
+    """R equals shoot_endpoint's residual exactly; R_a and R_lam match central
+    differences of shoot_endpoint; R_aa and R_alam match central differences
+    of the variational R_a."""
 
     def resid(lam, a):
         u, du, diverged = shoot_endpoint(ProblemSpec(lam=lam, kind=kind), a)
@@ -127,9 +128,11 @@ def test_variational_derivatives_match_differences(kind, lam, a):
         return shoot_variational(ProblemSpec(lam=lam, kind=kind), a)[1]
 
     h = 1e-4
-    r, r_a, r_lam, r_aa, r_alam = shoot_variational(ProblemSpec(lam=lam, kind=kind), a)
+    spec = ProblemSpec(lam=lam, kind=kind)
+    r, r_a, r_lam, r_aa, r_alam = shoot_variational(spec, a)
     close = dict(rel=1e-6, abs=1e-10)
-    assert r == pytest.approx(resid(lam, a), rel=0.0, abs=1e-12)
+    # the variational shot rides on the endpoint shot's steps: R is bit for bit
+    assert r == kind.residual(*shoot_endpoint(spec, a)[:2])
     assert r_a == pytest.approx((resid(lam, a + h) - resid(lam, a - h)) / (2 * h), **close)
     assert r_lam == pytest.approx((resid(lam + h, a) - resid(lam - h, a)) / (2 * h), **close)
     assert r_aa == pytest.approx((r_a_at(lam, a + h) - r_a_at(lam, a - h)) / (2 * h), **close)

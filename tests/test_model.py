@@ -1,4 +1,4 @@
-"""Frame transforms, the ODE right-hand side, and profile reconstruction."""
+"""Domain types, the spec preconditions, and profile reconstruction."""
 
 import numpy as np
 import pytest
@@ -11,72 +11,16 @@ from epibvp.model import (
     ProblemSpec,
     SeriesLaunch,
     Trajectory,
-    from_u_frame,
     reconstruct_phi,
-    rhs,
-    to_u_frame,
 )
-
-
-def test_to_u_frame_endpoint():
-    assert to_u_frame(1.0, 0.0) == (0.5, 0.0)
-
-
-def test_to_u_frame_arithmetic():
-    t, u = to_u_frame(0.5, -3.0)
-    assert t == 0.125
-    assert u == -3.0
-
-
-def test_frame_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        r = rng.uniform(1e-6, 1.0)
-        w = rng.uniform(-50.0, 0.0)
-        t, u = to_u_frame(r, w)
-        r2, w2 = from_u_frame(t, u)
-        assert abs(r2 - r) <= 1e-15 * max(1.0, r)
-        assert w2 == w
-
-
-@pytest.mark.parametrize("r", [0.0, -0.5, 1.0 + 1e-12])
-def test_to_u_frame_domain(r):
-    with pytest.raises(DomainError):
-        to_u_frame(r, 0.0)
-
-
-@pytest.mark.parametrize("t", [0.0, -1.0, 0.5 + 1e-12])
-def test_from_u_frame_domain(t):
-    with pytest.raises(DomainError):
-        from_u_frame(t, 0.0)
-
-
-def test_rhs_values():
-    assert rhs(0.125, -6.0, 0.0) == pytest.approx(288.0, abs=0.0)
-    assert rhs(0.3, 0.0, 10.0) == 5.0
-    assert rhs(0.01, 0.0, 10.0) == 5.0
 
 
 def test_rhs_lower_function_touch():
     # at lam = 144 the Dirichlet lower-function slack vanishes at t = 1/8:
-    # the candidate's second derivative equals the rhs along it there
-    assert rhs(0.125, -3.0, 144.0) == pytest.approx(144.0, rel=1e-15)
+    # the candidate's second derivative equals u^2/(8t^2) + lam/2 along it there
+    t, u, lam = 0.125, -3.0, 144.0
+    assert u * u / (8.0 * t * t) + lam / 2.0 == pytest.approx(144.0, rel=1e-15)
     assert alpha_dirichlet_dd(0.125) == pytest.approx(144.0, rel=1e-15)
-
-
-def test_rhs_floor():
-    rng = np.random.default_rng(11)
-    t = rng.uniform(1e-8, 0.5, 500)
-    u = rng.uniform(-1e3, 1e3, 500)
-    lam = 37.0
-    assert np.all(rhs(t, u, lam) >= lam / 2.0)
-
-
-def test_rhs_singularity():
-    with pytest.raises(DomainError):
-        rhs(0.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        rhs(-1e-9, 1.0, 0.0)
 
 
 def test_series_launch_beta():
