@@ -23,9 +23,9 @@ solvability for the given deposition rate:
 * universal bound: no solution of either kind exists beyond 64 pi^2.
 
 ``truncated_monotone_solve`` realizes the constructive side: it solves the
-equation on shrinking truncations [t_n, 1/2] inside the strip
-[alpha, 0] with a damped, clipped Newton iteration on a second-order
-finite-difference grid, and returns the finest-truncation solution.
+equation once on the truncation [eps, 1/2] with u(eps) = 0, inside the strip
+[alpha, 0], by a damped, clipped Newton iteration on a second-order
+finite-difference grid started from the upper function u = 0.
 """
 
 from __future__ import annotations
@@ -359,13 +359,14 @@ def certificates_for(lam: float, kind: BoundaryKind) -> list[Certificate]:
 # truncated-domain monotone solver
 # ---------------------------------------------------------------------------
 
-def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray, u0: np.ndarray):
-    """Damped Newton for the discretized problem on one truncation level.
+def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray):
+    """Damped Newton for the discretized problem on the truncation [t[0], 1/2].
 
     Second-order central differences inside, u = 0 at the left end, and at
     the right end either u = 0 (Dirichlet) or the one-sided second-order
-    form of u(1/2) = u'(1/2) (Navier).  Iterates are clipped into the strip
-    [alpha, 0] after every update.
+    form of u(1/2) = u'(1/2) (Navier).  Starts from the upper function
+    u = 0; iterates are clipped into the strip [alpha, 0] after every
+    update.
 
     Convergence is declared on either a small residual or a small update:
     the residual rows carry 1/h^2 factors, so their double-precision floor
@@ -375,8 +376,9 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray, u0: np.ndar
     ftol = 1e-9 * (1.0 + lam)
     n = t.size
     h = t[1] - t[0]
-    alpha = alpha_dirichlet(t) if kind is BoundaryKind.DIRICHLET else alpha_navier(t)
-    u = np.clip(u0, alpha, 0.0)
+    dirichlet = kind is BoundaryKind.DIRICHLET
+    alpha = alpha_dirichlet(t) if dirichlet else alpha_navier(t)
+    u = np.zeros(n)
     cN = 3.0 - 2.0 * h
 
     def resid(u):
@@ -385,71 +387,55 @@ def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray, u0: np.ndar
         r[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2 - (
             u[1:-1] ** 2 / (8.0 * t[1:-1] ** 2) + lam / 2.0
         )
-        if kind is BoundaryKind.DIRICHLET:
-            r[-1] = u[-1]
-        else:
-            r[-1] = cN * u[-1] - 4.0 * u[-2] + u[-3]
+        r[-1] = u[-1] if dirichlet else cN * u[-1] - 4.0 * u[-2] + u[-3]
         return r
+
+    # banded Jacobian: the interior rows are shared, only the diagonal moves
+    # with u.  The Navier end row reaches back to u[-3], which takes a second
+    # subdiagonal; Dirichlet stays tridiagonal, scipy's fast path.
+    lower = 1 if dirichlet else 2
+    ab = np.zeros((lower + 2, n))
+    ab[0, 2:] = ab[2, :-2] = 1.0 / h ** 2
+    ab[1, 0] = 1.0
+    ab[1, -1] = 1.0 if dirichlet else cN
+    if not dirichlet:
+        ab[2, -2], ab[3, -3] = -4.0, 1.0
 
     r = resid(u)
     trace = [float(np.max(np.abs(r)))]
     for _ in range(_NEWTON_MAX_ITER):
         if trace[-1] <= ftol:
-            return u, trace
-        if kind is BoundaryKind.DIRICHLET:
-            ab = np.zeros((3, n))
-            ab[1, 0] = 1.0
-            ab[1, 1:-1] = -2.0 / h ** 2 - u[1:-1] / (4.0 * t[1:-1] ** 2)
-            ab[1, -1] = 1.0
-            ab[0, 2:] = 1.0 / h ** 2
-            ab[2, :-2] = 1.0 / h ** 2
-            ab[2, -2] = 0.0
-            upd = solve_banded((1, 1), ab, -r)
-        else:
-            ab = np.zeros((4, n))
-            ab[1, 0] = 1.0
-            ab[1, 1:-1] = -2.0 / h ** 2 - u[1:-1] / (4.0 * t[1:-1] ** 2)
-            ab[1, -1] = cN
-            ab[0, 2:] = 1.0 / h ** 2
-            ab[2, :-2] = 1.0 / h ** 2
-            ab[2, -2] = -4.0
-            ab[3, -3] = 1.0
-            upd = solve_banded((2, 1), ab, -r)
+            return u
+        ab[1, 1:-1] = -2.0 / h ** 2 - u[1:-1] / (4.0 * t[1:-1] ** 2)
+        upd = solve_banded((lower, 1), ab, -r)
         if float(np.max(np.abs(upd))) <= _NEWTON_XTOL:
-            u = np.clip(u + upd, alpha, 0.0)
-            return u, trace
-        step = 1.0
-        chosen = None
-        for _ in range(30):
-            cand = np.clip(u + step * upd, alpha, 0.0)
-            rc = resid(cand)
-            norm = float(np.max(np.abs(rc)))
-            if norm < trace[-1]:
-                chosen = (cand, rc, norm)
+            return np.clip(u + upd, alpha, 0.0)
+        for k in range(30):
+            cand = np.clip(u + 0.5 ** k * upd, alpha, 0.0)
+            r = resid(cand)
+            if np.max(np.abs(r)) < trace[-1]:
                 break
-            step *= 0.5
-        if chosen is None:
+        else:
             # residual at its rounding floor: take the full step and let the
             # local Newton phase drive the update below _NEWTON_XTOL
             cand = np.clip(u + upd, alpha, 0.0)
-            rc = resid(cand)
-            chosen = (cand, rc, float(np.max(np.abs(rc))))
-        u, r, norm = chosen
-        trace.append(norm)
+            r = resid(cand)
+        u = cand
+        trace.append(float(np.max(np.abs(r))))
     raise RelaxationError(
         f"monotone relaxation stalled (lam={lam}, kind={kind.value})", trace
     )
 
 
 def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
-    """Solve via the lower/upper-function construction on shrinking truncations.
+    """Solve via the lower/upper-function construction on one truncation.
 
-    The equation is solved on [t_n, 1/2] for t_n = 2^{-n-1} decreasing to
-    spec.eps, each solve constrained to the strip [alpha, 0] with boundary
-    value u(t_n) = 0 and the spec's condition at 1/2, where alpha is the
-    lower-function candidate of spec.kind; every level is
-    warm-started from the previous one.  The finest-truncation solution is
-    returned as a Trajectory with derivatives from second-order differences.
+    The equation is solved once on [spec.eps, 1/2] with boundary value
+    u(spec.eps) = 0 and the spec's condition at 1/2, constrained to the
+    strip [alpha, 0], where alpha is the lower-function candidate of
+    spec.kind and the zero upper function is the Newton start (no warm
+    start).  The solution is returned as a Trajectory with derivatives from
+    second-order differences.
 
     The result agrees with the shooting solution of the same problem to
     about |a| * eps in sup norm (the strip solution is the maximal one, so
@@ -462,7 +448,7 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
         the lower-function certificate of spec.kind does not certify
         existence at spec.lam.
     RelaxationError
-        If a Newton level fails to converge (residual trace attached).
+        If the Newton iteration fails to converge (residual trace attached).
     """
     if spec.grid_n < 3:
         raise DomainError(f"the monotone solver needs grid_n >= 3, got {spec.grid_n}")
@@ -476,25 +462,8 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
             f"(min slack {cert.witness['min_slack']:.3e})"
         )
 
-    levels = []
-    n = 1
-    while 2.0 ** (-n - 1) > spec.eps:
-        levels.append(2.0 ** (-n - 1))
-        n += 1
-    levels.append(spec.eps)
-
-    u_prev = None
-    t_prev = None
-    for t_lo in levels:
-        t = np.linspace(t_lo, 0.5, spec.grid_n)
-        if u_prev is None:
-            u0 = np.zeros(spec.grid_n)
-        else:
-            u0 = np.interp(t, t_prev, u_prev, left=0.0)
-        u, _ = _newton_truncated(spec.lam, spec.kind, t, u0)
-        u_prev, t_prev = u, t
-
-    t, u = t_prev, u_prev
+    t = np.linspace(spec.eps, 0.5, spec.grid_n)
+    u = _newton_truncated(spec.lam, spec.kind, t)
     h = t[1] - t[0]
     du = np.empty_like(u)
     du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import BracketError, EpibvpError
+from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import BOUNDARY_TOL, shoot_variational
 from .model import BoundaryKind, ProblemSpec
 from .shooting import find_shooting_roots, root_in_bracket
@@ -157,8 +157,13 @@ def locate_fold(
     Raises
     ------
     BracketError
-        Naming the failing end when a precondition does not hold, or "hi"
-        when lam0 + d exceeds bracket[1].
+        Naming the failing end when a bracket precondition does not hold,
+        or "hi" when lam0 + d exceeds bracket[1].
+    DomainError
+        When fold_tol is not finite and > 0.
+    WindowTooSmallError
+        Naming the scan-window edge that the Newton fold slope a* lies
+        beyond, before any certificate root set.
     EpibvpError
         When Newton fails, or no bracket of width <= fold_tol certifies
         (among them a fold_tol below 2 d at the first d).
@@ -169,7 +174,7 @@ def locate_fold(
     if hi == math.inf:
         raise BracketError("hi", "need a finite hi")
     if not 0.0 < fold_tol < math.inf:
-        raise BracketError("fold_tol", f"need a finite fold_tol > 0, got {fold_tol}")
+        raise DomainError(f"need a finite fold_tol > 0, got {fold_tol}")
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
     spec = replace(spec_defaults, lam=lo, kind=kind)
@@ -180,6 +185,11 @@ def locate_fold(
     start = float(0.5 * (roots.roots[0].a + roots.roots[-1].a))
     del roots  # only the start point is needed, not the roots' trajectories
     a_star, lam0, r_lam, r_aa = _fold_newton(spec, start)
+    # the certificate's root sets scan only the window, so a fold slope
+    # outside it could never be certified
+    if not spec.slope_min <= a_star <= spec.slope_max:
+        edge = "slope_min" if a_star < spec.slope_min else "slope_max"
+        raise WindowTooSmallError(edge, a_star)
 
     d = 4.0 * BOUNDARY_TOL / abs(r_lam)
     while 2.0 * d <= fold_tol:

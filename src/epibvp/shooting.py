@@ -105,11 +105,9 @@ def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
         for i in range(len(grid) - 1):
             t0 = grid[i]
             t1 = grid[i + 1]
-            u_new, du_new = _rk4_step(t0, t1, t1 - t0, u, du, lam)
-            step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= BLOWUP)
-            u = np.where(step_ok, u_new, u)
-            du = np.where(step_ok, du_new, du)
-            alive = step_ok
+            u, du = _rk4_step(t0, t1, t1 - t0, u, du, lam)
+            # NaN and inf fail the comparison too; a dead slope stays dead
+            alive &= np.abs(u) <= BLOWUP
         resid = spec.kind.residual(u, du)
     return np.where(alive, resid, np.inf)
 
@@ -246,8 +244,6 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
         if abs(res[i]) > _EXTREMUM_GATE:
             continue
         if not (abs(res[i]) <= abs(res[i - 1]) and abs(res[i]) <= abs(res[i + 1])):
-            continue
-        if res[i - 1] * res[i] < 0 or res[i] * res[i + 1] < 0:
             continue
         sign = 1.0 if res[i] > 0 else -1.0
         lo, hi = a_grid[i - 1], a_grid[i + 1]

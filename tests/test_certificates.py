@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from epibvp import certificates
 from epibvp.certificates import (
     CertificateKind,
     Verdict,
@@ -267,14 +269,33 @@ def test_verdict_source_invariant():
 
 # --- truncated-domain monotone solver ----------------------------------------
 
-def test_monotone_solver_dirichlet_strip():
-    spec = ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET)
+def _fd_residual(traj):
+    """Sup norm of the interior finite-difference equations of a monotone solve."""
+    t, u = traj.t, traj.u
+    h = t[1] - t[0]
+    r = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2 - (
+        u[1:-1] ** 2 / (8.0 * t[1:-1] ** 2) + traj.lam / 2.0
+    )
+    # the Newton tolerance, or the rounding floor of the 1/h^2 rows
+    return float(np.max(np.abs(r))), 1e-9 * (1.0 + traj.lam) + 1e-14 / h ** 2
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-2])
+@pytest.mark.parametrize("grid_n", [5, 11, 2001])
+def test_monotone_solver_dirichlet_strip(grid_n, eps):
+    spec = ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n, eps=eps)
     traj = truncated_monotone_solve(spec)
+    assert traj.t[0] == eps and traj.t.size == grid_n
+    assert abs(traj.u[0]) <= 1e-15 and abs(traj.u[-1]) <= 1e-15
     alpha = alpha_dirichlet(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
-    report = validate(traj)
-    assert report.accepted(), report
+    resid, tol = _fd_residual(traj)
+    assert resid <= tol
+    if (grid_n, eps) == (2001, 1e-8):
+        # coarser grids and the wide truncation miss the validators' tolerances
+        report = validate(traj)
+        assert report.accepted(), report
 
 
 def test_monotone_solver_zero_at_lam0():
@@ -283,13 +304,37 @@ def test_monotone_solver_zero_at_lam0():
     assert np.all(traj.u == 0.0)
 
 
-def test_monotone_solver_navier_endpoint():
-    spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER)
+@pytest.mark.parametrize("eps", [1e-8, 1e-2])
+@pytest.mark.parametrize("grid_n", [5, 11, 2001])
+def test_monotone_solver_navier_endpoint(grid_n, eps):
+    spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=grid_n, eps=eps)
     traj = truncated_monotone_solve(spec)
+    assert traj.t[0] == eps and traj.t.size == grid_n
+    assert abs(traj.u[0]) <= 1e-15
     alpha = alpha_navier(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
     assert abs(traj.u[-1] - traj.du[-1]) < 1e-8
+    resid, tol = _fd_residual(traj)
+    assert resid <= tol
+
+
+@pytest.mark.parametrize("lam, kind", [
+    (144.0, BoundaryKind.DIRICHLET),
+    (9.0, BoundaryKind.NAVIER),
+], ids=["dirichlet-144", "navier-9"])
+def test_monotone_solver_is_one_newton_solve(monkeypatch, lam, kind):
+    # one truncation, one Newton iteration: a handful of banded solves, not
+    # one Newton per nested truncation
+    calls = []
+
+    def counting_solve_banded(*args, **kwargs):
+        calls.append(None)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "solve_banded", counting_solve_banded)
+    truncated_monotone_solve(ProblemSpec(lam=lam, kind=kind))
+    assert 0 < len(calls) <= 12
 
 
 def test_monotone_solver_requires_certificate():

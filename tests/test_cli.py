@@ -200,10 +200,12 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-inf"],
     ["solve", "--lambda", "1", "--bc", "dirichlet", "--a=-1", "--eps", "1e-300"],
     ["solve", "--monotone", "--lambda", "100", "--bc", "dirichlet", "--grid", "2"],
+    ["fold", "--bc", "navier", "--a-min", "-8", "--a-max", "-1"],
+    ["fold", "--bc", "dirichlet", "--a-max", "-60"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
     "monotone-above-144", "monotone-above-9", "slope-min-inf",
-    "eps-underflow", "monotone-grid-2",
+    "eps-underflow", "monotone-grid-2", "fold-slope-below-window", "fold-slope-above-window",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

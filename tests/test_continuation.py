@@ -11,8 +11,8 @@ from epibvp.continuation import (
     locate_fold,
     sweep,
 )
-from epibvp.errors import BracketError
-from epibvp.model import BoundaryKind
+from epibvp.errors import BracketError, DomainError, WindowTooSmallError
+from epibvp.model import BoundaryKind, ProblemSpec
 
 # independent fold values: scipy DOP853 at rtol 1e-12 on the 10-state
 # variational system, eps = 1e-6
@@ -136,13 +136,21 @@ def test_locate_fold_rejects_infinite_hi():
     assert err.value.end == "hi"
 
 
-def test_locate_fold_rejects_tol_below_floor():
-    # fold_tol must be positive, checked before any root set: this bracket
-    # would fail at "lo" otherwise
-    for fold_tol in (0.0, -1.0):
-        with pytest.raises(BracketError) as err:
+def test_locate_fold_rejects_bad_tol():
+    # fold_tol must be finite and positive, checked before any root set:
+    # this bracket would fail at "lo" otherwise
+    for fold_tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
             locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), fold_tol)
-        assert err.value.end == "fold_tol"
+
+
+def test_locate_fold_rejects_fold_slope_outside_window():
+    # the Navier fold slope a* = -8.87 lies below this window
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER, slope_min=-8.0, slope_max=-1.0)
+    with pytest.raises(WindowTooSmallError) as err:
+        locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05, spec)
+    assert err.value.edge == "slope_min"
+    assert -9.0 < err.value.a < -8.0
 
 
 def test_default_brackets_and_tols():

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from epibvp.errors import WindowTooSmallError
-from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, integrate, validate
+from epibvp.integrator import (
+    BLOWUP, BOUNDARY_TOL, SIGN_TOL, _rk4_step, integrate, launch_state, validate,
+)
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 from epibvp.shooting import (
     _CLUSTER_TOL,
     _ROOT_TOL,
+    _SCAN_GEO_N,
+    _SCAN_SWITCH,
+    _SCAN_UNI_N,
     _residual_at,
     _scan_residuals,
     find_shooting_roots,
@@ -142,6 +147,41 @@ def test_root_stability_under_scan_doubling(root_cache):
     assert len(rs.roots) == len(base.roots)
     for a_new, a_old in zip(rs.slopes(), base.slopes()):
         assert abs(a_new - a_old) < _ROOT_TOL * 10
+
+
+def _scan_residuals_masked(spec, a_grid):
+    """Reference scan that freezes each dead slope at its last finite state."""
+    a = np.asarray(a_grid, dtype=float)
+    switch = max(_SCAN_SWITCH, 2.0 * spec.eps)
+    grid = np.concatenate([
+        np.geomspace(spec.eps, switch, _SCAN_GEO_N + 1)[:-1],
+        np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
+    ])
+    alive = np.ones(a.shape, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, du = launch_state(a, spec.lam, spec.eps)
+        for i in range(len(grid) - 1):
+            t0, t1 = grid[i], grid[i + 1]
+            u_new, du_new = _rk4_step(t0, t1, t1 - t0, u, du, spec.lam)
+            step_ok = alive & np.isfinite(u_new) & (np.abs(u_new) <= BLOWUP)
+            u = np.where(step_ok, u_new, u)
+            du = np.where(step_ok, du_new, du)
+            alive = step_ok
+        resid = spec.kind.residual(u, du)
+    return np.where(alive, resid, np.inf)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET),
+    ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-1e308, slope_max=-1e307),
+    ProblemSpec(lam=5000.0, kind=BoundaryKind.DIRICHLET),
+], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000"])
+def test_scan_residuals_match_masked_reference(spec):
+    a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
+    want = _scan_residuals_masked(spec, a_grid)
+    got = _scan_residuals(spec, a_grid)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_window_error_at_edge_root():
