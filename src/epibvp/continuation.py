@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import BOUNDARY_TOL, shoot_variational
 from .model import BoundaryKind, ProblemSpec
-from .shooting import find_shooting_roots, root_in_bracket
+from .shooting import find_shooting_roots, root_in_bracket, scan_rows
 
 # Newton on the fold stops once both steps are below this, relative to
 # 1 + |a| and 1 + lam; quadratic convergence makes the last iterate far
@@ -56,7 +56,11 @@ def sweep(
 ) -> BifurcationDiagram:
     """Run the root finder at each lam and label branches.
 
-    ``lams`` must be finite, nonnegative and sorted ascending.  With two
+    ``lams`` must be finite, nonnegative and sorted ascending.  Their slope
+    scans run a block of lams at a time (:func:`~epibvp.shooting.scan_rows`),
+    lazily, and each lam's row goes to its own
+    :func:`~epibvp.shooting.find_shooting_roots` call, so every lam gets
+    exactly the root set it would get alone.  With two
     roots at a given lam the more negative slope goes to the lower branch; a
     single root is labeled by nearest-neighbor matching against the previous
     lam's labeled points, so each branch stays consistent across the sweep.
@@ -70,11 +74,12 @@ def sweep(
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
 
+    spec = replace(spec_defaults, kind=kind)
+
     points: list[DiagramPoint] = []
     prev: dict[Branch, float] = {}
-    for lam in lams:
-        spec = replace(spec_defaults, lam=lam, kind=kind)
-        rs = find_shooting_roots(spec)
+    for lam, scan in scan_rows(spec, lams):
+        rs = find_shooting_roots(replace(spec, lam=lam), scan)
         slopes = sorted(rs.slopes())
         labeled: list[tuple[float, Branch]] = []
         if len(slopes) >= 2:

@@ -343,7 +343,9 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
 def _rk4_step(t0, t1, h, u, du, lam: float):
     """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
 
-    Works on scalars and, elementwise, on arrays of states.
+    Works on scalars and, elementwise, on arrays of states.  The reference
+    for the in-place block scan of :mod:`epibvp.shooting`, which repeats
+    these operations in this order.
     """
     th = t0 + 0.5 * h
     k1u = du

@@ -8,6 +8,14 @@ Interior extrema of the residual are additionally pushed to their bottom by
 golden-section search, which recovers root pairs whose separation falls
 below the scan spacing and the tangency double root at the fold itself.
 
+One scan kernel serves every caller: it steps a block of slopes for one or
+several lams at once, in place, with each slope's arithmetic that of
+``_rk4_step``, so a residual does not depend on the block it was scanned
+in.  A sweep scans its lams a block at a time (:func:`scan_rows`) and hands
+each lam's row to :func:`find_shooting_roots`.  From the scan on, slopes
+and residuals are Python floats, so the scalar refinement shots run on
+floats, not on numpy scalars.
+
 Diverged shots report +inf residual; a bracket formed against the
 divergence boundary therefore never refines to a small residual, and the
 final validation pass discards such artifacts: every root returned here
@@ -19,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_step, integrate,
-    launch_state, shoot_endpoint, validate,
+    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, integrate, launch_state,
+    shoot_endpoint, validate,
 )
 from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
 
@@ -34,6 +42,9 @@ from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
 _SCAN_SWITCH = 5e-3
 _SCAN_GEO_N = 400
 _SCAN_UNI_N = 2400
+# slopes one block scan advances at once: a few lams of the default scan
+# share each numpy call, in about 1 MB of stage buffers
+_SCAN_BLOCK = 16000
 # interior |residual| extrema below this are golden-refined (fold handling)
 _EXTREMUM_GATE = 0.1
 _GOLDEN_ITERS = 48
@@ -83,33 +94,108 @@ def calibrated_report(spec: ProblemSpec, traj: Trajectory) -> ValidationReport:
     return validate(traj)
 
 
-def _scan_residuals(spec: ProblemSpec, a_grid: np.ndarray) -> np.ndarray:
-    """Endpoint residuals for every slope at once: fixed-grid RK4, vectorized.
+def _scan_grid(spec: ProblemSpec) -> np.ndarray:
+    """The ``spec.scan_n`` slopes of the bracketing scan over the window."""
+    return np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
 
-    Bracketing-grade only; refinement re-evaluates with the adaptive
+
+def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
+    """Endpoint residuals of the scan grid at each lam, one row per lam.
+
+    Fixed-grid RK4 on one flattened state of ``len(lams) * scan_n`` slopes,
+    each with its own lam.  Every stage is written into preallocated
+    buffers, and each element goes through the operations of ``_rk4_step``
+    in its order, so a row's bits do not depend on the block it is scanned
+    in.  Bracketing-grade only; refinement re-evaluates with the adaptive
     integrator.  Diverged entries come back +inf.
     """
-    lam = spec.lam
     eps = spec.eps
-    a = np.asarray(a_grid, dtype=float)
+    a_grid = _scan_grid(spec)
+    a = np.tile(a_grid, len(lams))
+    lam = np.repeat(np.asarray(lams, dtype=float), a_grid.size)
+    half_lam = lam / 2.0
     switch = max(_SCAN_SWITCH, 2.0 * eps)
     grid = np.concatenate([
         np.geomspace(eps, switch, _SCAN_GEO_N + 1)[:-1],
         np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
-    ])
+    ]).tolist()
+    # stage slopes (ku, kv), stage state w, weighted stage sums (su, sv)
+    ku, kv, w, su, sv = (np.empty_like(a) for _ in range(5))
+    ok = np.empty(a.shape, dtype=bool)
     alive = np.ones(a.shape, dtype=bool)
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
         u, du = launch_state(a, lam, eps)
-        for i in range(len(grid) - 1):
-            t0 = grid[i]
-            t1 = grid[i + 1]
-            u, du = _rk4_step(t0, t1, t1 - t0, u, du, lam)
+        for t0, t1 in zip(grid, grid[1:]):
+            h = t1 - t0
+            hh = 0.5 * h
+            th = t0 + hh
+            c0 = 8.0 * t0 * t0
+            ch = 8.0 * th * th
+            c1 = 8.0 * t1 * t1
+            # k1 = (du, sv)
+            np.multiply(u, u, out=sv)
+            sv /= c0
+            sv += half_lam
+            # k2 = (ku, kv) at u2 = u + hh k1u
+            np.multiply(du, hh, out=w)
+            w += u
+            np.multiply(sv, hh, out=ku)
+            ku += du
+            np.multiply(w, w, out=kv)
+            kv /= ch
+            kv += half_lam
+            np.multiply(ku, 2.0, out=su)
+            su += du
+            np.multiply(kv, 2.0, out=w)
+            sv += w
+            # k3 = (ku, kv) at u3 = u + hh k2u
+            np.multiply(ku, hh, out=w)
+            w += u
+            np.multiply(kv, hh, out=ku)
+            ku += du
+            np.multiply(w, w, out=kv)
+            kv /= ch
+            kv += half_lam
+            np.multiply(ku, 2.0, out=w)
+            su += w
+            np.multiply(kv, 2.0, out=w)
+            sv += w
+            # k4 = (ku, kv) at u4 = u + h k3u
+            np.multiply(ku, h, out=w)
+            w += u
+            np.multiply(kv, h, out=ku)
+            ku += du
+            np.multiply(w, w, out=kv)
+            kv /= c1
+            kv += half_lam
+            su += ku
+            sv += kv
+            su *= h / 6.0
+            u += su
+            sv *= h / 6.0
+            du += sv
             # NaN and inf fail the comparison too; a dead slope stays dead
-            alive &= np.abs(u) <= BLOWUP
+            np.abs(u, out=w)
+            np.less_equal(w, BLOWUP, out=ok)
+            alive &= ok
         resid = spec.kind.residual(u, du)
-    return np.where(alive, resid, np.inf)
+    return np.where(alive, resid, np.inf).reshape(len(lams), a_grid.size)
+
+
+def scan_rows(spec: ProblemSpec, lams: Sequence[float]) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield ``(lam, residual row)`` for each lam, scanning blocks of lams lazily.
+
+    A block holds as many lams as fit in ``_SCAN_BLOCK`` slopes (at least
+    one), so numpy's per-call overhead is shared while the buffers stay
+    small; the next block is scanned only when the caller asks for its
+    first lam.
+    """
+    per_block = max(1, _SCAN_BLOCK // max(spec.scan_n, 1))
+    for start in range(0, len(lams), per_block):
+        block = lams[start:start + per_block]
+        yield from zip(block, _scan_residuals(spec, block))
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
@@ -204,17 +290,19 @@ def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[Shootin
     return _gated_root(spec, a)
 
 
-def find_shooting_roots(spec: ProblemSpec) -> RootSet:
+def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) -> RootSet:
     """Locate every slope in the scan window meeting the boundary condition.
 
-    Scans ``spec.scan_n`` slopes over [slope_min, slope_max], brackets sign
-    changes of the boundary residual, refines each bracket by bisection then
-    secant to |delta a| < _ROOT_TOL, golden-refines interior residual extrema
-    (so near-fold root pairs and the exact-fold double root are not lost),
-    merges roots closer than _CLUSTER_TOL, and keeps only roots whose full
-    trajectory passes validation at the calibrated resolution.  Each root
-    carries that trajectory, sampled on ``spec.grid_n`` points, and its
-    report.
+    Scans ``spec.scan_n`` slopes over [slope_min, slope_max] -- or takes
+    ``scan``, the residual row :func:`scan_rows` gave for ``spec.lam`` --
+    and from there works on the slopes and residuals as Python floats: it
+    brackets sign changes of the boundary residual, refines each bracket by
+    bisection then secant to |delta a| < _ROOT_TOL, golden-refines interior
+    residual extrema (so near-fold root pairs and the exact-fold double
+    root are not lost), merges roots closer than _CLUSTER_TOL, and keeps
+    only roots whose full trajectory passes validation at the calibrated
+    resolution.  Each root carries that trajectory, sampled on
+    ``spec.grid_n`` points, and its report.
 
     Raises
     ------
@@ -222,9 +310,13 @@ def find_shooting_roots(spec: ProblemSpec) -> RootSet:
         If a root sits at the scan-window edge, except the trivial root at
         a = 0 (the zero solution), which is legitimate.
     """
-    a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
-    res = _scan_residuals(spec, a_grid)
-    finite = np.isfinite(res)
+    if scan is None:
+        scan = _scan_residuals(spec, [spec.lam])[0]
+    # Python floats from here on: every endpoint shot then runs _dp45's
+    # scalar loop on floats, not on numpy scalars
+    a_grid = _scan_grid(spec).tolist()
+    res = scan.tolist()
+    finite = [math.isfinite(r) for r in res]
 
     candidates: list[tuple[float, float]] = []  # (a, f)
 

@@ -220,10 +220,14 @@ def test_precondition_error_bad_number(tmp_path, capsys, argv):
     ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307"],
     ["sweep", "--lambdas", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307",
      "--grid", "10"],
-], ids=["solve", "sweep"])
+    ["solve", "--lambda", "5", "--bc", "navier", "--tol", "1e300"],
+    ["sweep", "--lambdas", "5", "--bc", "navier", "--tol", "1e300"],
+], ids=["solve", "sweep", "solve-tol-1e300", "sweep-tol-1e300"])
 def test_overflowing_scan_window_is_silent(tmp_path, capsys, argv):
-    # every slope here overflows at launch and is masked to +inf by the scan;
-    # a successful run still writes nothing to stderr
+    # in the window cases every slope overflows at launch and is masked to
+    # +inf by the scan; at --tol 1e300 the error norm of a refinement shot
+    # underflows, so its step factor 1/err overflows to inf; a successful
+    # run still writes nothing to stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run(tmp_path, *argv)
@@ -341,10 +345,34 @@ def _fold_argv(draw):
 
 
 @st.composite
+def _sweep_argv(draw):
+    """sweep argv that its lam or tolerance check rejects before any root set."""
+    lams = sorted(draw(st.lists(st.floats(0.0, 400.0), min_size=1, max_size=4)))
+    text = [repr(lam) for lam in lams]
+    flaw = draw(st.sampled_from(["lam", "unsorted", "empty", "tol"]))
+    tol = []
+    if flaw == "lam":
+        bad = draw(st.sampled_from(["nan", "inf", "-inf", "-1e-10", "-1"]))
+        text.insert(draw(st.integers(0, len(text))), bad)
+    elif flaw == "unsorted":
+        lo, hi = sorted(draw(st.lists(st.floats(0.0, 400.0), min_size=2, max_size=2, unique=True)))
+        text.append(repr(lo))
+        text.insert(0, repr(hi))
+    elif flaw == "empty":
+        text = ["", ""]
+    else:
+        tol = [f"--tol={draw(st.sampled_from(['0', '-0.0', '-1e-10', '-inf']))}"]
+    bc = draw(st.sampled_from(["dirichlet", "navier"]))
+    return ["sweep", f"--lambdas={','.join(text)}", f"--bc={bc}", *tol]
+
+
+@st.composite
 def _argv(draw):
-    variant = draw(st.sampled_from(["certify", "solve --a", "solve --monotone", "fold"]))
+    variant = draw(st.sampled_from(["certify", "solve --a", "solve --monotone", "fold", "sweep"]))
     if variant == "fold":
         return draw(_fold_argv())
+    if variant == "sweep":
+        return draw(_sweep_argv())
     argv = [
         variant.split()[0],
         f"--lambda={draw(_NUMBER)}",
@@ -377,6 +405,8 @@ def test_fuzz_main_exit_contract(argv):
     assert code in (0, 1, 2, 3)
     if argv[0] == "fold":
         assert code == 2
+    if argv[0] == "sweep":
+        assert code == (1 if argv[1] == "--lambdas=," else 2)
     if code == 0:
         assert err.getvalue() == ""
     else:

@@ -1,9 +1,13 @@
 """Sweeps, branch labels, and the fold point with its certified bracket."""
 
+import hashlib
 import math
+import os
+from dataclasses import replace
 
 import pytest
 
+from epibvp.cli import main
 from epibvp.continuation import (
     Branch,
     default_fold_bracket,
@@ -13,6 +17,7 @@ from epibvp.continuation import (
 )
 from epibvp.errors import BracketError, DomainError, WindowTooSmallError
 from epibvp.model import BoundaryKind, ProblemSpec
+from epibvp.shooting import _SCAN_BLOCK, find_shooting_roots
 
 # independent fold values: scipy DOP853 at rtol 1e-12 on the 10-state
 # variational system, eps = 1e-6
@@ -78,6 +83,36 @@ def test_sweep_rejects_bad_input():
         sweep(BoundaryKind.DIRICHLET, [50.0, 10.0])
     with pytest.raises(BracketError):
         sweep(BoundaryKind.DIRICHLET, [-1.0, 10.0])
+
+
+# sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`,
+# taken with one 2000-slope scan per lam
+DIRICHLET_SWEEP_CSV_SHA256 = "2de53fa30996feec52304ea49b6c10907a25a0f7e9d2a747f6064621f37cb243"
+
+
+def test_sweep_matches_per_lam_root_sets(tmp_path):
+    """The block-scanned sweep gives each lam's own root set, bit for bit."""
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER)
+    # two roots up to 11.3, none past the fold at 11.34; more lams than a block
+    lams = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0, 11.3, 11.4, 12.0]
+    assert len(lams) > _SCAN_BLOCK // spec.scan_n
+    diagram = sweep(BoundaryKind.NAVIER, lams, spec)
+    for lam in lams:
+        want = find_shooting_roots(replace(spec, lam=lam)).slopes()
+        assert [p.a for p in diagram.points if p.lam == lam] == want, lam
+        assert len(want) == (2 if lam <= 11.3 else 0), lam
+
+    closed = replace(spec, slope_min=0.0, slope_max=0.0)
+    with pytest.raises(WindowTooSmallError) as per_lam:
+        find_shooting_roots(closed)
+    with pytest.raises(WindowTooSmallError) as swept:
+        sweep(BoundaryKind.NAVIER, [0.0, 5.0], closed)
+    assert str(swept.value) == str(per_lam.value)
+
+    out = os.path.join(tmp_path, "out")
+    assert main(["sweep", "--lambdas", "0,50,120,167", "--bc", "dirichlet", "--out", out]) == 0
+    with open(os.path.join(out, "diagram.csv"), "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == DIRICHLET_SWEEP_CSV_SHA256
 
 
 def test_locate_fold_navier():

@@ -14,6 +14,7 @@ from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 from epibvp.shooting import (
     _CLUSTER_TOL,
     _ROOT_TOL,
+    _SCAN_BLOCK,
     _SCAN_GEO_N,
     _SCAN_SWITCH,
     _SCAN_UNI_N,
@@ -21,6 +22,7 @@ from epibvp.shooting import (
     _scan_residuals,
     find_shooting_roots,
     root_in_bracket,
+    scan_rows,
 )
 
 # production root values, frozen from refined runs at default tolerances
@@ -62,6 +64,7 @@ def test_roots_carry_gate_trajectory_and_report(grid_n):
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == 2
     for root in rs.roots:
+        assert type(root.a) is float
         traj = integrate(spec, root.a)
         assert root.traj.t.size == grid_n
         assert np.array_equal(root.traj.t, traj.t)
@@ -86,7 +89,7 @@ def test_lam0_nontrivial_root_against_brute_force_scan():
     """Independent check: a 10^4-slope residual scan brackets the same root."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, scan_n=10001)
     a_grid = np.linspace(spec.slope_min, spec.slope_max, 10001)
-    res = _scan_residuals(spec, a_grid)
+    res = _scan_residuals(spec, [spec.lam])[0]
     finite = np.isfinite(res)
     crossings = [
         (a_grid[i], a_grid[i + 1])
@@ -171,17 +174,28 @@ def _scan_residuals_masked(spec, a_grid):
     return np.where(alive, resid, np.inf)
 
 
-@pytest.mark.parametrize("spec", [
-    ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET),
-    ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-1e308, slope_max=-1e307),
-    ProblemSpec(lam=5000.0, kind=BoundaryKind.DIRICHLET),
-], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000"])
-def test_scan_residuals_match_masked_reference(spec):
+# one lam per block row: Dirichlet 100 opens the first block of 8 and 5000
+# the second
+_BLOCK_LAMS = [100.0, 0.0, 50.0, 150.0, 168.0, 200.0, 300.0, 1000.0, 5000.0]
+
+
+@pytest.mark.parametrize("spec, lams", [
+    (ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), [100.0]),
+    (ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-1e308, slope_max=-1e307), [1.0]),
+    (ProblemSpec(lam=5000.0, kind=BoundaryKind.DIRICHLET), [5000.0]),
+    (ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET), _BLOCK_LAMS),
+], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000", "dirichlet-block"])
+def test_scan_residuals_match_masked_reference(spec, lams):
+    """Every row of a block scan is bit for bit the single-lam masked scan."""
+    if len(lams) > 1:
+        assert len(lams) == _SCAN_BLOCK // spec.scan_n + 1
     a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
-    want = _scan_residuals_masked(spec, a_grid)
-    got = _scan_residuals(spec, a_grid)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    rows = list(scan_rows(spec, lams))
+    assert [lam for lam, _ in rows] == lams
+    for lam, got in rows:
+        want = _scan_residuals_masked(replace(spec, lam=lam), a_grid)
+        assert np.array_equal(got, want), lam
+        assert np.array_equal(np.signbit(got), np.signbit(want)), lam
 
 
 def test_window_error_at_edge_root():
@@ -219,7 +233,7 @@ def test_near_fold_roots_recovered_below_scan_resolution():
     residual-extremum descent still digs both roots out."""
     spec = ProblemSpec(lam=168.76, kind=BoundaryKind.DIRICHLET, scan_n=100)
     a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
-    res = _scan_residuals(spec, a_grid)
+    res = _scan_residuals(spec, [spec.lam])[0]
     finite = np.isfinite(res)
     crossings = sum(
         1
