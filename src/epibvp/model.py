@@ -72,11 +72,12 @@ class ProblemSpec:
         Number of output samples (uniform in t, endpoint included).  Also
         sets the trapezoid resolution of the residual validators.
     scan_n : int
-        Number of slope samples in the bracketing scan.
+        Number of slope samples in the bracketing scan, at least 2 (the
+        two window edges).
 
     The divergence threshold and the validation thresholds are fixed
-    constants of :mod:`epibvp.integrator`; the root-refinement and merge
-    distances are fixed in :mod:`epibvp.shooting`.
+    constants of :mod:`epibvp.integrator`; the root-refinement and
+    window-edge distances are fixed in :mod:`epibvp.shooting`.
     """
 
     lam: float
@@ -100,6 +101,8 @@ class ProblemSpec:
             )
         if self.grid_n < 2:
             raise DomainError("grid_n must be at least 2")
+        if self.scan_n < 2:
+            raise DomainError("scan_n must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The endpoint residual a -> BoundaryKind.residual(u(1/2), u'(1/2)) is
 scanned over the slope window with a vectorized fixed-grid RK4 sweep
 (cheap, bracketing-grade), then every sign-change bracket is refined with
-the accurate adaptive integrator by bisection followed by secant steps.
+the accurate adaptive integrator by a bracket-safeguarded secant.
 Interior extrema of the residual are additionally pushed to their bottom by
 golden-section search, which recovers root pairs whose separation falls
 below the scan spacing and the tangency double root at the fold itself.
@@ -50,7 +50,7 @@ _EXTREMUM_GATE = 0.1
 _GOLDEN_ITERS = 48
 # refinement stops once the slope bracket is narrower than this
 _ROOT_TOL = 1e-10
-# roots closer than this are merged (fold proximity)
+# a nontrivial root closer than this to a window edge sits on the edge
 _CLUSTER_TOL = 1e-6
 
 
@@ -192,7 +192,7 @@ def scan_rows(spec: ProblemSpec, lams: Sequence[float]) -> Iterator[tuple[float,
     small; the next block is scanned only when the caller asks for its
     first lam.
     """
-    per_block = max(1, _SCAN_BLOCK // max(spec.scan_n, 1))
+    per_block = max(1, _SCAN_BLOCK // spec.scan_n)
     for start in range(0, len(lams), per_block):
         block = lams[start:start + per_block]
         yield from zip(block, _scan_residuals(spec, block))
@@ -205,23 +205,15 @@ def _residual_at(spec: ProblemSpec, a: float) -> float:
     return spec.kind.residual(u, du)
 
 
-def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float):
-    """Bisection then secant inside a sign-change bracket.
+def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Bracket-safeguarded secant inside a sign-change bracket.
 
-    Returns (a, f(a)) with the bracket narrowed below _ROOT_TOL and the
-    residual driven as close to zero as the secant allows.
+    Starts on the bracket it is given; a step that leaves the bracket, or
+    whose secant denominator is 0 or not finite, is replaced by the
+    midpoint.  Returns the slope of smallest |residual| once the bracket is
+    narrower than _ROOT_TOL and that residual is within BOUNDARY_TOL / 2,
+    or once the bracket is 4 ulp wide, or after 60 steps.
     """
-    # bisection: cut the scan-cell bracket down to secant-friendly width
-    for _ in range(18):
-        mid = 0.5 * (lo + hi)
-        fm = _residual_at(spec, mid)
-        if flo * fm <= 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= _ROOT_TOL:
-            break
-    # secant with bracket safeguard
     x0, f0, x1, f1 = lo, flo, hi, fhi
     best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
     for _ in range(60):
@@ -240,11 +232,11 @@ def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: fl
         if abs(f2) < abs(best_f):
             best_x, best_f = x2, f2
         if flo * f2 <= 0.0:
-            hi, fhi = x2, f2
+            hi = x2
         else:
             lo, flo = x2, f2
         x0, f0, x1, f1 = x1, f1, x2, f2
-    return best_x, best_f
+    return best_x
 
 
 def _golden_descend(spec: ProblemSpec, lo: float, hi: float, sign: float):
@@ -284,7 +276,7 @@ def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[Shootin
     fhi = _residual_at(spec, hi)
     if not (math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0):
         return None
-    a, _ = _refine_bracket(spec, lo, hi, flo, fhi)
+    a = _refine_bracket(spec, lo, hi, flo, fhi)
     if not spec.slope_min <= a <= spec.slope_max:
         return None
     return _gated_root(spec, a)
@@ -297,12 +289,11 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     ``scan``, the residual row :func:`scan_rows` gave for ``spec.lam`` --
     and from there works on the slopes and residuals as Python floats: it
     brackets sign changes of the boundary residual, refines each bracket by
-    bisection then secant to |delta a| < _ROOT_TOL, golden-refines interior
+    safeguarded secant to |delta a| < _ROOT_TOL, golden-refines interior
     residual extrema (so near-fold root pairs and the exact-fold double
-    root are not lost), merges roots closer than _CLUSTER_TOL, and keeps
-    only roots whose full trajectory passes validation at the calibrated
-    resolution.  Each root carries that trajectory, sampled on
-    ``spec.grid_n`` points, and its report.
+    root are not lost), and keeps only roots whose full trajectory passes
+    validation at the calibrated resolution.  Each root carries that
+    trajectory, sampled on ``spec.grid_n`` points, and its report.
 
     Raises
     ------
@@ -310,6 +301,16 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         If a root sits at the scan-window edge, except the trivial root at
         a = 0 (the zero solution), which is legitimate.
     """
+    # window adequacy, before any bracket: no root may sit at a true edge,
+    # and a window of one slope is judged by its edge alone
+    f_lo_edge = _residual_at(spec, spec.slope_min)
+    if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= BOUNDARY_TOL:
+        raise WindowTooSmallError("slope_min", spec.slope_min)
+    if spec.slope_max < 0.0:
+        f_hi_edge = _residual_at(spec, spec.slope_max)
+        if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
+            raise WindowTooSmallError("slope_max", spec.slope_max)
+
     if scan is None:
         scan = _scan_residuals(spec, [spec.lam])[0]
     # Python floats from here on: every endpoint shot then runs _dp45's
@@ -318,7 +319,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     res = scan.tolist()
     finite = [math.isfinite(r) for r in res]
 
-    candidates: list[tuple[float, float]] = []  # (a, f)
+    candidates: list[float] = []
 
     # sign-change brackets
     bracketed_cells = set()
@@ -333,9 +334,11 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
             continue
         if not (finite[i - 1] and finite[i] and finite[i + 1]):
             continue
-        if abs(res[i]) > _EXTREMUM_GATE:
+        here, left, right = abs(res[i]), abs(res[i - 1]), abs(res[i + 1])
+        if here > _EXTREMUM_GATE:
             continue
-        if not (abs(res[i]) <= abs(res[i - 1]) and abs(res[i]) <= abs(res[i + 1])):
+        # a minimum strictly below one neighbour: a flat run is no dip
+        if not (here <= min(left, right) and here < max(left, right)):
             continue
         sign = 1.0 if res[i] > 0 else -1.0
         lo, hi = a_grid[i - 1], a_grid[i + 1]
@@ -350,41 +353,21 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
                 candidates.append(_refine_bracket(spec, a_min, hi, f_min, fhi))
         elif abs(f_min) <= BOUNDARY_TOL:
             # tangency: double root at the fold
-            candidates.append((a_min, f_min))
+            candidates.append(a_min)
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)
-    if spec.slope_max == 0.0:
-        f0 = _residual_at(spec, 0.0)
-        if abs(f0) <= BOUNDARY_TOL:
-            candidates.append((0.0, f0))
+    if spec.slope_max == 0.0 and abs(_residual_at(spec, 0.0)) <= BOUNDARY_TOL:
+        candidates.append(0.0)
 
-    # window adequacy: no root may sit at a true edge
-    f_lo_edge = _residual_at(spec, spec.slope_min)
-    if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= BOUNDARY_TOL:
-        raise WindowTooSmallError("slope_min", spec.slope_min)
-    if spec.slope_max < 0.0:
-        f_hi_edge = _residual_at(spec, spec.slope_max)
-        if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
-            raise WindowTooSmallError("slope_max", spec.slope_max)
-    for a, _ in candidates:
+    for a in candidates:
         if a != 0.0:
             if a - spec.slope_min < _CLUSTER_TOL:
                 raise WindowTooSmallError("slope_min", a)
             if spec.slope_max - a < _CLUSTER_TOL and spec.slope_max < 0.0:
                 raise WindowTooSmallError("slope_max", a)
 
-    # merge near-coincident roots (fold proximity), best residual wins
-    candidates.sort(key=lambda c: c[0])
-    merged: list[tuple[float, float]] = []
-    for cand in candidates:
-        if merged and cand[0] - merged[-1][0] <= _CLUSTER_TOL:
-            if abs(cand[1]) < abs(merged[-1][1]):
-                merged[-1] = cand
-        else:
-            merged.append(cand)
-
     # final gate: the full trajectory of every reported root must validate
-    gated = (_gated_root(spec, a) for a, _ in merged)
+    gated = (_gated_root(spec, a) for a in sorted(candidates))
     roots = [root for root in gated if root is not None]
     return RootSet(
         lam=spec.lam,

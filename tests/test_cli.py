@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -130,6 +132,35 @@ def test_sweep_csv(tmp_path):
     assert open(path).readline() == "lambda,a,branch\n"
     lams = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, ndmin=1)
     assert set(lams) == {0.0, 5.0}
+
+
+def test_sweep_json_rows_equal_csv(tmp_path):
+    argv = ["sweep", "--lambdas", "0,5,11.3", "--bc", "navier"]
+    assert main(argv + ["--out", os.path.join(tmp_path, "csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", os.path.join(tmp_path, "json")]) == 0
+    with open(os.path.join(tmp_path, "csv", "diagram.csv")) as handle:
+        csv_rows = [line.split(",") for line in handle.read().splitlines()[1:]]
+    with open(os.path.join(tmp_path, "json", "diagram.json")) as handle:
+        json_rows = json.load(handle, parse_constant=_reject_constant)
+    assert len(csv_rows) == 6
+    assert [(float(lam), float(a), branch) for lam, a, branch in csv_rows] == [
+        (row["lambda"], row["a"], row["branch"]) for row in json_rows
+    ]
+
+
+def test_import_loads_no_scipy_solvers():
+    """``import epibvp.cli`` stays off scipy.optimize and scipy.integrate,
+    which would add about a third of a second to every start-up."""
+    code = (
+        "import sys, epibvp.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_scan_window_override(tmp_path):

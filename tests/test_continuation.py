@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from epibvp import shooting
 from epibvp.cli import main
 from epibvp.continuation import (
     Branch,
@@ -85,12 +86,28 @@ def test_sweep_rejects_bad_input():
         sweep(BoundaryKind.DIRICHLET, [-1.0, 10.0])
 
 
+def test_single_root_labels():
+    """A lone root takes the branch of the nearest point at the previous lam;
+    first in a sweep it is lower for a < 0 and upper for the trivial a = 0."""
+    narrow = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-100.0)
+    diagram = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 130.0], narrow)
+    assert [(p.lam, p.branch) for p in diagram.points] == [
+        (0.0, Branch.UPPER), (50.0, Branch.UPPER), (100.0, Branch.UPPER),
+        (130.0, Branch.LOWER), (130.0, Branch.UPPER),
+    ]
+    assert diagram.points[0].a == 0.0
+
+    low = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-500.0, slope_max=-50.0)
+    (point,) = sweep(BoundaryKind.DIRICHLET, [0.0], low).points
+    assert point.branch is Branch.LOWER and point.a < -50.0
+
+
 # sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`,
 # taken with one 2000-slope scan per lam
-DIRICHLET_SWEEP_CSV_SHA256 = "2de53fa30996feec52304ea49b6c10907a25a0f7e9d2a747f6064621f37cb243"
+DIRICHLET_SWEEP_CSV_SHA256 = "1310147e0d133bc81ab29c2b4ddc0cc9472ec5558f0794a64d584d7e5f84385a"
 
 
-def test_sweep_matches_per_lam_root_sets(tmp_path):
+def test_sweep_matches_per_lam_root_sets(tmp_path, monkeypatch):
     """The block-scanned sweep gives each lam's own root set, bit for bit."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER)
     # two roots up to 11.3, none past the fold at 11.34; more lams than a block
@@ -109,10 +126,14 @@ def test_sweep_matches_per_lam_root_sets(tmp_path):
         sweep(BoundaryKind.NAVIER, [0.0, 5.0], closed)
     assert str(swept.value) == str(per_lam.value)
 
-    out = os.path.join(tmp_path, "out")
-    assert main(["sweep", "--lambdas", "0,50,120,167", "--bc", "dirichlet", "--out", out]) == 0
-    with open(os.path.join(out, "diagram.csv"), "rb") as handle:
-        assert hashlib.sha256(handle.read()).hexdigest() == DIRICHLET_SWEEP_CSV_SHA256
+    # one lam per block, then the default blocks: the same bytes both ways
+    for block in (1, _SCAN_BLOCK):
+        monkeypatch.setattr(shooting, "_SCAN_BLOCK", block)
+        out = os.path.join(tmp_path, f"out{block}")
+        argv = ["sweep", "--lambdas", "0,50,120,167", "--bc", "dirichlet", "--out", out]
+        assert main(argv) == 0
+        with open(os.path.join(out, "diagram.csv"), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == DIRICHLET_SWEEP_CSV_SHA256, block
 
 
 def test_locate_fold_navier():

@@ -44,6 +44,14 @@ def test_problem_spec_validation():
         ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, eps=1e-300)
 
 
+@pytest.mark.parametrize("scan_n", [1, 0, -3])
+def test_problem_spec_rejects_scan_below_two(scan_n):
+    """A scan needs both window edges; fewer samples would silently find no root."""
+    with pytest.raises(DomainError, match="scan_n"):
+        ProblemSpec(lam=5.0, kind=BoundaryKind.NAVIER, scan_n=scan_n)
+    assert ProblemSpec(lam=5.0, kind=BoundaryKind.NAVIER, scan_n=2).scan_n == 2
+
+
 def test_trajectory_requires_increasing_t():
     with pytest.raises(DomainError):
         Trajectory(

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from epibvp import shooting
 from epibvp.errors import WindowTooSmallError
 from epibvp.integrator import (
     BLOWUP, BOUNDARY_TOL, SIGN_TOL, _rk4_step, integrate, launch_state, validate,
@@ -82,7 +83,7 @@ def test_lam0_dirichlet_roots(root_cache):
     assert 0.0 in slopes
     nontrivial = rs.nontrivial()
     assert len(nontrivial) == 1
-    assert nontrivial[0] == pytest.approx(LAM0_DIRICHLET_NONTRIVIAL, abs=1e-6)
+    assert nontrivial[0] == pytest.approx(LAM0_DIRICHLET_NONTRIVIAL, abs=1e-9)
 
 
 def test_lam0_nontrivial_root_against_brute_force_scan():
@@ -105,8 +106,8 @@ def test_lam100_dirichlet_two_roots(root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     assert len(rs.roots) == 2
     assert all(r.a < 0 for r in rs.roots)
-    assert rs.roots[0].a == pytest.approx(LAM100_DIRICHLET[0], abs=1e-6)
-    assert rs.roots[1].a == pytest.approx(LAM100_DIRICHLET[1], abs=1e-6)
+    assert rs.roots[0].a == pytest.approx(LAM100_DIRICHLET[0], abs=1e-9)
+    assert rs.roots[1].a == pytest.approx(LAM100_DIRICHLET[1], abs=1e-9)
 
 
 def test_lam200_dirichlet_no_roots(root_cache):
@@ -243,8 +244,71 @@ def test_near_fold_roots_recovered_below_scan_resolution():
     assert crossings == 0  # the scan alone would report no roots
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == 2
-    assert rs.roots[0].a == pytest.approx(-52.86091514, abs=1e-6)
-    assert rs.roots[1].a == pytest.approx(-51.85082742, abs=1e-6)
+    assert rs.roots[0].a == pytest.approx(-52.86091514090039, abs=1e-9)
+    assert rs.roots[1].a == pytest.approx(-51.850827418593774, abs=1e-9)
+
+
+def _count_shots(monkeypatch) -> list:
+    """Record the slope of every endpoint shot the shooting module takes."""
+    shots = []
+    real = shooting.shoot_endpoint
+
+    def counted(spec, a):
+        shots.append(a)
+        return real(spec, a)
+
+    monkeypatch.setattr(shooting, "shoot_endpoint", counted)
+    return shots
+
+
+@pytest.mark.parametrize("lam, kind", [
+    (100.0, BoundaryKind.DIRICHLET), (5.0, BoundaryKind.NAVIER),
+], ids=["dirichlet-100", "navier-5"])
+def test_root_set_shot_budget(monkeypatch, lam, kind):
+    """The secant starts on the scan cell itself: a two-root set costs a few
+    endpoint shots per root (an 18-step bisection prelude alone would spend
+    36), the edge checks and the trivial-root check included."""
+    shots = _count_shots(monkeypatch)
+    rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
+    assert len(rs.roots) == 2
+    assert len(shots) <= 20
+
+
+@pytest.mark.parametrize("lam, kind, a, text", [
+    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1],
+     "root at scan-window edge slope_min (a = -16.2635630662405); widen the window"),
+    (0.0, BoundaryKind.NAVIER, 0.0,
+     "root at scan-window edge slope_min (a = 0.0); widen the window"),
+    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1] + 1e-3, None),
+], ids=["dirichlet-root", "navier-zero", "dirichlet-no-root"])
+def test_zero_width_window_takes_few_shots(monkeypatch, lam, kind, a, text):
+    """A window of one slope scans a constant residual: the edge checks run
+    before any bracket, and a flat run of scan points is not dug as a dip."""
+    shots = _count_shots(monkeypatch)
+    spec = ProblemSpec(lam=lam, kind=kind, slope_min=a, slope_max=a)
+    if text is None:
+        assert 0.0 < abs(_residual_at(spec, a)) < 0.1  # small enough to pass the dig gate
+        shots.clear()
+        assert find_shooting_roots(spec).roots == []
+    else:
+        with pytest.raises(WindowTooSmallError) as err:
+            find_shooting_roots(spec)
+        assert str(err.value) == text
+    assert len(shots) <= 3
+
+
+@pytest.mark.parametrize("edge", ["slope_min", "slope_max"])
+def test_root_near_window_edge_is_rejected(edge):
+    """A refined root within _CLUSTER_TOL of an edge whose own residual is
+    above BOUNDARY_TOL sits on that edge: only the candidate rule raises."""
+    a = LAM0_DIRICHLET_NONTRIVIAL
+    lo, hi = (a - 5e-7, -100.0) if edge == "slope_min" else (-300.0, a + 5e-7)
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=lo, slope_max=hi)
+    assert abs(_residual_at(spec, getattr(spec, edge))) > 3 * BOUNDARY_TOL
+    with pytest.raises(WindowTooSmallError) as err:
+        find_shooting_roots(spec)
+    assert err.value.edge == edge
+    assert err.value.a == pytest.approx(a, abs=1e-9)
 
 
 def test_root_in_bracket_matches_root_set(root_cache):
