@@ -36,7 +36,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, EpibvpError, RelaxationError
 from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _golden_min, check_lam
@@ -52,6 +51,14 @@ _C0_MAX_ITER = 10 ** 6
 # that declares convergence
 _NEWTON_MAX_ITER = 80
 _NEWTON_XTOL = 1e-11
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on first use: only the
+    monotone solver needs scipy, so the CLI starts without it."""
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b)
 
 
 class CertificateKind(Enum):

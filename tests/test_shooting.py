@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epibvp import shooting
+from epibvp import serialize, shooting
 from epibvp.errors import WindowTooSmallError
 from epibvp.integrator import (
     BLOWUP, BOUNDARY_TOL, SIGN_TOL, _rk4_step, integrate, launch_state, validate,
@@ -15,7 +15,6 @@ from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 from epibvp.shooting import (
     _CLUSTER_TOL,
     _ROOT_TOL,
-    _SCAN_BLOCK,
     _SCAN_GEO_N,
     _SCAN_SWITCH,
     _SCAN_UNI_N,
@@ -23,7 +22,6 @@ from epibvp.shooting import (
     _scan_residuals,
     find_shooting_roots,
     root_in_bracket,
-    scan_rows,
 )
 
 # production root values, frozen from refined runs at default tolerances
@@ -175,25 +173,23 @@ def _scan_residuals_masked(spec, a_grid):
     return np.where(alive, resid, np.inf)
 
 
-# one lam per block row: Dirichlet 100 opens the first block of 8 and 5000
-# the second
-_BLOCK_LAMS = [100.0, 0.0, 50.0, 150.0, 168.0, 200.0, 300.0, 1000.0, 5000.0]
+# a sweep's lams, from two roots through the fold to divergence in the
+# window, scanned as one block in one call
+_SWEEP_LAMS = [100.0, 0.0, 50.0, 150.0, 168.0, 200.0, 300.0, 1000.0, 5000.0]
 
 
 @pytest.mark.parametrize("spec, lams", [
     (ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), [100.0]),
     (ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-1e308, slope_max=-1e307), [1.0]),
     (ProblemSpec(lam=5000.0, kind=BoundaryKind.DIRICHLET), [5000.0]),
-    (ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET), _BLOCK_LAMS),
+    (ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET), _SWEEP_LAMS),
 ], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000", "dirichlet-block"])
 def test_scan_residuals_match_masked_reference(spec, lams):
-    """Every row of a block scan is bit for bit the single-lam masked scan."""
-    if len(lams) > 1:
-        assert len(lams) == _SCAN_BLOCK // spec.scan_n + 1
+    """Every row of a multi-lam scan is bit for bit the single-lam masked scan."""
     a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
-    rows = list(scan_rows(spec, lams))
-    assert [lam for lam, _ in rows] == lams
-    for lam, got in rows:
+    rows = _scan_residuals(spec, lams)
+    assert rows.shape == (len(lams), spec.scan_n)
+    for lam, got in zip(lams, rows):
         want = _scan_residuals_masked(replace(spec, lam=lam), a_grid)
         assert np.array_equal(got, want), lam
         assert np.array_equal(np.signbit(got), np.signbit(want)), lam
@@ -246,6 +242,33 @@ def test_near_fold_roots_recovered_below_scan_resolution():
     assert len(rs.roots) == 2
     assert rs.roots[0].a == pytest.approx(-52.86091514090039, abs=1e-9)
     assert rs.roots[1].a == pytest.approx(-51.850827418593774, abs=1e-9)
+
+
+def test_root_within_coarse_error_of_a_scan_node():
+    """A root 1e-6 from a scan node, well inside the coarse RK4 residual's
+    error there: the node's coarse sign is wrong, and the adaptive residuals
+    that decide every bracket still find the root."""
+    a_root = LAM100_DIRICHLET[0]
+    k, n = 50, 64
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET,
+                       slope_min=(a_root + 1e-6) * (n - 1) / (n - 1 - k), scan_n=n)
+    node = float(np.linspace(spec.slope_min, spec.slope_max, n)[k])
+    assert 0.0 < node - a_root < 2e-6
+    coarse = _scan_residuals(spec, [spec.lam])[0][k]
+    assert coarse * _residual_at(spec, node) < 0.0
+    rs = find_shooting_roots(spec)
+    assert rs.slopes() == pytest.approx(list(LAM100_DIRICHLET), abs=1e-9)
+
+
+def test_extremum_separates_the_branches(root_cache):
+    """The dug extremum lies between a root pair; it stays out of roots.json."""
+    for lam, kind in ((100.0, BoundaryKind.DIRICHLET), (5.0, BoundaryKind.NAVIER)):
+        rs = root_cache(lam, kind)
+        a_ext, r_ext = rs.extremum
+        lower, upper = rs.slopes()
+        assert lower < a_ext < upper
+        assert r_ext * (1.0 if kind is BoundaryKind.DIRICHLET else -1.0) < 0.0
+        assert "extremum" not in serialize.rootset_to_json(rs)
 
 
 def _count_shots(monkeypatch) -> list:
