@@ -86,8 +86,9 @@ def test_sweep_rejects_bad_input():
 
 
 def test_single_root_labels():
-    """A lone root takes the branch of the nearest point at the previous lam;
-    first in a sweep it is lower for a < 0 and upper for the trivial a = 0."""
+    """A root's branch is the side of its root set's residual extremum
+    (RootSet.extremum) it lies on: with the lower branch outside the window,
+    each lone root, the trivial a = 0 included, is upper."""
     narrow = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-100.0)
     diagram = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 130.0], narrow)
     assert [(p.lam, p.branch) for p in diagram.points] == [

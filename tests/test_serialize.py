@@ -5,14 +5,20 @@ Each record is reloaded the way a consumer of the artifacts would: JSON with
 rounded, so a 17-digit CSV reload must reproduce every double bit-for-bit.
 """
 
+import hashlib
 import io
 import json
+import math
 import os
+import struct
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from epibvp import serialize
 from epibvp.certificates import certificates_for
+from epibvp.cli import main
 from epibvp.continuation import sweep
 from epibvp.integrator import integrate, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
@@ -40,6 +46,110 @@ def test_csv_text_matches_per_cell_format():
     )
     assert serialize._csv("a,b,c", columns) == want
     assert serialize._csv("a,b,c", [np.empty(0)] * 3) == "a,b,c\n"
+
+
+def _per_cell(values):
+    return "x\n" + "".join(format(float(v), ".17g") + "\n" for v in values)
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _decimal_ties():
+    """Odd multiples of 2**-(17 - E) in decade E: each is an exact decimal of
+    18 significant digits ending in 5, a tie for 17-digit rounding."""
+    ties = []
+    for e in range(-4, 16):
+        bits = 17 - e
+        for lead in (1.5, 4.5, 9.5):
+            odd = int(lead * 10.0 ** e * 2 ** bits) | 1
+            if odd < 2 ** 53:
+                ties.append(math.ldexp(odd, -bits))
+    return ties
+
+
+_LARGEST = float(np.finfo(float).max)
+# the fixed/exponent switch of %.17g at 1e-4 and 1e17, with their ulp neighbours
+_SWITCH = [float(v) for x in (1e-4, 1e17) for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+_TIES = _decimal_ties()
+FORMAT_HARD_CASES = (
+    [0.0, -0.0, 5e-324, -5e-324, _LARGEST, -_LARGEST, 9.9999999999999999e16]
+    + _SWITCH + [-v for v in _SWITCH]
+    + _TIES + [-v for v in _TIES]
+    + [20.0, 970030.0, 0.5, 100.0, -100.0, 0.0001234, 1e16 - 2.0]
+)
+
+
+def test_format_hard_cases():
+    assert len(_TIES) > 40
+    for tie in _TIES:
+        digits = str(Fraction(tie).numerator * 10 ** 40 // Fraction(tie).denominator).rstrip("0")
+        assert len(digits) == 18 and digits.endswith("5"), tie
+    values = np.array(FORMAT_HARD_CASES)
+    assert serialize._csv("x", [values]) == _per_cell(FORMAT_HARD_CASES)
+
+
+def test_kernel_writes_fixed_notation_itself():
+    """The numpy kernel, not the format fallback, writes ordinary fixed-range
+    values, and a tie or a value below 1e-4 is left to format."""
+    values = np.array([20.0, 970030.0, 0.5, 0.0001234, -2.0 / 3.0, np.pi * 1e15, 5e-5, _TIES[0]])
+    cells, ok = serialize._fixed_cells(values)
+    assert ok.tolist() == [True] * 6 + [False, False]
+    text = [row[row != 0].tobytes().decode() for row in cells[ok, :-1]]
+    assert text == [format(v, ".17g") for v in values[ok].tolist()]
+
+
+_ANY_FLOAT = st.floats(allow_subnormal=True)  # nan and inf included
+_BIT_PATTERN = st.integers(0, 2 ** 64 - 1).map(_bits_to_float)
+_FIXED_RANGE = st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ANY_FLOAT | _BIT_PATTERN | _FIXED_RANGE, min_size=1, max_size=40))
+def test_kernel_matches_format(values):
+    assert serialize._csv("x", [np.array(values)]) == _per_cell(values)
+
+
+def test_kernel_takes_almost_every_solution_cell(root_cache):
+    """At most 1% of the cells of a default-grid solution go to the format
+    fallback, so the kernel, not format, writes the artifacts."""
+    upper = max(root_cache(100.0, BoundaryKind.DIRICHLET).slopes())
+    traj = integrate(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), upper)
+    prof = reconstruct_phi(traj)
+    for columns in ([traj.t, traj.u, traj.du], [prof.r, prof.w, prof.phi]):
+        _, ok = serialize._fixed_cells(np.column_stack(columns).ravel())
+        assert np.count_nonzero(~ok) <= 0.01 * len(ok)
+
+
+# sha256 of trajectory.csv and profile.csv from
+# `solve --bc navier --lambda 9 --a -4.742307280271374 --grid 2001`,
+# written by one %.17g format per block of rows
+NAVIER_SOLVE_CSV_SHA256 = {
+    "trajectory.csv": "40988b5cad6980f6804300b81fbd980045435999cb3fc0047698e80682083afd",
+    "profile.csv": "0abb03573b036295ba98258724c0225c2297852652ee89e5221ccc22951f7b3f",
+}
+
+
+def test_solve_csv_bytes_are_pinned(tmp_path):
+    argv = ["solve", "--bc", "navier", "--lambda", "9", "--a", "-4.742307280271374",
+            "--grid", "2001", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in NAVIER_SOLVE_CSV_SHA256.items():
+        with open(os.path.join(tmp_path, name), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+
+
+def test_trajectory_and_profile_json_match_list_form():
+    """tolist() gives the text of list(ndarray): the same doubles, each
+    written by float.__repr__."""
+    traj = _traj()
+    prof = reconstruct_phi(traj)
+    dump = lambda payload: json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    want = dump({"t": list(traj.t), "u": list(traj.u), "du": list(traj.du)})
+    assert serialize.trajectory_to_json(traj) == want
+    want = dump({"r": list(prof.r), "w": list(prof.w), "phi": list(prof.phi)})
+    assert serialize.profile_to_json(prof) == want
 
 
 def test_float_formatting_roundtrips_bits():

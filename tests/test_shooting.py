@@ -306,11 +306,12 @@ def test_root_set_shot_budget(monkeypatch, lam, kind):
 ], ids=["dirichlet-root", "navier-zero", "dirichlet-no-root"])
 def test_zero_width_window_takes_few_shots(monkeypatch, lam, kind, a, text):
     """A window of one slope scans a constant residual: the edge checks run
-    before any bracket, and a flat run of scan points is not dug as a dip."""
+    before any bracket, and a residual near 0 but beyond BOUNDARY_TOL gives
+    no root."""
     shots = _count_shots(monkeypatch)
     spec = ProblemSpec(lam=lam, kind=kind, slope_min=a, slope_max=a)
     if text is None:
-        assert 0.0 < abs(_residual_at(spec, a)) < 0.1  # small enough to pass the dig gate
+        assert 0.0 < abs(_residual_at(spec, a)) < 0.1  # near the root, yet no root
         shots.clear()
         assert find_shooting_roots(spec).roots == []
     else:
