@@ -19,8 +19,9 @@ solvability for the given deposition rate:
   integral representation yields, for the Dirichlet case, the criterion
   "max_t f(lam, t) <= 1" violated at lam = 307; for the Navier case a
   quadratic with discriminant 1 - 11 lam / 128 that loses its real roots
-  for lam > 128/11.
-* universal bound: no solution of either kind exists beyond 64 pi^2.
+  for lam > 128/11.  Both verdicts are exact.
+* universal bound: no solution of either kind exists beyond 64 pi^2; the
+  double 64 pi^2 lies below it and its next double above, so this is exact.
 
 ``truncated_monotone_solve`` realizes the constructive side: it solves the
 equation once on the truncation [eps, 1/2] with u(eps) = 0, inside the strip
@@ -38,10 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, EpibvpError, RelaxationError
-from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, _golden_min, check_lam
+from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, check_lam
 
-F_TOL = 1e-9
-_F_GRID_N = 100000
 _FIXED_POINT_CAP = 384.0
 # fixed-point iteration of c -> c^2/384 + lam/4: stop on an increment
 # below _C0_STEP_TOL or after _C0_MAX_ITER map steps
@@ -275,9 +274,10 @@ def nonexistence_dirichlet(lam: float) -> Certificate:
     """Nonexistence certificate for the Dirichlet problem.
 
     lam > 384 is immediately fatal (the slope fixed point required of any
-    solution no longer exists); otherwise f(lam, .) is maximized by a dense
-    grid plus golden-section refinement, and a maximum above 1 rules out
-    solutions.  At lam = 307 the value f(307, 1/8) already exceeds 1.
+    solution no longer exists).  Otherwise f(lam, .) has one maximizer t*,
+    and f(lam, t*) > 1 rules out solutions, decided exactly: f grows with
+    c, so f is evaluated in rationals at the double t* with a rational lower
+    bound on c0.  The float f(lam, t*) is the reported margin.
     """
     check_lam(lam)
     if lam > _FIXED_POINT_CAP:
@@ -288,22 +288,30 @@ def nonexistence_dirichlet(lam: float) -> Certificate:
             witness={"gate": _FIXED_POINT_CAP},
         )
     c = c0_closed_form(lam)
-    t = np.linspace(0.5 / _F_GRID_N, 0.5, _F_GRID_N)
-    f = f_criterion(lam, t)
-    i = int(np.argmax(f))
-    lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, len(t) - 1)]
-    # golden-section refinement of the grid maximum
-    f_argmax, neg_f = _golden_min(lambda x: -f_criterion(lam, x), lo, hi, 64)
-    f_max = -neg_f
-    if f[i] > f_max:
-        f_max, f_argmax = float(f[i]), float(t[i])
-    verdict = Verdict.NONEXISTENCE if f_max > 1.0 + F_TOL else Verdict.INCONCLUSIVE
+    # with s = 1/2 - t, df/dt = -s q(s)/8, and q(s) = lam (1 - 3s) + c^2 s^3 (5/8 - 3s/2)
+    # falls from lam to -c^2/64 - lam/2 (c <= lam/2 and lam <= 384 give
+    # q' <= lam (125 lam/18432 - 3) < 0): t* = 1/2 - s* at its one root s*
+    lo, hi = 0.0, 0.5
+    while lo < 0.5 * (lo + hi) < hi:
+        s = 0.5 * (lo + hi)
+        if lam * (1.0 - 3.0 * s) + c * c * s ** 3 * (0.625 - 1.5 * s) > 0.0:
+            lo = s
+        else:
+            hi = s
+    t_star = 0.5 - lo
+    # c0 = (lam/2) / (1 + sqrt(x)) with x = 1 - lam/384; with n = floor(x 4^128),
+    # isqrt(n) + 1 >= sqrt(n + 1) > sqrt(x) 2^128
+    x = 1 - Fraction(lam) / 384
+    root_hi = Fraction(math.isqrt(x.numerator * 4 ** 128 // x.denominator) + 1, 2 ** 128)
+    c_lo = Fraction(lam) / 2 / (1 + root_hi)
+    t = Fraction(t_star)
+    s = Fraction(1, 2) - t
+    above = s * s * t / 8 * (c_lo * c_lo * s ** 3 / 4 + Fraction(lam)) > 1
     return Certificate(
         kind=CertificateKind.NONEXIST_DIRICHLET,
         lam=lam,
-        verdict=verdict,
-        witness={"f_max": float(f_max), "f_argmax": float(f_argmax), "c0": c},
+        verdict=Verdict.NONEXISTENCE if above else Verdict.INCONCLUSIVE,
+        witness={"f_max": f_criterion(lam, t_star), "f_argmax": t_star, "c0": c},
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .certificates import certificates_for, truncated_monotone_solve
@@ -37,8 +38,18 @@ class UsageError(Exception):
     pass
 
 
+# every float spelling with a leading "-"; argparse's own matcher misses
+# exponents and -inf, and so read "--a -1e-3" as a flag without its value
+_NEGATIVE_FLOAT = re.compile(
+    r"-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$|-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract says 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -341,25 +341,26 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
     return (spec.kind.residual(u, du), *derivs)
 
 
-def _rk4_step(t0, t1, h, u, du, lam: float):
+def _rk4_step(t0, t1, h, u, du, lam):
     """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
 
-    Works on scalars and, elementwise, on arrays of states.  The reference
-    for the in-place block scan of :mod:`epibvp.shooting`, which repeats
-    these operations in this order.
+    Works on scalars and, elementwise, on arrays of states and of lams:
+    it steps the reference integrator below and the slope scan of
+    :mod:`epibvp.shooting`.
     """
     th = t0 + 0.5 * h
+    half_lam = lam / 2.0
     k1u = du
-    k1v = u * u / (8.0 * t0 * t0) + lam / 2.0
+    k1v = u * u / (8.0 * t0 * t0) + half_lam
     u2 = u + 0.5 * h * k1u
     k2u = du + 0.5 * h * k1v
-    k2v = u2 * u2 / (8.0 * th * th) + lam / 2.0
+    k2v = u2 * u2 / (8.0 * th * th) + half_lam
     u3 = u + 0.5 * h * k2u
     k3u = du + 0.5 * h * k2v
-    k3v = u3 * u3 / (8.0 * th * th) + lam / 2.0
+    k3v = u3 * u3 / (8.0 * th * th) + half_lam
     u4 = u + h * k3u
     k4u = du + h * k3v
-    k4v = u4 * u4 / (8.0 * t1 * t1) + lam / 2.0
+    k4v = u4 * u4 / (8.0 * t1 * t1) + half_lam
     return (
         u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         du + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),

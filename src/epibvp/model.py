@@ -10,8 +10,7 @@ u(1/2) = u'(1/2) at the right endpoint, together with u(t)/t bounded as
 t -> 0+.  Everything downstream (integration, shooting, continuation,
 certificates) works in the u-frame; this module holds the shared value
 types, the boundary rule, the reconstruction of the physical w(r) / height
-phi(r) profile, and the trapezoid and golden-section helpers the layers
-above share.
+phi(r) profile, and the trapezoid helper the layers above share.
 """
 
 from __future__ import annotations
@@ -162,34 +161,6 @@ class RadialProfile:
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral of y over x, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(g, lo: float, hi: float, iters: int, tol: float = 0.0):
-    """Golden-section minimization of g on [lo, hi].
-
-    Runs ``iters`` section steps, stopping early once the interval is
-    narrower than ``tol``; returns (x, g(x)) at the better interior point.
-    """
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        if gc <= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INVPHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INVPHI * (hi - lo)
-            gd = g(d)
-        if hi - lo < tol:
-            break
-    if gc <= gd:
-        return c, gc
-    return d, gd
 
 
 def reconstruct_phi(traj: Trajectory, report=None) -> RadialProfile:

@@ -9,9 +9,9 @@ sign; at most one secant-refined root on each side of the dug point, which is
 also the root's branch; and the final validation gate.  The scan only
 guides: every sign that decides a count is an adaptive (DP5) residual.
 
-The scan kernel steps the slopes of one or several lams at once, in place,
-with each slope's arithmetic that of ``_rk4_step``, so a sweep scans all its
-lams in one call and each row is bit for bit a single-lam scan.  From the
+The scan steps the slopes of one or several lams at once with ``_rk4_step``
+on arrays, so a sweep scans all its lams in one call and each row is bit
+for bit a single-lam scan.  From the
 scan on, slopes and residuals are Python floats.  Diverged shots report +inf
 residual and count as the tail side of the extremum.  Every root returned
 carries its trajectory on the caller's grid and the report that accepted it,
@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, integrate, launch_state,
-    shoot_endpoint, validate,
+    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_step, integrate,
+    launch_state, shoot_endpoint, validate,
 )
 from .model import BoundaryKind, ProblemSpec, Trajectory
 
@@ -100,10 +100,9 @@ def _scan_grid(spec: ProblemSpec) -> np.ndarray:
 def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     """Endpoint residuals of the scan grid at each lam, one row per lam.
 
-    Fixed-grid RK4 on one flattened state of ``len(lams) * scan_n`` slopes,
-    each with its own lam.  Every stage is written into preallocated
-    buffers, and each element goes through the operations of ``_rk4_step``
-    in its order, so a row's bits do not depend on the lams scanned with it.
+    Fixed-grid RK4 (``_rk4_step``) on one flattened state of
+    ``len(lams) * scan_n`` slopes, each with its own lam; the arithmetic is
+    elementwise, so a row's bits do not depend on the lams scanned with it.
     Guidance only: every residual that decides a root comes from the
     adaptive integrator.  Diverged entries come back +inf.
     """
@@ -111,50 +110,20 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
     lam = np.repeat(np.asarray(lams, dtype=float), a_grid.size)
-    half_lam = lam / 2.0
     switch = max(_SCAN_SWITCH, 2.0 * eps)
     grid = np.concatenate([
         np.geomspace(eps, switch, _SCAN_GEO_N + 1)[:-1],
         np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
     ]).tolist()
-    # stage slopes (ku, kv), stage state w, weighted stage sums (su, sv)
-    ku, kv, w, su, sv = (np.empty_like(a) for _ in range(5))
-    ok = np.empty(a.shape, dtype=bool)
     alive = np.ones(a.shape, dtype=bool)
-
-    def stage(pu, pv, step, c):
-        """(ku, kv) at the state (u + step pu, du + step pv), with c = 8 t^2."""
-        np.add(np.multiply(pu, step, out=w), u, out=w)
-        np.add(np.multiply(pv, step, out=ku), du, out=ku)
-        np.divide(np.multiply(w, w, out=kv), c, out=kv)
-        np.add(kv, half_lam, out=kv)
-
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
         u, du = launch_state(a, lam, eps)
         for t0, t1 in zip(grid, grid[1:]):
-            h = t1 - t0
-            hh = 0.5 * h
-            ch = 8.0 * (t0 + hh) * (t0 + hh)
-            # k1 = (du, sv)
-            np.add(np.divide(np.multiply(u, u, out=sv), 8.0 * t0 * t0, out=sv), half_lam, out=sv)
-            np.copyto(su, du)
-            # k2 at u + hh k1, then k3 at u + hh k2, each summed in twice
-            for pu, pv in ((du, sv), (ku, kv)):
-                stage(pu, pv, hh, ch)
-                su += np.multiply(ku, 2.0, out=w)
-                sv += np.multiply(kv, 2.0, out=w)
-            # k4 at u + h k3
-            stage(ku, kv, h, 8.0 * t1 * t1)
-            su += ku
-            sv += kv
-            u += np.multiply(su, h / 6.0, out=su)
-            du += np.multiply(sv, h / 6.0, out=sv)
+            u, du = _rk4_step(t0, t1, t1 - t0, u, du, lam)
             # NaN and inf fail the comparison too; a dead slope stays dead
-            np.abs(u, out=w)
-            np.less_equal(w, BLOWUP, out=ok)
-            alive &= ok
+            alive &= np.abs(u) <= BLOWUP
         resid = spec.kind.residual(u, du)
     return np.where(alive, resid, np.inf).reshape(len(lams), a_grid.size)
 

@@ -2,9 +2,11 @@
 truncated-domain monotone solver."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from epibvp import certificates
@@ -188,6 +190,45 @@ def test_nonexistence_dirichlet_at_307():
     assert cert.witness["f_max"] >= f_criterion(307.0, 0.125)
 
 
+# the smallest double at which f(lam, t*) > 1 holds exactly
+_FIRST_NONEXISTENT = 306.96197210915716
+
+
+def test_nonexistence_dirichlet_threshold_is_exact():
+    """The verdict turns at one double, where the float f_max is within a
+    few ulp of 1 on either side."""
+    first = nonexistence_dirichlet(_FIRST_NONEXISTENT)
+    before = nonexistence_dirichlet(math.nextafter(_FIRST_NONEXISTENT, 0.0))
+    assert first.verdict is Verdict.NONEXISTENCE
+    assert before.verdict is Verdict.INCONCLUSIVE
+    assert abs(first.witness["f_max"] - 1.0) < 1e-15
+    assert abs(before.witness["f_max"] - 1.0) < 1e-15
+
+
+# the grid maximum of f over (0, 1/2] that the certificate once searched
+_F_GRID = np.linspace(0.5 / 100000, 0.5, 100000)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(min_value=0.0, max_value=384.0, exclude_min=True))
+def test_nonexistence_dirichlet_witness_is_the_maximum(lam):
+    """f_max is at least the 100000-point grid maximum, and f_argmax is a
+    local maximizer of f."""
+    witness = nonexistence_dirichlet(lam).witness
+    f_max, t_star = witness["f_max"], witness["f_argmax"]
+    assert f_max == f_criterion(lam, t_star)
+    assert f_max >= float(np.max(f_criterion(lam, _F_GRID)))
+    assert f_criterion(lam, t_star - 1e-6) <= f_max
+    assert f_criterion(lam, t_star + 1e-6) <= f_max
+
+
+def test_nonexistence_dirichlet_lam0_witness():
+    """f vanishes identically at lam = 0: Inconclusive, with f_max = 0."""
+    cert = nonexistence_dirichlet(0.0)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.witness == {"f_max": 0.0, "f_argmax": 0.5, "c0": 0.0}
+
+
 def test_nonexistence_dirichlet_gate_above_384():
     cert = nonexistence_dirichlet(400.0)
     assert cert.verdict is Verdict.NONEXISTENCE
@@ -218,6 +259,23 @@ def test_universal_bound_value_and_ordering():
     assert bound > 307.0 > 128.0 / 11.0
     assert universal_certificate(700.0).verdict is Verdict.NONEXISTENCE
     assert universal_certificate(100.0).verdict is Verdict.INCONCLUSIVE
+
+
+# pi enclosed by two decimals with 30 digits after the point
+_PI_LO = Fraction("3.141592653589793238462643383279")
+_PI_HI = _PI_LO + Fraction(1, 10 ** 30)
+
+
+def test_universal_bound_is_exact():
+    """The double 64 pi^2 lies just below the true 64 pi^2 and its next
+    double above it, so ``lam > bound`` decides every double exactly."""
+    bound = universal_bound()
+    above = math.nextafter(bound, math.inf)
+    assert Fraction(bound) < 64 * _PI_LO ** 2
+    assert 64 * _PI_HI ** 2 < Fraction(above)
+    assert 3.9e-14 < 64 * _PI_LO ** 2 - Fraction(bound) < 4.1e-14
+    assert universal_certificate(bound).verdict is Verdict.INCONCLUSIVE
+    assert universal_certificate(above).verdict is Verdict.NONEXISTENCE
 
 
 def test_certificate_consistency_grid():

@@ -281,6 +281,32 @@ def test_overflowing_scan_window_is_silent(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_negative_values_in_exponent_form(tmp_path, capsys):
+    """A value with a leading "-" in any float spelling is read as a value,
+    not as a flag: the window in exponent form finds both roots, each root
+    spelled so solves, -1e-3 reaches the solver, and -inf is refused as a
+    non-finite window."""
+    code, out = run(tmp_path, "solve", "--bc", "dirichlet", "--lambda", "100",
+                    "--a-min", "-3e2", "--a-max", "-1e1", "--grid", "2001")
+    assert code == 0
+    slopes = [r["a"] for r in json.load(open(os.path.join(out, "roots.json")))["roots"]]
+    assert len(slopes) == 2
+    for a in slopes:
+        code, _ = run(tmp_path / repr(a), "solve", "--bc", "dirichlet", "--lambda", "100",
+                      "--a", f"{a:.16e}", "--grid", "2001")
+        assert code == 0, a
+    capsys.readouterr()
+    # -1e-3 is no root at lam = 100: a numerical failure, not a usage error
+    code, _ = run(tmp_path / "a", "solve", "--bc", "dirichlet", "--lambda", "100",
+                  "--a", "-1e-3", "--grid", "2001")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    code, _ = run(tmp_path / "inf", "solve", "--bc", "dirichlet", "--lambda", "100",
+                  "--a-max", "-inf")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("precondition error: ")
+
+
 def test_numerical_error_unvalidated_solve(tmp_path):
     # a = -5 is not a boundary root at lam = 100: reconstruction refuses
     code, _ = run(

@@ -34,8 +34,8 @@ def _columns(text, **kwargs):
 
 
 def test_csv_text_matches_per_cell_format():
-    """One format operation per block of rows gives the text of formatting
-    each cell, across block boundaries."""
+    """The block-wise numpy kernel, with its ``format`` fallback, gives the
+    text of formatting each cell, across block boundaries."""
     rng = np.random.default_rng(7)
     edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0 / 3.0, -1e300]
     n = 2 * serialize._CSV_BLOCK_ROWS + 50
