@@ -27,7 +27,6 @@ from .certificates import (
     universal_certificate,
 )
 from .continuation import (
-    BifurcationDiagram,
     Branch,
     DiagramPoint,
     default_fold_bracket,
@@ -57,7 +56,6 @@ from .model import (
     BoundaryKind,
     ProblemSpec,
     RadialProfile,
-    SeriesLaunch,
     Trajectory,
     reconstruct_phi,
 )
@@ -66,7 +64,6 @@ from .shooting import RootSet, ShootingRoot, find_shooting_roots
 __version__ = "1.0.0"
 
 __all__ = [
-    "BifurcationDiagram",
     "BoundaryKind",
     "BracketError",
     "Branch",
@@ -80,7 +77,6 @@ __all__ = [
     "RadialProfile",
     "RelaxationError",
     "RootSet",
-    "SeriesLaunch",
     "ShootingRoot",
     "Trajectory",
     "UnvalidatedTrajectoryError",

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, EpibvpError, RelaxationError
-from .model import BoundaryKind, ProblemSpec, SeriesLaunch, Trajectory, check_lam
+from .model import BoundaryKind, ProblemSpec, Trajectory, check_lam
 
 _FIXED_POINT_CAP = 384.0
 # fixed-point iteration of c -> c^2/384 + lam/4: stop on an increment
@@ -204,10 +204,11 @@ def lower_function_navier(lam: float) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def c0_closed_form(lam: float) -> float:
-    """Smallest fixed point 192 (1 - sqrt(1 - lam/384)) of the slope map."""
+    """Smallest fixed point 192 (1 - sqrt(1 - lam/384)) of the slope map, taken
+    as (lam/2) / (1 + sqrt(1 - lam/384)), which does not cancel at small lam."""
     if not 0.0 <= lam <= _FIXED_POINT_CAP:
         raise DomainError(f"closed form requires 0 <= lam <= 384, got {lam}")
-    return 192.0 * (1.0 - math.sqrt(1.0 - lam / _FIXED_POINT_CAP))
+    return lam / 2.0 / (1.0 + math.sqrt(1.0 - lam / _FIXED_POINT_CAP))
 
 
 def fixed_point_c0(lam: float):
@@ -484,12 +485,4 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
     du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return Trajectory(
-        lam=spec.lam,
-        kind=spec.kind,
-        t=t,
-        u=u,
-        du=du,
-        launch=SeriesLaunch.from_slope(float(du[0]), spec.lam),
-        eps=float(t[0]),
-    )
+    return Trajectory(lam=spec.lam, kind=spec.kind, t=t, u=u, du=du, a=float(du[0]))

@@ -200,11 +200,11 @@ def _cmd_sweep(args) -> int:
     if not args.lambdas:
         raise UsageError("sweep needs at least one lambda value")
     spec = _spec_from_args(args, args.lambdas[0])
-    diagram = sweep(spec.kind, args.lambdas, spec)
+    points = sweep(spec.kind, args.lambdas, spec)
     if args.format == "csv":
-        _write(args, "diagram.csv", serialize.diagram_to_csv(diagram))
+        _write(args, "diagram.csv", serialize.diagram_to_csv(points))
     else:
-        _write(args, "diagram.json", serialize.diagram_to_json(diagram))
+        _write(args, "diagram.json", serialize.diagram_to_json(points))
     return EXIT_OK
 
 

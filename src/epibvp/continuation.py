@@ -1,4 +1,4 @@
-"""Parameter sweeps, branch labeling, and the fold point.
+"""Parameter sweeps into branch-labelled (lam, a) points, and the fold point.
 
 Solvability is monotone in the deposition rate: if the problem is solvable
 at some lam it is solvable at every smaller lam.  The fold lam0 is the
@@ -36,24 +36,18 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class DiagramPoint:
+    """One validated root of a sweep: its lam, slope and branch."""
+
     lam: float
     a: float
     branch: Branch
-
-
-@dataclass
-class BifurcationDiagram:
-    """(lam, slope) branch points."""
-
-    kind: BoundaryKind
-    points: list[DiagramPoint]
 
 
 def sweep(
     kind: BoundaryKind,
     lams: Sequence[float],
     spec_defaults: Optional[ProblemSpec] = None,
-) -> BifurcationDiagram:
+) -> list[DiagramPoint]:
     """Run the root finder at each lam and label branches.
 
     ``lams`` must be finite, nonnegative and sorted ascending.  One
@@ -61,8 +55,9 @@ def sweep(
     lam's row goes to its own :func:`~epibvp.shooting.find_shooting_roots`
     call, so every lam gets exactly the root set it would get alone.  A
     root's branch is the side of its root set's residual extremum it lies
-    on: lower below it, upper from it on.  Only validated roots enter the
-    diagram (the root finder guarantees that).
+    on: lower below it, upper from it on.  Returns the points in lam order,
+    ascending in slope within a lam; only validated roots enter (the root
+    finder guarantees that).
     """
     lams = list(lams)
     if not all(0.0 <= l < math.inf for l in lams):
@@ -79,7 +74,7 @@ def sweep(
         for a in rs.slopes():
             branch = Branch.LOWER if a < rs.extremum[0] else Branch.UPPER
             points.append(DiagramPoint(lam=lam, a=a, branch=branch))
-    return BifurcationDiagram(kind=kind, points=points)
+    return points
 
 
 def _fold_newton(spec: ProblemSpec, a: float) -> tuple[float, float, float, float]:

@@ -11,25 +11,27 @@ alone.
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
 
-* first integral:  t u'(t) - u(t) = int_0^t u^2/(8s) ds + (lam/4) t^2
-* integral representation:  u(t) = -[(1/2-t) int_0^t u^2/(4s) ds
+* first integral:  t u'(t) - u(t) = I(t) + (lam/4) t^2
+* integral representation:  u(t) = -[2 (1/2-t) I(t)
       + t int_t^{1/2} u^2/(4s^2) (1/2-s) ds + (lam/4) t (1/2-t) - 2 t u(1/2)]
 
-Both integrals are evaluated by cumulative trapezoid quadrature on the
-sample grid; the s < eps tails come analytically from the series launch.
+with the singular integral I(t) = int_0^t u^2/(8s) ds, which both share
+(:func:`_singular_integral`).  The integrals are evaluated by cumulative
+trapezoid quadrature on the sample grid; the s < eps tail of I comes
+analytically from the series launch.
 A fixed-step classical RK4 integrator is kept alongside as an independent
 reference so that the two schemes cross-check each other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError
-from .model import ProblemSpec, SeriesLaunch, Trajectory, _cumtrapz
+from .model import ProblemSpec, Trajectory, _cumtrapz
 
 # Dormand-Prince 5(4) tableau, embedded error weights, and Shampine's
 # quartic dense-output matrix (order-4 interpolant over each step).
@@ -75,38 +77,37 @@ SIGN_TOL = 1e-8  # max u (sign property)
 BOUNDARY_TOL = 1e-8  # endpoint residual
 
 
-@dataclass
+@dataclasses.dataclass
 class ValidationReport:
     """Residuals of one trajectory against the exact solution identities.
 
-    A trajectory is accepted iff it did not diverge, every residual is
-    below its threshold and ``sign_violation``, which is max u over the
-    samples and may be of either sign, is at most ``SIGN_TOL``.
+    A trajectory is accepted iff every residual is below its threshold and
+    ``sign_violation``, which is max u over the samples and may be of
+    either sign, is at most ``SIGN_TOL``.  A diverged trajectory has
+    infinite residuals, so it is never accepted.
     """
 
     first_integral_resid: float
     representation_resid: float
     sign_violation: float
     boundary_resid: float
-    diverged: bool = False
 
     def accepted(self) -> bool:
         """Check all residuals against the module's acceptance thresholds."""
         return (
-            not self.diverged
-            and self.first_integral_resid < FI_TOL
+            self.first_integral_resid < FI_TOL
             and self.representation_resid < REP_TOL
             and self.sign_violation <= SIGN_TOL
             and abs(self.boundary_resid) < BOUNDARY_TOL
         )
 
     def to_dict(self) -> dict:
-        return {
-            "first_integral_resid": self.first_integral_resid,
-            "representation_resid": self.representation_resid,
-            "sign_violation": self.sign_violation,
-            "boundary_resid": self.boundary_resid,
-        }
+        return dataclasses.asdict(self)
+
+
+def _beta(a, lam):
+    """The series coefficient beta = a^2/16 + lam/4 that the equation forces."""
+    return a * a / 16.0 + lam / 4.0
 
 
 def launch_state(a: float, lam: float, eps: float) -> tuple[float, float]:
@@ -118,7 +119,7 @@ def launch_state(a: float, lam: float, eps: float) -> tuple[float, float]:
     """
     if not 0.0 < eps < 0.5:
         raise IntegrationError(f"launch point must lie in (0, 1/2), got {eps}")
-    beta = a * a / 16.0 + lam / 4.0
+    beta = _beta(a, lam)
     return a * eps + beta * eps * eps, a + 2.0 * beta * eps
 
 
@@ -259,8 +260,8 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
         us[idx:], dus[idx:] = u, du
         idx = spec.grid_n
     return Trajectory(
-        lam=spec.lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx],
-        launch=SeriesLaunch.from_slope(a, spec.lam), eps=spec.eps, diverged=diverged,
+        lam=spec.lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx], a=a,
+        diverged=diverged,
     )
 
 
@@ -397,33 +398,31 @@ def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:
             diverged = True
             break
     return Trajectory(
-        lam=lam, kind=spec.kind, t=np.array(ts), u=np.array(us), du=np.array(dus),
-        launch=SeriesLaunch.from_slope(a, lam), eps=eps, diverged=diverged,
+        lam=lam, kind=spec.kind, t=np.array(ts), u=np.array(us), du=np.array(dus), a=a,
+        diverged=diverged,
     )
 
 
-def _series_tail(a: float, beta: float, eps: float, denom: float) -> float:
-    """Analytic int_0^eps u^2/(denom * s) ds from the series launch.
+def _singular_integral(traj: Trajectory) -> np.ndarray:
+    """int_0^t u^2/(8s) ds at every sample t.
 
-    With u = a s + beta s^2 the integrand is a polynomial in s, so the
-    singular tail is exact to the launch order; for denom = 8 the leading
-    term is a^2 eps^2 / 16.
+    Cumulative trapezoid on the sample grid plus the s < eps tail, where
+    the integrand of the series u = a s + beta s^2 is a polynomial in s, so
+    the tail (a^2 eps^2 / 16 to leading order) is exact to the launch order.
     """
-    return (
+    t, u = traj.t, traj.u
+    a, eps = traj.a, float(t[0])
+    beta = _beta(a, traj.lam)
+    tail = (
         a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0 + beta * beta * eps ** 4 / 4.0
-    ) / denom
+    ) / 8.0
+    return _cumtrapz(u * u / (8.0 * t), t) + tail
 
 
 def first_integral_residual(traj: Trajectory) -> float:
-    """Max defect of t u' - u = int_0^t u^2/(8s) ds + (lam/4) t^2 over the samples.
-
-    The integral is cumulative trapezoid on the sample grid plus the
-    analytic s < eps tail from the series launch (O(eps^2)).
-    """
+    """Max defect of t u' - u = int_0^t u^2/(8s) ds + (lam/4) t^2 over the samples."""
     t, u, du = traj.t, traj.u, traj.du
-    quad = _cumtrapz(u * u / (8.0 * t), t)
-    quad += _series_tail(traj.launch.a, traj.launch.beta, traj.eps, 8.0)
-    resid = t * du - u - quad - traj.lam / 4.0 * t * t
+    resid = t * du - u - _singular_integral(traj) - traj.lam / 4.0 * t * t
     return float(np.max(np.abs(resid)))
 
 
@@ -435,9 +434,8 @@ def representation_residual(traj: Trajectory) -> float:
     """
     t, u = traj.t, traj.u
     lam = traj.lam
-    a, beta, eps = traj.launch.a, traj.launch.beta, traj.eps
-    left = _cumtrapz(u * u / (4.0 * t), t)
-    left += _series_tail(a, beta, eps, 4.0)
+    # int_0^t u^2/(4s) ds; doubling is exact, so these are its bits either way
+    left = 2.0 * _singular_integral(traj)
     cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
     right = cum[-1] - cum
     u_half = u[-1]
@@ -453,7 +451,6 @@ def validate(traj: Trajectory) -> ValidationReport:
             representation_resid=math.inf,
             sign_violation=float(np.max(traj.u)) if traj.u.size else math.inf,
             boundary_resid=math.inf,
-            diverged=True,
         )
     return ValidationReport(
         first_integral_resid=first_integral_residual(traj),

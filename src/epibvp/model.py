@@ -11,13 +11,18 @@ t -> 0+.  Everything downstream (integration, shooting, continuation,
 certificates) works in the u-frame; this module holds the shared value
 types, the boundary rule, the reconstruction of the physical w(r) / height
 phi(r) profile, and the trapezoid helper the layers above share.
+
+A solution leaves the singular endpoint as u = a*t + beta*t^2, and the
+equation forces beta = a^2/16 + lam/4, so lam and the slope a fix it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,9 +62,10 @@ class ProblemSpec:
     kind : BoundaryKind
         Endpoint condition at t = 1/2.
     eps : float
-        Series launch point in (0, 1/2), large enough that 8*eps^2 does not
-        underflow to 0 (the right-hand side divides by it at launch).  The
-        integration starts here with the two-term expansion
+        Series launch point in (0, 1/2) whose square is a normal float
+        (eps >= about 1.4917e-154): the right-hand side and the validators
+        divide by t^2, which loses precision or reaches 0 once t^2 is
+        subnormal.  The integration starts here with the two-term expansion
         u = a*t + beta*t^2, so the trajectory carries an O(eps^3)
         truncation error, far below step_tol at the default.
     step_tol : float
@@ -70,11 +76,9 @@ class ProblemSpec:
     grid_n : int
         Number of output samples (uniform in t, endpoint included).  Also
         sets the trapezoid resolution of the residual validators.
-    scan_n : int
-        Number of slope samples in the coarse scan that locates the
-        residual's extremum and guides the brackets, at least 2 (the two
-        window edges).
 
+    ``scan_n``, the number of slopes of the coarse scan that locates the
+    residual's extremum and guides the brackets, is the class constant 64.
     The divergence threshold and the validation thresholds are fixed
     constants of :mod:`epibvp.integrator`; the root-refinement and
     window-edge distances are fixed in :mod:`epibvp.shooting`.
@@ -87,47 +91,32 @@ class ProblemSpec:
     slope_min: float = -500.0
     slope_max: float = 0.0
     grid_n: int = 16001
-    scan_n: int = 64
+    scan_n: ClassVar[int] = 64
 
     def __post_init__(self):
         check_lam(self.lam)
         if not 0.0 < self.step_tol < math.inf:
             raise DomainError(f"step_tol must be finite and > 0, got {self.step_tol}")
-        if not 0 < self.eps < 0.5 or 8.0 * self.eps * self.eps == 0.0:
-            raise DomainError(f"eps must lie in (0, 1/2) with 8*eps^2 > 0, got {self.eps}")
+        if not (0 < self.eps < 0.5 and self.eps * self.eps >= sys.float_info.min):
+            raise DomainError(
+                f"eps must lie in (0, 1/2) with eps^2 a normal float "
+                f"(eps >= about 1.4917e-154), got {self.eps}"
+            )
         if not -math.inf < self.slope_min <= self.slope_max <= 0:
             raise DomainError(
                 f"need finite slope_min <= slope_max <= 0, got [{self.slope_min}, {self.slope_max}]"
             )
         if self.grid_n < 2:
             raise DomainError("grid_n must be at least 2")
-        if self.scan_n < 2:
-            raise DomainError("scan_n must be at least 2")
-
-
-@dataclass(frozen=True)
-class SeriesLaunch:
-    """Two-term expansion u = a*t + beta*t^2 used to leave the singular endpoint.
-
-    The slope a = lim_{t->0+} u(t)/t is finite for every candidate solution
-    and non-positive; matching constant terms in the equation forces
-    beta = a^2/16 + lam/4 exactly.
-    """
-
-    a: float
-    beta: float
-
-    @classmethod
-    def from_slope(cls, a: float, lam: float) -> "SeriesLaunch":
-        return cls(a=a, beta=a * a / 16.0 + lam / 4.0)
 
 
 @dataclass
 class Trajectory:
     """A sampled candidate solution (t, u, u') on [eps, 1/2].
 
-    Samples are strictly increasing in t; unless ``diverged`` is set the
-    final sample sits exactly at t = 1/2.
+    ``a`` is the launch slope lim u(t)/t, and the launch point eps is
+    ``t[0]``.  Samples are strictly increasing in t; unless ``diverged`` is
+    set the final sample sits exactly at t = 1/2.
     """
 
     lam: float
@@ -135,8 +124,7 @@ class Trajectory:
     t: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    launch: SeriesLaunch
-    eps: float
+    a: float
     diverged: bool = False
 
     def __post_init__(self):

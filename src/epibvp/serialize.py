@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .certificates import Certificate
-from .continuation import BifurcationDiagram
+from .continuation import DiagramPoint
 from .integrator import ValidationReport
 from .model import BoundaryKind, RadialProfile, Trajectory
 from .shooting import RootSet
@@ -194,9 +194,9 @@ def rootset_to_json(rs: RootSet) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def diagram_to_csv(diagram: BifurcationDiagram) -> str:
+def diagram_to_csv(points: list[DiagramPoint]) -> str:
     lines = ["lambda,a,branch"]
-    for p in diagram.points:
+    for p in points:
         lines.append(f"{_fmt(p.lam)},{_fmt(p.a)},{p.branch.value}")
     return "\n".join(lines) + "\n"
 
@@ -220,8 +220,6 @@ def profile_to_json(profile: RadialProfile) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def diagram_to_json(diagram: BifurcationDiagram) -> str:
-    payload = [
-        {"lambda": p.lam, "a": p.a, "branch": p.branch.value} for p in diagram.points
-    ]
+def diagram_to_json(points: list[DiagramPoint]) -> str:
+    payload = [{"lambda": p.lam, "a": p.a, "branch": p.branch.value} for p in points]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

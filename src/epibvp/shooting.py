@@ -14,8 +14,9 @@ on arrays, so a sweep scans all its lams in one call and each row is bit
 for bit a single-lam scan.  From the
 scan on, slopes and residuals are Python floats.  Diverged shots report +inf
 residual and count as the tail side of the extremum.  Every root returned
-carries its trajectory on the caller's grid and the report that accepted it,
-taken at the validators' calibrated resolution (``calibrated_report``).
+carries its trajectory on the caller's grid, whose launch slope is the
+root's slope, and the report that accepted it, taken at the validators'
+calibrated resolution (``calibrated_report``).
 """
 
 from __future__ import annotations
@@ -51,11 +52,15 @@ _CLUSTER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ShootingRoot:
-    """An accepted slope with its trajectory on the spec's grid and its report."""
+    """An accepted trajectory on the spec's grid and the report that accepted it."""
 
-    a: float
     traj: Trajectory
     report: ValidationReport
+
+    @property
+    def a(self) -> float:
+        """The root's launch slope."""
+        return self.traj.a
 
 
 @dataclass
@@ -88,7 +93,7 @@ def calibrated_report(spec: ProblemSpec, traj: Trajectory) -> ValidationReport:
     """
     if spec.grid_n < VALIDATION_GRID_MIN and not traj.diverged:
         vspec = replace(spec, grid_n=VALIDATION_GRID_MIN)
-        return validate(integrate(vspec, traj.launch.a))
+        return validate(integrate(vspec, traj.a))
     return validate(traj)
 
 
@@ -238,7 +243,7 @@ def _gated_root(spec: ProblemSpec, a: float) -> Optional[ShootingRoot]:
     """
     traj = integrate(spec, a)
     report = calibrated_report(spec, traj)
-    return ShootingRoot(a=a, traj=traj, report=report) if report.accepted() else None
+    return ShootingRoot(traj=traj, report=report) if report.accepted() else None
 
 
 def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[ShootingRoot]:

@@ -229,6 +229,17 @@ def test_nonexistence_dirichlet_lam0_witness():
     assert cert.witness == {"f_max": 0.0, "f_argmax": 0.5, "c0": 0.0}
 
 
+@pytest.mark.parametrize("lam", [1e-10, 1e-300])
+def test_nonexistence_dirichlet_small_lam_c0(lam):
+    """The c0 witness keeps its digits at small lam, where 1 - sqrt(1 - lam/384)
+    would cancel: it matches (lam/2) / (1 + sqrt(1 - lam/384)) in rationals."""
+    x = 1 - Fraction(lam) / 384
+    root = Fraction(math.isqrt(x.numerator * 4 ** 200 // x.denominator), 2 ** 200)
+    exact = Fraction(lam) / 2 / (1 + root)
+    c0 = nonexistence_dirichlet(lam).witness["c0"]
+    assert abs(Fraction(c0) - exact) <= Fraction(1e-14) * exact
+
+
 def test_nonexistence_dirichlet_gate_above_384():
     cert = nonexistence_dirichlet(400.0)
     assert cert.verdict is Verdict.NONEXISTENCE

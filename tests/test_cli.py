@@ -244,13 +244,16 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["solve", "--monotone", "--lambda", "9.000000001", "--bc", "navier"],
     ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-inf"],
     ["solve", "--lambda", "1", "--bc", "dirichlet", "--a=-1", "--eps", "1e-300"],
+    ["solve", "--lambda", "100", "--bc", "dirichlet", "--eps", "5.6e-163"],
+    ["solve", "--lambda", "100", "--bc", "dirichlet", "--eps", "1e-161"],
     ["solve", "--monotone", "--lambda", "100", "--bc", "dirichlet", "--grid", "2"],
     ["fold", "--bc", "navier", "--a-min", "-8", "--a-max", "-1"],
     ["fold", "--bc", "dirichlet", "--a-max", "-60"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
     "monotone-above-144", "monotone-above-9", "slope-min-inf",
-    "eps-underflow", "monotone-grid-2", "fold-slope-below-window", "fold-slope-above-window",
+    "eps-underflow", "eps-square-5.6e-163", "eps-square-1e-161", "monotone-grid-2",
+    "fold-slope-below-window", "fold-slope-above-window",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -394,7 +397,7 @@ _NUMBER = st.one_of(
 )
 # integer grids stay small: a huge one would allocate its samples
 _GRID = st.one_of(st.integers(-2, 400).map(str), st.sampled_from(["nan", "inf", "1e300", "2.5"]))
-_EPS = st.sampled_from(["1e-8", "1e-3", "0", "0.5", "-1e-8", "1e-300", "nan"])
+_EPS = st.sampled_from(["1e-8", "1e-3", "0", "0.5", "-1e-8", "1e-161", "1e-300", "nan"])
 _TOL = st.sampled_from(["1e-10", "1e-6", "0", "-1e-10", "inf", "nan"])
 
 

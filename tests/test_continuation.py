@@ -25,43 +25,43 @@ DIRICHLET_FOLD = 168.769431276654
 NAVIER_FOLD = 11.340809421457
 
 
-def _counts(diagram):
+def _counts(points):
     counts = {}
-    for p in diagram.points:
+    for p in points:
         counts[p.lam] = counts.get(p.lam, 0) + 1
     return counts
 
 
 def test_sweep_dirichlet_counts():
-    diagram = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 150.0])
-    assert _counts(diagram) == {0.0: 2, 50.0: 2, 100.0: 2, 150.0: 2}
+    points = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 150.0])
+    assert _counts(points) == {0.0: 2, 50.0: 2, 100.0: 2, 150.0: 2}
 
 
 def test_sweep_dirichlet_beyond_fold():
-    diagram = sweep(BoundaryKind.DIRICHLET, [200.0, 250.0])
-    assert diagram.points == []
+    points = sweep(BoundaryKind.DIRICHLET, [200.0, 250.0])
+    assert points == []
 
 
 def test_sweep_navier_counts():
-    diagram = sweep(BoundaryKind.NAVIER, [0.0, 5.0, 10.0])
-    assert _counts(diagram) == {0.0: 2, 5.0: 2, 10.0: 2}
-    diagram = sweep(BoundaryKind.NAVIER, [12.0])
-    assert diagram.points == []
+    points = sweep(BoundaryKind.NAVIER, [0.0, 5.0, 10.0])
+    assert _counts(points) == {0.0: 2, 5.0: 2, 10.0: 2}
+    points = sweep(BoundaryKind.NAVIER, [12.0])
+    assert points == []
 
 
 def test_branch_labels_consistent():
-    diagram = sweep(BoundaryKind.DIRICHLET, [50.0, 100.0, 150.0])
-    lower = {p.lam: p.a for p in diagram.points if p.branch is Branch.LOWER}
-    upper = {p.lam: p.a for p in diagram.points if p.branch is Branch.UPPER}
+    points = sweep(BoundaryKind.DIRICHLET, [50.0, 100.0, 150.0])
+    lower = {p.lam: p.a for p in points if p.branch is Branch.LOWER}
+    upper = {p.lam: p.a for p in points if p.branch is Branch.UPPER}
     assert set(lower) == set(upper) == {50.0, 100.0, 150.0}
     for lam in lower:
         assert lower[lam] < upper[lam]
 
 
 def test_branches_approach_each_other():
-    diagram = sweep(BoundaryKind.DIRICHLET, [100.0, 160.0])
+    points = sweep(BoundaryKind.DIRICHLET, [100.0, 160.0])
     gap = {}
-    for p in diagram.points:
+    for p in points:
         gap.setdefault(p.lam, {})[p.branch] = p.a
     g100 = abs(gap[100.0][Branch.UPPER] - gap[100.0][Branch.LOWER])
     g160 = abs(gap[160.0][Branch.UPPER] - gap[160.0][Branch.LOWER])
@@ -70,8 +70,8 @@ def test_branches_approach_each_other():
 
 def test_monotone_solvability_over_sweep():
     """Roots at a larger lam imply roots at every smaller sampled lam."""
-    diagram = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 150.0])
-    counts = _counts(diagram)
+    points = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 150.0])
+    counts = _counts(points)
     lams = sorted(counts)
     for i, lam in enumerate(lams):
         if counts[lam] > 0:
@@ -90,15 +90,15 @@ def test_single_root_labels():
     (RootSet.extremum) it lies on: with the lower branch outside the window,
     each lone root, the trivial a = 0 included, is upper."""
     narrow = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-100.0)
-    diagram = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 130.0], narrow)
-    assert [(p.lam, p.branch) for p in diagram.points] == [
+    points = sweep(BoundaryKind.DIRICHLET, [0.0, 50.0, 100.0, 130.0], narrow)
+    assert [(p.lam, p.branch) for p in points] == [
         (0.0, Branch.UPPER), (50.0, Branch.UPPER), (100.0, Branch.UPPER),
         (130.0, Branch.LOWER), (130.0, Branch.UPPER),
     ]
-    assert diagram.points[0].a == 0.0
+    assert points[0].a == 0.0
 
     low = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-500.0, slope_max=-50.0)
-    (point,) = sweep(BoundaryKind.DIRICHLET, [0.0], low).points
+    (point,) = sweep(BoundaryKind.DIRICHLET, [0.0], low)
     assert point.branch is Branch.LOWER and point.a < -50.0
 
 
@@ -113,10 +113,10 @@ def test_sweep_matches_per_lam_root_sets(tmp_path):
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER)
     # two roots up to 11.3, none past the fold at 11.34
     lams = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0, 11.3, 11.4, 12.0]
-    diagram = sweep(BoundaryKind.NAVIER, lams, spec)
+    points = sweep(BoundaryKind.NAVIER, lams, spec)
     for lam in lams:
         want = find_shooting_roots(replace(spec, lam=lam)).slopes()
-        assert [p.a for p in diagram.points if p.lam == lam] == want, lam
+        assert [p.a for p in points if p.lam == lam] == want, lam
         assert len(want) == (2 if lam <= 11.3 else 0), lam
 
     closed = replace(spec, slope_min=0.0, slope_max=0.0)

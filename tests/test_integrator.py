@@ -14,6 +14,7 @@ from epibvp.integrator import (
     REP_TOL,
     SIGN_TOL,
     ValidationReport,
+    _beta,
     first_integral_residual,
     integrate,
     integrate_rk4,
@@ -195,7 +196,7 @@ def test_first_integral_zero_case():
 
 def test_acceptance_thresholds_at_their_edges():
     """Residuals exactly at FI_TOL, REP_TOL or BOUNDARY_TOL fail (strict <);
-    max u exactly at SIGN_TOL passes (<=); a diverged report never passes."""
+    max u exactly at SIGN_TOL passes (<=); a diverged shot's report never passes."""
     clean = dict(
         first_integral_resid=0.0, representation_resid=0.0, sign_violation=0.0, boundary_resid=0.0
     )
@@ -209,7 +210,8 @@ def test_acceptance_thresholds_at_their_edges():
         ("sign_violation", math.nextafter(SIGN_TOL, math.inf)),
     ]:
         assert not ValidationReport(**{**clean, field: value}).accepted(), (field, value)
-    assert not ValidationReport(**clean, diverged=True).accepted()
+    diverged = integrate(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=2001), -2000.0)
+    assert diverged.diverged and not validate(diverged).accepted()
 
 
 def test_residuals_small_on_roots(root_cache):
@@ -285,7 +287,7 @@ def test_launch_consistency_at_eps(root_cache):
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
         traj = integrate(spec, root.a)
-        beta = traj.launch.beta
+        beta = _beta(root.a, spec.lam)
         assert abs(traj.u[0] / spec.eps - root.a) <= abs(beta) * spec.eps + 1e-12
 
 

@@ -5,14 +5,9 @@ import pytest
 
 from epibvp.certificates import alpha_dirichlet_dd
 from epibvp.errors import DomainError, UnvalidatedTrajectoryError
-from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, integrate, validate
-from epibvp.model import (
-    BoundaryKind,
-    ProblemSpec,
-    SeriesLaunch,
-    Trajectory,
-    reconstruct_phi,
-)
+from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, _beta, integrate, launch_state, validate
+from epibvp.model import BoundaryKind, ProblemSpec, Trajectory, reconstruct_phi
+from epibvp.shooting import find_shooting_roots
 
 
 def test_rhs_lower_function_touch():
@@ -24,9 +19,9 @@ def test_rhs_lower_function_touch():
 
 
 def test_series_launch_beta():
-    sl = SeriesLaunch.from_slope(-48.0, 144.0)
-    assert sl.beta == 144.0 + 36.0
-    assert SeriesLaunch.from_slope(-1.0, 0.0).beta == 1.0 / 16.0
+    assert _beta(-48.0, 144.0) == 144.0 + 36.0
+    assert _beta(-1.0, 0.0) == 1.0 / 16.0
+    assert launch_state(-1.0, 0.0, 0.25) == (-0.25 + 0.25 ** 2 / 16.0, -1.0 + 0.5 / 16.0)
 
 
 def test_problem_spec_validation():
@@ -40,16 +35,12 @@ def test_problem_spec_validation():
         ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, slope_max=1.0)
     with pytest.raises(DomainError):
         ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-np.inf)
-    with pytest.raises(DomainError):
-        ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, eps=1e-300)
-
-
-@pytest.mark.parametrize("scan_n", [1, 0, -3])
-def test_problem_spec_rejects_scan_below_two(scan_n):
-    """A scan needs both window edges; fewer samples would silently find no root."""
-    with pytest.raises(DomainError, match="scan_n"):
-        ProblemSpec(lam=5.0, kind=BoundaryKind.NAVIER, scan_n=scan_n)
-    assert ProblemSpec(lam=5.0, kind=BoundaryKind.NAVIER, scan_n=2).scan_n == 2
+    # eps^2 must be a normal float: below it 8 t^2 and 4 t^2 lose their digits
+    for eps in (1e-300, 5.6e-163, 1e-161, 1.49e-154):
+        with pytest.raises(DomainError, match="eps"):
+            ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, eps=eps)
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, eps=1.5e-154)
+    assert len(find_shooting_roots(spec).nontrivial()) == 2
 
 
 def test_trajectory_requires_increasing_t():
@@ -60,8 +51,7 @@ def test_trajectory_requires_increasing_t():
             t=np.array([0.1, 0.1, 0.3]),
             u=np.zeros(3),
             du=np.zeros(3),
-            launch=SeriesLaunch(0.0, 0.0),
-            eps=0.1,
+            a=0.0,
         )
 
 

@@ -122,12 +122,14 @@ def test_kernel_takes_almost_every_solution_cell(root_cache):
         assert np.count_nonzero(~ok) <= 0.01 * len(ok)
 
 
-# sha256 of trajectory.csv and profile.csv from
-# `solve --bc navier --lambda 9 --a -4.742307280271374 --grid 2001`,
-# written by one %.17g format per block of rows
+# sha256 of trajectory.csv, profile.csv and validation.json from
+# `solve --bc navier --lambda 9 --a -4.742307280271374 --grid 2001`; the CSVs
+# were written by one %.17g format per block of rows, and validation.json
+# holds the residuals of the 16001-sample re-integration
 NAVIER_SOLVE_CSV_SHA256 = {
     "trajectory.csv": "40988b5cad6980f6804300b81fbd980045435999cb3fc0047698e80682083afd",
     "profile.csv": "0abb03573b036295ba98258724c0225c2297852652ee89e5221ccc22951f7b3f",
+    "validation.json": "db935cff9f174518863904d811bf792b8d8840e9a1fc2d091448d830cec3a69b",
 }
 
 
@@ -197,14 +199,14 @@ def test_rootset_json_roundtrip(root_cache):
 
 
 def test_diagram_csv_roundtrip():
-    diagram = sweep(BoundaryKind.NAVIER, [0.0, 5.0])
-    text = serialize.diagram_to_csv(diagram)
+    points = sweep(BoundaryKind.NAVIER, [0.0, 5.0])
+    text = serialize.diagram_to_csv(points)
     assert text.startswith("lambda,a,branch\n")
     lam, a = _columns(text, usecols=(0, 1))
     (branch,) = _columns(text, usecols=(2,), dtype=str)
-    assert list(lam) == [p.lam for p in diagram.points]
-    assert list(a) == [p.a for p in diagram.points]
-    assert list(branch) == [p.branch.value for p in diagram.points]
+    assert list(lam) == [p.lam for p in points]
+    assert list(a) == [p.a for p in points]
+    assert list(branch) == [p.branch.value for p in points]
 
 
 def test_fold_json_roundtrip():

@@ -69,7 +69,7 @@ def test_roots_carry_gate_trajectory_and_report(grid_n):
         assert np.array_equal(root.traj.t, traj.t)
         assert np.array_equal(root.traj.u, traj.u)
         assert np.array_equal(root.traj.du, traj.du)
-        assert root.traj.launch == traj.launch and not root.traj.diverged
+        assert root.traj.a == traj.a and not root.traj.diverged
         assert root.report == validate(integrate(replace(spec, grid_n=16001), root.a))
         assert root.report.accepted()
 
@@ -84,9 +84,10 @@ def test_lam0_dirichlet_roots(root_cache):
     assert nontrivial[0] == pytest.approx(LAM0_DIRICHLET_NONTRIVIAL, abs=1e-9)
 
 
-def test_lam0_nontrivial_root_against_brute_force_scan():
+def test_lam0_nontrivial_root_against_brute_force_scan(monkeypatch):
     """Independent check: a 10^4-slope residual scan brackets the same root."""
-    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, scan_n=10001)
+    monkeypatch.setattr(ProblemSpec, "scan_n", 10001)
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET)
     a_grid = np.linspace(spec.slope_min, spec.slope_max, 10001)
     res = _scan_residuals(spec, [spec.lam])[0]
     finite = np.isfinite(res)
@@ -142,9 +143,10 @@ def test_reconstructed_w_sign_property(root_cache):
         assert abs(prof.w[0]) < 1e-4
 
 
-def test_root_stability_under_scan_doubling(root_cache):
+def test_root_stability_under_scan_doubling(root_cache, monkeypatch):
     base = root_cache(100.0, BoundaryKind.DIRICHLET)
-    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, scan_n=4000)
+    monkeypatch.setattr(ProblemSpec, "scan_n", 4000)
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == len(base.roots)
     for a_new, a_old in zip(rs.slopes(), base.slopes()):
@@ -225,10 +227,11 @@ def test_trivial_root_at_zero_edge_is_legitimate(root_cache):
     assert len(rs.roots) == 2
 
 
-def test_near_fold_roots_recovered_below_scan_resolution():
+def test_near_fold_roots_recovered_below_scan_resolution(monkeypatch):
     """Close to the fold the root pair slips between scan samples; the
     residual-extremum descent still digs both roots out."""
-    spec = ProblemSpec(lam=168.76, kind=BoundaryKind.DIRICHLET, scan_n=100)
+    monkeypatch.setattr(ProblemSpec, "scan_n", 100)
+    spec = ProblemSpec(lam=168.76, kind=BoundaryKind.DIRICHLET)
     a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
     res = _scan_residuals(spec, [spec.lam])[0]
     finite = np.isfinite(res)
@@ -249,9 +252,9 @@ def test_root_within_coarse_error_of_a_scan_node():
     error there: the node's coarse sign is wrong, and the adaptive residuals
     that decide every bracket still find the root."""
     a_root = LAM100_DIRICHLET[0]
-    k, n = 50, 64
+    k, n = 50, ProblemSpec.scan_n
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET,
-                       slope_min=(a_root + 1e-6) * (n - 1) / (n - 1 - k), scan_n=n)
+                       slope_min=(a_root + 1e-6) * (n - 1) / (n - 1 - k))
     node = float(np.linspace(spec.slope_min, spec.slope_max, n)[k])
     assert 0.0 < node - a_root < 2e-6
     coarse = _scan_residuals(spec, [spec.lam])[0][k]
