@@ -292,10 +292,14 @@ def nonexistence_dirichlet(lam: float) -> Certificate:
     # with s = 1/2 - t, df/dt = -s q(s)/8, and q(s) = lam (1 - 3s) + c^2 s^3 (5/8 - 3s/2)
     # falls from lam to -c^2/64 - lam/2 (c <= lam/2 and lam <= 384 give
     # q' <= lam (125 lam/18432 - 3) < 0): t* = 1/2 - s* at its one root s*
+    # the sign test takes q times 2^600, exactly: lam (1 - 3s) is formed from
+    # the scaled lam, so it stays nonzero at a subnormal lam, and the c term
+    # is scaled once formed, so it keeps the bits of the unscaled test
+    scale = 2.0 ** 600
     lo, hi = 0.0, 0.5
     while lo < 0.5 * (lo + hi) < hi:
         s = 0.5 * (lo + hi)
-        if lam * (1.0 - 3.0 * s) + c * c * s ** 3 * (0.625 - 1.5 * s) > 0.0:
+        if lam * scale * (1.0 - 3.0 * s) + c * c * s ** 3 * (0.625 - 1.5 * s) * scale > 0.0:
             lo = s
         else:
             hi = s

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -80,7 +81,9 @@ def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The full parser, built once per process: parsing keeps no state in it."""
     parser = _Parser(prog="epibvp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,6 +116,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _config_parser() -> _Parser:
+    """The pre-parser that reads only ``--config``, built once per process."""
+    pre = _Parser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _with_config(argv: list[str]) -> list[str]:
     """Splice the ``--config`` file into argv as flags right after the command name.
 
@@ -122,10 +133,8 @@ def _with_config(argv: list[str]) -> list[str]:
     last-one-wins lets explicit flags win, and every value meets the same
     checks as on the command line.
     """
-    pre = _Parser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
     try:
-        path = pre.parse_known_args(argv)[0].config
+        path = _config_parser().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return argv  # a --config without a value: the full parser reports it
     if path is None:

@@ -3,10 +3,12 @@
 The initial value problem is launched at t = eps with the two-term series
 u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
 embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
-every shot.  Output samples on the uniform grid are filled from the pair's
-quartic dense interpolant, and the variational equations are advanced on
-the same accepted steps, so step sizes are chosen by the error controller
-alone.
+every shot.  Its stages are spelled out on Python floats, each sum in
+tableau order, so a shot costs little more than its arithmetic.  Dense
+output records the accepted steps and then fills every sample of the
+uniform grid in one vectorized pass from the pair's quartic interpolant,
+and the variational equations are advanced on the same accepted steps, so
+step sizes are chosen by the error controller alone.
 
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
@@ -123,37 +125,6 @@ def launch_state(a: float, lam: float, eps: float) -> tuple[float, float]:
     return a * eps + beta * eps * eps, a + 2.0 * beta * eps
 
 
-def _dense_fill(t0, h, y0, k, t_out, us, dus, idx):
-    """Fill output samples interior to the step [t0, t0+h) from the interpolant.
-
-    All samples of the step are evaluated at once, elementwise and in a
-    fixed order (acc += q_j theta^(j+1) for j = 0..3), so each sample's
-    bits do not depend on how many samples the step covers.
-
-    Samples landing exactly on a step end are deferred: the next step fills
-    them at theta = 0, which reproduces the stepped state bit-for-bit, and
-    the final step's flush covers the right endpoint.
-    """
-    stop = int(np.searchsorted(t_out, t0 + h, "left"))
-    if stop <= idx:
-        return idx
-    q = [[0.0] * 4, [0.0] * 4]
-    for comp in range(2):
-        for j in range(4):
-            q[comp][j] = sum(k[s][comp] * _DP_P[s][j] for s in range(7))
-    theta = (t_out[idx:stop] - t0) / h
-    poly = theta.copy()
-    acc_u = np.zeros(stop - idx)
-    acc_v = np.zeros(stop - idx)
-    for j in range(4):
-        acc_u += q[0][j] * poly
-        acc_v += q[1][j] * poly
-        poly *= theta
-    us[idx:stop] = y0[0] + h * acc_u
-    dus[idx:stop] = y0[1] + h * acc_v
-    return stop
-
-
 def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool]:
     """Adaptive Dormand-Prince 5(4) run from the series launch to t = 1/2.
 
@@ -161,11 +132,17 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     bounded by ``spec.step_tol``, measured on (u, u').  Each accepted step
     calls ``on_step(t, h, u, du, k)`` with its start time, size, start state
     and the seven stage derivatives ``k[s] = (u', u'')`` before moving on;
-    :func:`integrate` fills its output samples from there and
+    :func:`integrate` records the steps to fill its output samples and
     :func:`shoot_variational` advances the variational equations.  Returns
     the last state ``(u, u', diverged)``: the state at t = 1/2, or the last
     state reached when |u| exceeded ``BLOWUP`` or a stage went non-finite
     (both flagged as divergence).
+
+    The stages are spelled out on local floats.  Each stage sum and error
+    sum starts at 0.0 and adds its terms in tableau order, zero weights
+    included, which fixes every rounding: the shot is bit for bit that of
+    ``acc = 0.0; for j: acc += A[s][j] * k[j]`` over the tableau.  The
+    tuples ``k`` are built only for ``on_step``.
 
     The pair is first-same-as-last: the last stage sits at the 5th-order
     end state, so an accepted step hands its end state and the next
@@ -176,54 +153,71 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     IntegrationError
         On step-size underflow.
     """
+    c1, c2, c3, c4, c5, c6 = _DP_C
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _DP_A
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    isfinite = math.isfinite
     lam = spec.lam
+    half_lam = lam / 2.0
     tol = spec.step_tol
     u, du = launch_state(a, lam, spec.eps)
     t = spec.eps
     h = min(1e-4, 0.5 - t)
-    k0 = (du, u * u / (8.0 * t * t) + lam / 2.0)
+    # the first stage (u', u'') is (du, f0); the last stage of a step is the next one's first
+    f0 = u * u / (8.0 * t * t) + half_lam
     while True:
         final = h >= 0.5 - t
         if final:
             h = 0.5 - t
-        # stages of the 5(4) pair for y = (u, u')
-        k = [k0]
-        for s in range(6):
-            au = 0.0
-            av = 0.0
-            for j, aij in enumerate(_DP_A[s]):
-                au += aij * k[j][0]
-                av += aij * k[j][1]
-            ts = t + _DP_C[s] * h
-            uu = u + h * au
-            vv = du + h * av
-            if not (math.isfinite(uu) and math.isfinite(vv)):
-                # state exploded inside the step: treat as divergence upward
-                return u, du, True
-            k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
-        err_u = 0.0
-        err_v = 0.0
-        for e, (ku, kv) in zip(_DP_E, k):
-            err_u += e * ku
-            err_v += e * kv
-        err = max(
-            abs(h * err_u) / (tol * (1.0 + abs(u))),
-            abs(h * err_v) / (tol * (1.0 + abs(du))),
-        )
-        if not math.isfinite(err):
+        ts = t + c1 * h
+        u1 = u + h * (0.0 + a10 * du)
+        v1 = du + h * (0.0 + a10 * f0)
+        f1 = u1 * u1 / (8.0 * ts * ts) + half_lam
+        ts = t + c2 * h
+        u2 = u + h * (0.0 + a20 * du + a21 * v1)
+        v2 = du + h * (0.0 + a20 * f0 + a21 * f1)
+        f2 = u2 * u2 / (8.0 * ts * ts) + half_lam
+        ts = t + c3 * h
+        u3 = u + h * (0.0 + a30 * du + a31 * v1 + a32 * v2)
+        v3 = du + h * (0.0 + a30 * f0 + a31 * f1 + a32 * f2)
+        f3 = u3 * u3 / (8.0 * ts * ts) + half_lam
+        ts = t + c4 * h
+        u4 = u + h * (0.0 + a40 * du + a41 * v1 + a42 * v2 + a43 * v3)
+        v4 = du + h * (0.0 + a40 * f0 + a41 * f1 + a42 * f2 + a43 * f3)
+        f4 = u4 * u4 / (8.0 * ts * ts) + half_lam
+        ts = t + c5 * h
+        u5 = u + h * (0.0 + a50 * du + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+        v5 = du + h * (0.0 + a50 * f0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
+        f5 = u5 * u5 / (8.0 * ts * ts) + half_lam
+        ts = t + c6 * h
+        u6 = u + h * (0.0 + a60 * du + a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+        v6 = du + h * (0.0 + a60 * f0 + a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
+        # every stage weighs the one before it by a nonzero A[s][s-1], so a
+        # non-finite stage makes every later one non-finite: checking the
+        # last stage catches the state exploding anywhere inside the step
+        if not (isfinite(u6) and isfinite(v6)):
+            return u, du, True
+        f6 = u6 * u6 / (8.0 * ts * ts) + half_lam
+        err_u = 0.0 + e0 * du + e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6
+        err_v = 0.0 + e0 * f0 + e1 * f1 + e2 * f2 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6
+        err_u = abs(h * err_u) / (tol * (1.0 + abs(u)))
+        err_v = abs(h * err_v) / (tol * (1.0 + abs(du)))
+        err = err_v if err_v > err_u else err_u
+        if not isfinite(err):
             err = 1e16
         if err <= 1.0:
             if on_step is not None:
-                on_step(t, h, u, du, k)
+                on_step(t, h, u, du, ((du, f0), (v1, f1), (v2, f2), (v3, f3), (v4, f4),
+                                      (v5, f5), (v6, f6)))
             t += h
-            u, du = uu, vv
-            k0 = k[6]
+            u, du, f0 = u6, v6, f6
             if abs(u) > BLOWUP:
                 return u, du, True
             if final:
                 return u, du, False
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+        h *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor
         if h < _MIN_STEP:
             raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
 
@@ -232,31 +226,63 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     """Shoot from the series launch at t = eps to t = 1/2 with slope a.
 
     The :func:`_dp45` stepper, with output on ``spec.grid_n`` uniform t
-    samples (endpoint included) filled from the quartic interpolant of each
-    accepted step.  If |u| exceeds ``BLOWUP`` the run stops and the
-    truncated trajectory is returned with ``diverged`` set -- root scanning
-    relies on probing such slopes, so divergence is not an error.
+    samples (endpoint included).  The accepted steps are recorded, then
+    every sample after the launch is filled in one vectorized pass from the
+    quartic interpolant of its step: the first step whose end lies beyond
+    the sample, so a sample on a step end is deferred to the next step,
+    whose theta = 0 reproduces the stepped state bit for bit.  Samples at
+    or past the last step's end take the end state at t = 1/2 (they differ
+    from it only by fp drift).  If |u| exceeds ``BLOWUP`` the run stops and
+    the trajectory is truncated after its last filled sample, with
+    ``diverged`` set -- root scanning relies on probing such slopes, so
+    divergence is not an error.
 
-    Deterministic: identical spec and slope give bit-identical samples.
+    Each sample is evaluated elementwise in a fixed order (acc += q_j
+    theta^(j+1) for j = 0..3, q_j summed over the stages in order), so its
+    bits depend neither on how many samples its step covers nor on the
+    grid.  Deterministic: identical spec and slope give bit-identical
+    samples.
 
     Raises
     ------
     IntegrationError
         On step-size underflow.
     """
+    steps = []
+    u, du, diverged = _dp45(spec, a, lambda *step: steps.append(step))
     t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
     us = np.empty(spec.grid_n)
     dus = np.empty(spec.grid_n)
     us[0], dus[0] = launch_state(a, spec.lam, spec.eps)
     idx = 1
-
-    def fill(t, h, u, du, k):
-        nonlocal idx
-        idx = _dense_fill(t, h, (u, du), k, t_out, us, dus, idx)
-
-    u, du, diverged = _dp45(spec, a, fill)
+    if steps:
+        t0, h, u0, du0 = np.array([step[:4] for step in steps]).T
+        k = np.array([step[4] for step in steps])
+        # q[:, c, j] = sum over stages s of k_s[c] P[s][j], added from 0.0 in stage order
+        q = np.zeros((len(steps), 2, 4))
+        for s, row in enumerate(_DP_P):
+            q += k[:, s, :, None] * row
+        # step s fills the samples before its end that no earlier step took
+        stops = np.searchsorted(t_out, t0 + h, "left")
+        np.maximum(stops, idx, out=stops)
+        counts = np.diff(stops, prepend=idx)
+        idx = int(stops[-1])
+        theta = t_out[1:idx] - np.repeat(t0, counts)
+        theta /= np.repeat(h, counts)
+        poly = theta.copy()
+        acc_u, acc_v = us[1:idx], dus[1:idx]
+        acc_u.fill(0.0)
+        acc_v.fill(0.0)
+        for j in range(4):
+            for c, acc in ((0, acc_u), (1, acc_v)):
+                term = np.repeat(q[:, c, j], counts)
+                term *= poly
+                acc += term
+            poly *= theta
+        for y0, acc in ((u0, acc_u), (du0, acc_v)):
+            acc *= np.repeat(h, counts)
+            acc += np.repeat(y0, counts)
     if not diverged:
-        # landed on 1/2 exactly; flush any samples left by fp drift
         us[idx:], dus[idx:] = u, du
         idx = spec.grid_n
     return Trajectory(

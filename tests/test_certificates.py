@@ -240,6 +240,36 @@ def test_nonexistence_dirichlet_small_lam_c0(lam):
     assert abs(Fraction(c0) - exact) <= Fraction(1e-14) * exact
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-300])
+def test_nonexistence_dirichlet_tiny_lam_argmax(lam):
+    """q(s) is about lam (1 - 3s) at a tiny lam, so t* is about 1/6, also at
+    the smallest subnormal, where lam (1 - 3s) on unscaled floats underflows."""
+    assert abs(nonexistence_dirichlet(lam).witness["f_argmax"] - 1.0 / 6.0) < 1e-15
+
+
+def _argmax_unscaled(lam):
+    """t* from the sign test of q on unscaled floats."""
+    c = c0_closed_form(lam)
+    lo, hi = 0.0, 0.5
+    while lo < 0.5 * (lo + hi) < hi:
+        s = 0.5 * (lo + hi)
+        if lam * (1.0 - 3.0 * s) + c * c * s ** 3 * (0.625 - 1.5 * s) > 0.0:
+            lo = s
+        else:
+            hi = s
+    return 0.5 - lo
+
+
+def test_nonexistence_dirichlet_scaled_sign_test_keeps_argmax():
+    """Scaling q by 2^600 moves no maximizer for lam >= 1e-300, across the
+    range where c^2 underflows and near the verdict threshold; the unscaled
+    test is what fails at the smallest subnormal."""
+    lams = [*np.geomspace(1e-300, 384.0, 400), 306.96197210915716]
+    for lam in map(float, lams):
+        assert nonexistence_dirichlet(lam).witness["f_argmax"] == _argmax_unscaled(lam), lam
+    assert abs(_argmax_unscaled(5e-324) - 1.0 / 3.0) < 1e-15
+
+
 def test_nonexistence_dirichlet_gate_above_384():
     cert = nonexistence_dirichlet(400.0)
     assert cert.verdict is Verdict.NONEXISTENCE

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epibvp import continuation, shooting
+from epibvp import cli, continuation, shooting
 from epibvp.cli import main
 
 
@@ -387,6 +387,49 @@ def test_config_usage_error(tmp_path, capsys, command, config):
     assert code == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+def _outcome(argv, out):
+    """Exit code, stdout, stderr and artifact bytes of one in-process main() call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", out])
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    files = {name: open(os.path.join(out, name), "rb").read() for name in names}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path):
+    """One process runs a mixed sequence of commands on the parser built once;
+    each call's exit code, output and artifacts equal those of the same call
+    on freshly built parsers, so no flag or value leaks into the next call."""
+    config = os.path.join(tmp_path, "run.json")
+    with open(config, "w") as handle:
+        json.dump({"format": "json", "lambda": 0, "bc": "dirichlet", "a": 0}, handle)
+    navier = ["--bc", "navier", "--lambda", "9", "--grid", "2001"]
+    sequence = [
+        ["solve", *navier, "--monotone"],
+        ["solve", *navier, "--a", "-4.742307280271374", "--format", "json"],
+        ["solve", *navier, "--a", "-1", "--monotone"],  # usage error: exclusive flags
+        ["solve", *navier, "--a", "-4.742307280271374"],
+        ["solve", "--config", config, "--grid", "101"],
+        ["solve", "--bc", "dirichlet", "--lambda", "0", "--grid", "101", "--a", "0"],
+        ["certify", "--bc", "navier", "--lambda", "9"],
+        ["solve", *navier, "--monotone", "--format", "json"],
+    ]
+    cli._build_parser.cache_clear()
+    cli._config_parser.cache_clear()
+    warm = [_outcome(argv, os.path.join(tmp_path, "warm", str(i)))
+            for i, argv in enumerate(sequence)]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [w[0] for w in warm] == [0, 0, 1, 0, 0, 0, 0, 0]
+    assert sorted(warm[1][3]) == ["profile.json", "trajectory.json", "validation.json"]
+    assert sorted(warm[3][3]) == ["profile.csv", "trajectory.csv", "validation.json"]
+    assert sorted(warm[5][3]) == ["profile.csv", "trajectory.csv", "validation.json"]
+    for i, argv in enumerate(sequence):
+        cli._build_parser.cache_clear()
+        cli._config_parser.cache_clear()
+        assert _outcome(argv, os.path.join(tmp_path, "cold", str(i))) == warm[i], argv
 
 
 # flag values around and beyond every domain edge; argparse takes a leading

@@ -146,8 +146,126 @@ def test_variational_shot_refuses_divergence():
         shoot_variational(spec, -2000.0)
 
 
+def _dp45_loop(spec, a, on_step=None):
+    """Reference stepper: the Dormand-Prince pair as tableau loops, each stage
+    and error sum accumulated from 0.0 in tableau order, every stage checked
+    for finiteness."""
+    lam = spec.lam
+    tol = spec.step_tol
+    u, du = launch_state(a, lam, spec.eps)
+    t = spec.eps
+    h = min(1e-4, 0.5 - t)
+    k0 = (du, u * u / (8.0 * t * t) + lam / 2.0)
+    while True:
+        final = h >= 0.5 - t
+        if final:
+            h = 0.5 - t
+        k = [k0]
+        for s in range(6):
+            au = 0.0
+            av = 0.0
+            for j, aij in enumerate(integrator._DP_A[s]):
+                au += aij * k[j][0]
+                av += aij * k[j][1]
+            ts = t + integrator._DP_C[s] * h
+            uu = u + h * au
+            vv = du + h * av
+            if not (math.isfinite(uu) and math.isfinite(vv)):
+                return u, du, True
+            k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
+        err_u = 0.0
+        err_v = 0.0
+        for e, (ku, kv) in zip(integrator._DP_E, k):
+            err_u += e * ku
+            err_v += e * kv
+        err = max(
+            abs(h * err_u) / (tol * (1.0 + abs(u))),
+            abs(h * err_v) / (tol * (1.0 + abs(du))),
+        )
+        if not math.isfinite(err):
+            err = 1e16
+        if err <= 1.0:
+            if on_step is not None:
+                on_step(t, h, u, du, tuple(k))
+            t += h
+            u, du = uu, vv
+            k0 = k[6]
+            if abs(u) > integrator.BLOWUP:
+                return u, du, True
+            if final:
+                return u, du, False
+        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if h < integrator._MIN_STEP:
+            raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
+
+
+def _end(call):
+    """The exact repr of a shot's end state, or its error message."""
+    try:
+        return repr(call())
+    except IntegrationError as exc:
+        return str(exc)
+
+
+def _shot_record(stepper, spec, a):
+    """The end of a shot and the bytes of every accepted step's (t, h, u, u')
+    and stages."""
+    steps = []
+
+    def record(t, h, u, du, k):
+        steps.append((t, h, u, du, *(x for stage in k for x in stage)))
+
+    return _end(lambda: stepper(spec, a, record)), np.array(steps).tobytes()
+
+
+_SHOT_CASES = [
+    (kind, lam, eps, a)
+    for kind in BoundaryKind
+    for lam in (0.0, 1.0, 9.0, 100.0, 168.7694, 5000.0)
+    for eps in (1e-8, 1e-3, 1.5e-154)
+    for a in (-1e154, -1e30, -1e6, -2000.0, -52.35, -16.2635630662405, -4.742307280271374, 0.0, 3.0)
+]
+
+
+def test_unrolled_stepper_matches_tableau_loops():
+    """The unrolled _dp45 reproduces the loop stepper bit for bit: end
+    states, divergence flags, every accepted step with its stages, and the
+    step-underflow message."""
+    outcomes = set()
+    for kind, lam, eps, a in _SHOT_CASES:
+        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
+        want = _shot_record(_dp45_loop, spec, a)
+        assert _shot_record(integrator._dp45, spec, a) == want, (kind, lam, eps, a)
+        assert _end(lambda: shoot_endpoint(spec, a)) == want[0]
+        if want[0].startswith("step size underflow"):
+            outcomes.add("underflow")
+        else:
+            outcomes.add("diverged" if want[0].endswith("True)") else "landed")
+    # diverged covers both a blow-up and a non-finite stage
+    assert outcomes == {"landed", "diverged", "underflow"}
+
+
+def test_variational_residual_is_the_endpoint_residual():
+    """shoot_variational rides on the unrolled steps: its R is bit for bit
+    shoot_endpoint's wherever the variational shot succeeds."""
+    compared = 0
+    for kind, lam, eps, a in _SHOT_CASES:
+        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
+        try:
+            r = shoot_variational(spec, a)[0]
+        except IntegrationError:
+            continue
+        u, du, diverged = shoot_endpoint(spec, a)
+        assert not diverged
+        assert repr(r) == repr(kind.residual(u, du)), (kind, lam, eps, a)
+        compared += 1
+    assert compared > len(_SHOT_CASES) // 3
+
+
 def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
-    """Sample-by-sample reference for the per-step vectorized dense fill."""
+    """Sample-by-sample reference for the dense fill of one accepted step:
+    the samples before the step's end, from the first not yet filled."""
     q = [[sum(k[s][c] * integrator._DP_P[s][j] for s in range(7)) for j in range(4)]
          for c in range(2)]
     while idx < len(t_out) and t_out[idx] < t0 + h:
@@ -165,19 +283,43 @@ def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
     return idx
 
 
+def _integrate_by_sample(spec, a):
+    """Reference dense output: each accepted step of _dp45 fills its samples
+    one at a time; samples past the last step take the end state at 1/2."""
+    t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
+    us = np.empty(spec.grid_n)
+    dus = np.empty(spec.grid_n)
+    us[0], dus[0] = launch_state(a, spec.lam, spec.eps)
+    idx = 1
+
+    def fill(t, h, u, du, k):
+        nonlocal idx
+        idx = _dense_fill_by_sample(t, h, (u, du), k, t_out, us, dus, idx)
+
+    u, du, diverged = integrator._dp45(spec, a, fill)
+    if not diverged:
+        us[idx:], dus[idx:] = u, du
+        idx = spec.grid_n
+    return t_out[:idx], us[:idx], dus[:idx], diverged
+
+
 @pytest.mark.parametrize("kind, lam, a, grid_n", [
     (BoundaryKind.DIRICHLET, 100.0, -16.2635630662405, 16001),
     (BoundaryKind.DIRICHLET, 100.0, -2000.0, 2001),
     (BoundaryKind.NAVIER, 9.0, -4.742307280271374, 64001),
-], ids=["dirichlet-16001", "diverged-2001", "navier-64001"])
-def test_dense_fill_matches_sample_by_sample_reference(monkeypatch, kind, lam, a, grid_n):
+    (BoundaryKind.DIRICHLET, 100.0, -16.2635630662405, 2),
+    (BoundaryKind.NAVIER, 9.0, -4.742307280271374, 3),
+    (BoundaryKind.NAVIER, 5.0, -500.0, 16001),
+], ids=["dirichlet-16001", "diverged-2001", "navier-64001", "grid-2", "grid-3",
+        "diverged-navier-16001"])
+def test_dense_fill_matches_sample_by_sample_reference(kind, lam, a, grid_n):
     spec = ProblemSpec(lam=lam, kind=kind, grid_n=grid_n)
     fast = integrate(spec, a)
-    monkeypatch.setattr(integrator, "_dense_fill", _dense_fill_by_sample)
-    slow = integrate(spec, a)
-    assert fast.diverged == slow.diverged
-    for got, want in ((fast.t, slow.t), (fast.u, slow.u), (fast.du, slow.du)):
+    t, u, du, diverged = _integrate_by_sample(spec, a)
+    assert fast.diverged == diverged
+    for got, want in ((fast.t, t), (fast.u, u), (fast.du, du)):
         assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_determinism():
