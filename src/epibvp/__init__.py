@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
     EpibvpError,
     IntegrationError,
-    RelaxationError,
     UnvalidatedTrajectoryError,
     WindowTooSmallError,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "IntegrationError",
     "ProblemSpec",
     "RadialProfile",
-    "RelaxationError",
     "RootSet",
     "ShootingRoot",
     "Trajectory",

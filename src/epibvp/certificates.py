@@ -23,10 +23,13 @@ solvability for the given deposition rate:
 * universal bound: no solution of either kind exists beyond 64 pi^2; the
   double 64 pi^2 lies below it and its next double above, so this is exact.
 
-``truncated_monotone_solve`` realizes the constructive side: it solves the
-equation once on the truncation [eps, 1/2] with u(eps) = 0, inside the strip
-[alpha, 0], by a damped, clipped Newton iteration on a second-order
-finite-difference grid started from the upper function u = 0.
+``truncated_monotone_solve`` realizes the constructive side, the method of
+upper and lower functions (Amann, SIAM Rev. 18, 1976): v = -u/t solves the
+integral equation v = T_lam[v] that ``representation_residual`` checks, T_lam
+is monotone on v >= 0, and its iterates from the upper function v = 0 rise
+to the solution and stay below the lower function's -alpha/t.  The iterates
+are polynomials in x = 2t, so the solve has no truncation and needs no
+linear solve.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, EpibvpError, RelaxationError
+from .errors import DomainError, EpibvpError
 from .model import BoundaryKind, ProblemSpec, Trajectory, check_lam
 
 _FIXED_POINT_CAP = 384.0
@@ -46,18 +49,13 @@ _FIXED_POINT_CAP = 384.0
 # below _C0_STEP_TOL or after _C0_MAX_ITER map steps
 _C0_STEP_TOL = 1e-14
 _C0_MAX_ITER = 10 ** 6
-# damped Newton of the monotone solver: iteration cap and update size
-# that declares convergence
-_NEWTON_MAX_ITER = 80
-_NEWTON_XTOL = 1e-11
-
-
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on first use: only the
-    monotone solver needs scipy, so the CLI starts without it."""
-    from scipy.linalg import solve_banded as banded
-
-    return banded(l_and_u, ab, b)
+# monotone iteration: degree of the carried polynomial (at Dirichlet 144 its
+# last coefficient is about 2e-18; at degree 40 it is 7e-11, at degree 20 it
+# is 1e-4 and u is off by 3e-7), the step cap and the relative coefficient
+# move that ends it (Dirichlet 144 takes 66 steps, Navier 9 takes 52)
+_PICARD_DEGREE = 64
+_PICARD_MAX_ITER = 1000
+_PICARD_TOL = 1e-14
 
 
 class CertificateKind(Enum):
@@ -376,102 +374,82 @@ def certificates_for(lam: float, kind: BoundaryKind) -> list[Certificate]:
 
 
 # ---------------------------------------------------------------------------
-# truncated-domain monotone solver
+# monotone iteration of the integral operator
 # ---------------------------------------------------------------------------
 
-def _newton_truncated(lam: float, kind: BoundaryKind, t: np.ndarray):
-    """Damped Newton for the discretized problem on the truncation [t[0], 1/2].
+def _times_one_minus_x(c: np.ndarray) -> np.ndarray:
+    """Coefficients of (1 - x) c(x)."""
+    return np.append(c, 0.0) - np.concatenate(([0.0], c))
 
-    Second-order central differences inside, u = 0 at the left end, and at
-    the right end either u = 0 (Dirichlet) or the one-sided second-order
-    form of u(1/2) = u'(1/2) (Navier).  Starts from the upper function
-    u = 0; iterates are clipped into the strip [alpha, 0] after every
-    update.
 
-    Convergence is declared on either a small residual or a small update:
-    the residual rows carry 1/h^2 factors, so their double-precision floor
-    sits near |u| * eps_mach / h^2 and the residual alone cannot certify
-    fine grids.
+def _picard_step(p: np.ndarray, lam: float, dirichlet: bool) -> np.ndarray:
+    """One step v <- T_lam[v] on monomial coefficients in x = 2t on [0, 1].
+
+    With w = v^2,
+        T[v] = (1-x)/(16x) int_0^x y w dy + (1/16) int_x^1 (1-y) w dy + lam (1-x)/8,
+    and Navier adds lam/4 + (1/8) int_0^1 y w dy.  A Dirichlet v is carried
+    as (1 - x) p, whose second term divides by 1 - x as a suffix sum, so
+    v(1) = 0 holds exactly; a Navier v is p itself.  The result keeps the
+    first p.size coefficients.
     """
-    ftol = 1e-9 * (1.0 + lam)
-    n = t.size
-    h = t[1] - t[0]
+    v = _times_one_minus_x(p) if dirichlet else p
+    w = np.convolve(v, v)
+    # (1/x) int_0^x y w dy, and int_0^x (1-y) w dy = sum_k s_k x^(k+1)
+    left = np.concatenate(([0.0], w / np.arange(2, w.size + 2)))
+    g = _times_one_minus_x(w)
+    s = g / np.arange(1, g.size + 1)
+    if dirichlet:
+        # int_x^1 (1-y) w dy = (1 - x) sum_k (sum_{m >= k} s_m) x^k
+        new = left / 16.0
+        new[:s.size] += np.cumsum(s[::-1])[::-1] / 16.0
+        new[0] += lam / 8.0
+    else:
+        # int_x^1 (1-y) w dy = sum_k s_k - sum_k s_k x^(k+1)
+        new = _times_one_minus_x(left / 16.0)
+        new[1:s.size + 1] -= s / 16.0
+        new[0] += s.sum() / 16.0 + 3.0 * lam / 8.0 + left.sum() / 8.0
+        new[1] -= lam / 8.0
+    return new[:p.size]
+
+
+def _picard_solve(lam: float, kind: BoundaryKind) -> np.ndarray:
+    """The limit p of ``_picard_step`` from v = 0 (v = (1 - x) p for Dirichlet).
+
+    Stops once no coefficient moves by more than _PICARD_TOL (1 + v(0)).
+    """
     dirichlet = kind is BoundaryKind.DIRICHLET
-    alpha = alpha_dirichlet(t) if dirichlet else alpha_navier(t)
-    u = np.zeros(n)
-    cN = 3.0 - 2.0 * h
-
-    def resid(u):
-        r = np.empty(n)
-        r[0] = u[0]
-        r[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2 - (
-            u[1:-1] ** 2 / (8.0 * t[1:-1] ** 2) + lam / 2.0
-        )
-        r[-1] = u[-1] if dirichlet else cN * u[-1] - 4.0 * u[-2] + u[-3]
-        return r
-
-    # banded Jacobian: the interior rows are shared, only the diagonal moves
-    # with u.  The Navier end row reaches back to u[-3], which takes a second
-    # subdiagonal; Dirichlet stays tridiagonal, scipy's fast path.
-    lower = 1 if dirichlet else 2
-    ab = np.zeros((lower + 2, n))
-    ab[0, 2:] = ab[2, :-2] = 1.0 / h ** 2
-    ab[1, 0] = 1.0
-    ab[1, -1] = 1.0 if dirichlet else cN
-    if not dirichlet:
-        ab[2, -2], ab[3, -3] = -4.0, 1.0
-
-    r = resid(u)
-    trace = [float(np.max(np.abs(r)))]
-    for _ in range(_NEWTON_MAX_ITER):
-        if trace[-1] <= ftol:
-            return u
-        ab[1, 1:-1] = -2.0 / h ** 2 - u[1:-1] / (4.0 * t[1:-1] ** 2)
-        upd = solve_banded((lower, 1), ab, -r)
-        if float(np.max(np.abs(upd))) <= _NEWTON_XTOL:
-            return np.clip(u + upd, alpha, 0.0)
-        for k in range(30):
-            cand = np.clip(u + 0.5 ** k * upd, alpha, 0.0)
-            r = resid(cand)
-            if np.max(np.abs(r)) < trace[-1]:
-                break
-        else:
-            # residual at its rounding floor: take the full step and let the
-            # local Newton phase drive the update below _NEWTON_XTOL
-            cand = np.clip(u + upd, alpha, 0.0)
-            r = resid(cand)
-        u = cand
-        trace.append(float(np.max(np.abs(r))))
-    raise RelaxationError(
-        f"monotone relaxation stalled (lam={lam}, kind={kind.value})", trace
-    )
+    p = np.zeros(_PICARD_DEGREE + 1)
+    for _ in range(_PICARD_MAX_ITER):
+        p, prev = _picard_step(p, lam, dirichlet), p
+        if np.max(np.abs(p - prev)) <= _PICARD_TOL * (1.0 + p[0]):
+            return p
+    raise EpibvpError(f"monotone iteration did not settle in {_PICARD_MAX_ITER} steps "
+                      f"(lam={lam}, kind={kind.value})")
 
 
 def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
-    """Solve via the lower/upper-function construction on one truncation.
+    """Solve by monotone iteration from the upper function u = 0.
 
-    The equation is solved once on [spec.eps, 1/2] with boundary value
-    u(spec.eps) = 0 and the spec's condition at 1/2, constrained to the
-    strip [alpha, 0], where alpha is the lower-function candidate of
-    spec.kind and the zero upper function is the Newton start (no warm
-    start).  The solution is returned as a Trajectory with derivatives from
-    second-order differences.
-
-    The result agrees with the shooting solution of the same problem to
-    about |a| * eps in sup norm (the strip solution is the maximal one, so
-    it matches the upper shooting branch).
+    v = -u/t solves the integral equation v = T_lam[v] (``_picard_step``).
+    T_lam is monotone on v >= 0, so its iterates from v = 0 rise to the
+    smallest fixed point, the upper (maximal) solution, and stay below
+    -alpha/t for the lower function alpha of spec.kind.  They are carried as
+    polynomials in x = 2t (``_picard_step``), so there is no truncation at
+    eps: u = -t v and u' = -(v + t v') are sampled on spec.grid_n points of
+    [eps, 1/2], and ``a`` is the launch slope -v(0).
 
     Raises
     ------
     DomainError
-        If spec.grid_n < 3 (the end derivatives take three samples), or if
-        the lower-function certificate of spec.kind does not certify
-        existence at spec.lam.
-    RelaxationError
-        If the Newton iteration fails to converge (residual trace attached).
+        If spec.grid_n < 3 (the samples must include a point inside
+        (eps, 1/2)), or if the lower-function certificate of spec.kind does
+        not certify existence at spec.lam.
     """
     if spec.grid_n < 3:
-        raise DomainError(f"the monotone solver needs grid_n >= 3, got {spec.grid_n}")
+        raise DomainError(
+            f"the monotone solver samples inside (eps, 1/2) and needs grid_n >= 3, "
+            f"got {spec.grid_n}"
+        )
     if spec.kind is BoundaryKind.DIRICHLET:
         cert = lower_function_dirichlet(spec.lam)
     else:
@@ -482,11 +460,15 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
             f"(min slack {cert.witness['min_slack']:.3e})"
         )
 
+    p = _picard_solve(spec.lam, spec.kind)
     t = np.linspace(spec.eps, 0.5, spec.grid_n)
-    u = _newton_truncated(spec.lam, spec.kind, t)
-    h = t[1] - t[0]
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return Trajectory(lam=spec.lam, kind=spec.kind, t=t, u=u, du=du, a=float(du[0]))
+    x = 2.0 * t
+    v = np.polyval(p[::-1], x)
+    c = p  # the coefficients of v
+    if spec.kind is BoundaryKind.DIRICHLET:
+        # (1 - x) p(x) is exactly 0 at x = 1, where summed coefficients leave rounding
+        v *= 1.0 - x
+        c = _times_one_minus_x(p)
+    # d(t v)/dt = d(x v)/dx; subtracting from 0.0 writes no -0.0
+    du = 0.0 - np.polyval((np.arange(1, c.size + 1) * c)[::-1], x)
+    return Trajectory(lam=spec.lam, kind=spec.kind, t=t, u=0.0 - t * v, du=du, a=0.0 - c[0])

@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     method.add_argument("--a", type=float,
                         help="shooting slope; all roots are solved when omitted")
     method.add_argument("--monotone", action="store_true",
-                        help="use the truncated-domain monotone solver instead of shooting")
+                        help="use the monotone iteration instead of shooting")
     _add_numerics(p_solve, "step_tol", "integrator step tolerance")
     p_solve.add_argument("--format", choices=["csv", "json"], default="csv",
                          help="tabular output format")

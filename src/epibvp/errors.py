@@ -36,10 +36,3 @@ class BracketError(EpibvpError):
         self.end = end
         super().__init__(f"invalid bracket at {end}: {message}")
 
-
-class RelaxationError(EpibvpError):
-    """The damped-Newton relaxation solver did not converge."""
-
-    def __init__(self, message: str, trace: list):
-        self.trace = trace
-        super().__init__(f"{message} (residual trace: {trace})")

@@ -214,6 +214,17 @@ def test_criterion_9_cross_solver_agreement(root_cache):
           f"both inside the strip [alpha, 0]")
 
 
+def test_criterion_9_monotone_solver_within_1e9(root_cache):
+    """The monotone iteration meets the upper shooting branch far inside
+    criterion 9's bound: its polynomial has no truncation or grid error."""
+    for lam, kind in [(144.0, BoundaryKind.DIRICHLET), (9.0, BoundaryKind.NAVIER)]:
+        spec = ProblemSpec(lam=lam, kind=kind)
+        mono = truncated_monotone_solve(spec)
+        upper = root_cache(lam, kind).roots[-1]
+        assert np.max(np.abs(mono.u - integrate(spec, upper.a).u)) <= 1e-9, kind
+        assert abs(mono.a - upper.a) <= 1e-8, kind
+
+
 def test_criterion_10_convergence_order(root_cache):
     a_lower = root_cache(100.0, BoundaryKind.DIRICHLET).roots[0].a
     fis = []

@@ -1,13 +1,13 @@
 """Certificate verdicts, the slack identities, the fixed point, and the
-truncated-domain monotone solver."""
+monotone solver."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
 
 from epibvp import certificates
 from epibvp.certificates import (
@@ -31,7 +31,7 @@ from epibvp.certificates import (
     universal_bound,
     universal_certificate,
 )
-from epibvp.errors import DomainError
+from epibvp.errors import DomainError, EpibvpError
 from epibvp.integrator import validate
 from epibvp.model import BoundaryKind, ProblemSpec
 
@@ -366,17 +366,28 @@ def test_verdict_source_invariant():
                 assert cert.witness  # every verdict carries a witness
 
 
-# --- truncated-domain monotone solver ----------------------------------------
+# --- monotone solver ---------------------------------------------------------
 
-def _fd_residual(traj):
-    """Sup norm of the interior finite-difference equations of a monotone solve."""
-    t, u = traj.t, traj.u
-    h = t[1] - t[0]
-    r = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2 - (
-        u[1:-1] ** 2 / (8.0 * t[1:-1] ** 2) + traj.lam / 2.0
-    )
-    # the Newton tolerance, or the rounding floor of the 1/h^2 rows
-    return float(np.max(np.abs(r))), 1e-9 * (1.0 + traj.lam) + 1e-14 / h ** 2
+def _v_coefficients(lam, kind):
+    """Coefficients in x = 2t of the polynomial v = -u/t of a monotone solve."""
+    p = certificates._picard_solve(lam, kind)
+    return certificates._times_one_minus_x(p) if kind is BoundaryKind.DIRICHLET else p
+
+
+def _check_polynomial(traj):
+    """The solve samples u = -t v, and v solves t v'' + 2 v' + v^2/8 + lam/2 = 0
+    on [0, 1/2], t = 0 included, by its own derivatives."""
+    c = _v_coefficients(traj.lam, traj.kind)
+    eps = traj.t[0]
+    v_eps = P.polyval(2.0 * eps, c)
+    assert traj.u[0] == pytest.approx(-eps * v_eps, rel=1e-14, abs=0.0)
+    assert traj.a == -c[0]
+    x = np.concatenate(([0.0], 2.0 * traj.t))
+    v = P.polyval(x, c)
+    dv = 2.0 * P.polyval(x, P.polyder(c))
+    ddv = 4.0 * P.polyval(x, P.polyder(c, 2))
+    resid = np.max(np.abs(x / 2.0 * ddv + 2.0 * dv + v * v / 8.0 + traj.lam / 2.0))
+    assert resid <= 1e-9 * (1.0 + traj.lam)
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-2])
@@ -385,14 +396,14 @@ def test_monotone_solver_dirichlet_strip(grid_n, eps):
     spec = ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n, eps=eps)
     traj = truncated_monotone_solve(spec)
     assert traj.t[0] == eps and traj.t.size == grid_n
-    assert abs(traj.u[0]) <= 1e-15 and abs(traj.u[-1]) <= 1e-15
+    assert abs(traj.u[-1]) <= 1e-15
     alpha = alpha_dirichlet(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
-    resid, tol = _fd_residual(traj)
-    assert resid <= tol
+    _check_polynomial(traj)
     if (grid_n, eps) == (2001, 1e-8):
-        # coarser grids and the wide truncation miss the validators' tolerances
+        # coarser grids, and the validators' series tail at eps = 1e-2, miss
+        # their tolerances
         report = validate(traj)
         assert report.accepted(), report
 
@@ -409,31 +420,40 @@ def test_monotone_solver_navier_endpoint(grid_n, eps):
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=grid_n, eps=eps)
     traj = truncated_monotone_solve(spec)
     assert traj.t[0] == eps and traj.t.size == grid_n
-    assert abs(traj.u[0]) <= 1e-15
     alpha = alpha_navier(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
     assert abs(traj.u[-1] - traj.du[-1]) < 1e-8
-    resid, tol = _fd_residual(traj)
-    assert resid <= tol
+    _check_polynomial(traj)
 
 
-@pytest.mark.parametrize("lam, kind", [
-    (144.0, BoundaryKind.DIRICHLET),
-    (9.0, BoundaryKind.NAVIER),
+@pytest.mark.parametrize("lam, kind, alpha", [
+    (144.0, BoundaryKind.DIRICHLET, alpha_dirichlet),
+    (9.0, BoundaryKind.NAVIER, alpha_navier),
 ], ids=["dirichlet-144", "navier-9"])
-def test_monotone_solver_is_one_newton_solve(monkeypatch, lam, kind):
-    # one truncation, one Newton iteration: a handful of banded solves, not
-    # one Newton per nested truncation
-    calls = []
+def test_picard_iterates_rise_below_the_lower_function(lam, kind, alpha):
+    """The upper/lower-function sandwich: from v = 0 the iterates of v <- T[v]
+    never fall and never pass -alpha/t, up to rounding."""
+    t = np.linspace(1e-8, 0.5, 2001)
+    x = 2.0 * t
+    ceiling = -alpha(t) / t
+    dirichlet = kind is BoundaryKind.DIRICHLET
+    p = np.zeros(certificates._PICARD_DEGREE + 1)
+    v_prev = np.zeros_like(t)
+    for _ in range(80):
+        p = certificates._picard_step(p, lam, dirichlet)
+        v = P.polyval(x, p) * ((1.0 - x) if dirichlet else 1.0)
+        assert np.all(v >= v_prev - 1e-12)
+        assert np.all(v <= ceiling + 1e-12)
+        v_prev = v
+    # 80 steps pass the solver's stop, so the last iterate is its solution
+    assert np.max(np.abs(p - certificates._picard_solve(lam, kind))) <= 1e-12
 
-    def counting_solve_banded(*args, **kwargs):
-        calls.append(None)
-        return solve_banded(*args, **kwargs)
 
-    monkeypatch.setattr(certificates, "solve_banded", counting_solve_banded)
-    truncated_monotone_solve(ProblemSpec(lam=lam, kind=kind))
-    assert 0 < len(calls) <= 12
+def test_monotone_solver_iteration_cap(monkeypatch):
+    monkeypatch.setattr(certificates, "_PICARD_MAX_ITER", 3)
+    with pytest.raises(EpibvpError, match="did not settle in 3 steps"):
+        truncated_monotone_solve(ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET))
 
 
 def test_monotone_solver_requires_certificate():

@@ -164,17 +164,26 @@ def test_sweep_json_rows_equal_csv(tmp_path):
     ]
 
 
-def test_import_loads_no_scipy_solvers():
-    """``import epibvp.cli`` loads no scipy at all: scipy.linalg alone would
-    add about 0.3 s to every start-up, and only the monotone solver needs
-    it, on its first banded solve."""
-    code = "import sys, epibvp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_import_loads_no_scipy_solvers(tmp_path):
+    """``import epibvp.cli`` loads no scipy at all, and neither does a
+    monotone solve of either kind: scipy.linalg alone would add about 0.3 s
+    to every start-up and about 26 MB of memory."""
+    code = (
+        "import sys, epibvp.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "for kind, lam in [('dirichlet', '144'), ('navier', '9')]:\n"
+        "    argv = ['solve', '--monotone', '--bc', kind, '--lambda', lam, '--out', sys.argv[1] + kind]\n"
+        "    assert epibvp.cli.main(argv) == 0\n"
+        "print(loaded())\n"
+    )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", code, str(tmp_path / "mono_")], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert sorted(os.listdir(tmp_path)) == ["mono_dirichlet", "mono_navier"]
 
 
 def test_scan_window_override(tmp_path):

@@ -14,6 +14,7 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epibvp import serialize
@@ -138,6 +139,25 @@ def test_solve_csv_bytes_are_pinned(tmp_path):
             "--grid", "2001", "--out", str(tmp_path)]
     assert main(argv) == 0
     for name, digest in NAVIER_SOLVE_CSV_SHA256.items():
+        with open(os.path.join(tmp_path, name), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+
+
+# sha256 of trajectory.csv, profile.csv and validation.json from
+# `solve --lambda 0 --monotone` of either kind at the default grid: u, du and
+# every residual are +0.0, so no "-0" reaches the CSVs
+MONOTONE_LAM0_SHA256 = {
+    "trajectory.csv": "c4a149d5e69d8c0b23681c6e388c2e251002c812b07d31fabe8867a0b0b65f2d",
+    "profile.csv": "7c4a65a89ecd0e20388772dc4c9d119d38f39e9c1aa9c7c67f9e995aa5695c71",
+    "validation.json": "b85386df0dab56ae39c0a0f36a5a4f5907dadc101e3ecce6dcf9d73468bf0a1e",
+}
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "navier"])
+def test_monotone_solve_at_lam0_bytes_are_pinned(tmp_path, kind):
+    argv = ["solve", "--bc", kind, "--lambda", "0", "--monotone", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in MONOTONE_LAM0_SHA256.items():
         with open(os.path.join(tmp_path, name), "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == digest, name
 
