@@ -447,8 +447,12 @@ def _singular_integral(traj: Trajectory) -> np.ndarray:
 
 def first_integral_residual(traj: Trajectory) -> float:
     """Max defect of t u' - u = int_0^t u^2/(8s) ds + (lam/4) t^2 over the samples."""
+    return _first_integral_residual(traj, _singular_integral(traj))
+
+
+def _first_integral_residual(traj: Trajectory, sing: np.ndarray) -> float:
     t, u, du = traj.t, traj.u, traj.du
-    resid = t * du - u - _singular_integral(traj) - traj.lam / 4.0 * t * t
+    resid = t * du - u - sing - traj.lam / 4.0 * t * t
     return float(np.max(np.abs(resid)))
 
 
@@ -458,10 +462,13 @@ def representation_residual(traj: Trajectory) -> float:
     Both integrals are trapezoid quadrature on the sample grid; the Navier
     case keeps the 2 t u(1/2) term, which drops for Dirichlet solutions.
     """
+    return _representation_residual(traj, 2.0 * _singular_integral(traj))
+
+
+def _representation_residual(traj: Trajectory, left: np.ndarray) -> float:
+    # left = int_0^t u^2/(4s) ds, the singular integral doubled (exactly)
     t, u = traj.t, traj.u
     lam = traj.lam
-    # int_0^t u^2/(4s) ds; doubling is exact, so these are its bits either way
-    left = 2.0 * _singular_integral(traj)
     cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
     right = cum[-1] - cum
     u_half = u[-1]
@@ -478,9 +485,12 @@ def validate(traj: Trajectory) -> ValidationReport:
             sign_violation=float(np.max(traj.u)) if traj.u.size else math.inf,
             boundary_resid=math.inf,
         )
+    sing = _singular_integral(traj)  # one integral serves both residuals
+    fi = _first_integral_residual(traj, sing)
+    sing *= 2.0  # in place, so no second array of the trajectory's length
     return ValidationReport(
-        first_integral_resid=first_integral_residual(traj),
-        representation_resid=representation_residual(traj),
+        first_integral_resid=fi,
+        representation_resid=_representation_residual(traj, sing),
         sign_violation=float(np.max(traj.u)),
         boundary_resid=float(traj.kind.residual(traj.u[-1], traj.du[-1])),
     )

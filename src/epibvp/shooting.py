@@ -11,12 +11,12 @@ guides: every sign that decides a count is an adaptive (DP5) residual.
 
 The scan steps the slopes of one or several lams at once with ``_rk4_step``
 on arrays, so a sweep scans all its lams in one call and each row is bit
-for bit a single-lam scan.  From the
-scan on, slopes and residuals are Python floats.  Diverged shots report +inf
-residual and count as the tail side of the extremum.  Every root returned
-carries its trajectory on the caller's grid, whose launch slope is the
-root's slope, and the report that accepted it, taken at the validators'
-calibrated resolution (``calibrated_report``).
+for bit a single-lam scan.  From the scan on, slopes and residuals are
+Python floats.  Diverged shots report +inf residual and count as the tail
+side of the extremum.  Every root returned carries its trajectory on the
+caller's grid, whose launch slope is the root's slope, and the report that
+accepted it, taken at the validators' calibrated resolution
+(``calibrated_report``).
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from .integrator import (
 )
 from .model import BoundaryKind, ProblemSpec, Trajectory
 
-# graded scan grid: geometric cells out of the singular endpoint, uniform after
+# graded scan grid of 125 RK4 steps, geometric out of eps, uniform after the
+# switch; its residuals are off by up to 1e-3 of the window's largest |R|, and
+# that is enough, as the scan only picks cells and DP5 decides every sign
 _SCAN_SWITCH = 5e-3
-_SCAN_GEO_N = 50
-_SCAN_UNI_N = 300
+_SCAN_GEO_N = 25
+_SCAN_UNI_N = 100
 # s of the residual's one extremum, a minimum of s R: Dirichlet R is convex,
 # Navier R has one maximum
 _DIP_SIGN = {BoundaryKind.DIRICHLET: 1.0, BoundaryKind.NAVIER: -1.0}
@@ -102,6 +104,15 @@ def _scan_grid(spec: ProblemSpec) -> np.ndarray:
     return np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
 
 
+def _scan_times(eps: float) -> np.ndarray:
+    """The scan's RK4 nodes, rising from eps to exactly 1/2; for eps >= 1/4
+    the switch would lie past 1/2, and the grid is then geometric alone."""
+    switch = min(max(_SCAN_SWITCH, 2.0 * eps), 0.5)
+    geo = np.geomspace(eps, switch, _SCAN_GEO_N + 1)
+    uni = np.linspace(switch, 0.5, _SCAN_UNI_N + 1)
+    return np.concatenate([geo[:-1], uni]) if switch < 0.5 else geo
+
+
 def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     """Endpoint residuals of the scan grid at each lam, one row per lam.
 
@@ -111,20 +122,15 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     Guidance only: every residual that decides a root comes from the
     adaptive integrator.  Diverged entries come back +inf.
     """
-    eps = spec.eps
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
     lam = np.repeat(np.asarray(lams, dtype=float), a_grid.size)
-    switch = max(_SCAN_SWITCH, 2.0 * eps)
-    grid = np.concatenate([
-        np.geomspace(eps, switch, _SCAN_GEO_N + 1)[:-1],
-        np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
-    ]).tolist()
+    grid = _scan_times(spec.eps).tolist()
     alive = np.ones(a.shape, dtype=bool)
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du = launch_state(a, lam, eps)
+        u, du = launch_state(a, lam, spec.eps)
         for t0, t1 in zip(grid, grid[1:]):
             u, du = _rk4_step(t0, t1, t1 - t0, u, du, lam)
             # NaN and inf fail the comparison too; a dead slope stays dead

@@ -56,6 +56,21 @@ def test_solve_all_roots(tmp_path):
         assert os.path.exists(os.path.join(out, f"validation_root{i}.json"))
 
 
+@pytest.mark.parametrize("bc, lam, eps", [
+    ("dirichlet", "100", "0.26"), ("dirichlet", "100", "0.3"), ("navier", "5", "0.3"),
+    ("navier", "5", "0.49"),
+])
+def test_solve_with_eps_past_one_quarter(tmp_path, bc, lam, eps):
+    """From eps = 1/4 on, the scan steps from eps straight to 1/2 and sees
+    one extremum: the Dirichlet residual stays above 0 and both Navier
+    candidates fail the validation gate, so the root set is empty and the
+    solve succeeds."""
+    code, out = run(tmp_path, "solve", "--bc", bc, "--lambda", lam, "--eps", eps,
+                    "--grid", "2001")
+    assert code == 0
+    assert json.load(open(os.path.join(out, "roots.json")))["roots"] == []
+
+
 def test_solve_json_format(tmp_path):
     code, out = run(
         tmp_path, "solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0",

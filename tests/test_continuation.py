@@ -106,6 +106,25 @@ def test_single_root_labels():
 # whose slopes are within 2e-13 of those of a 2000-slope scan per lam
 DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e623f5b6b6770a1d"
 
+# sha256 of the default folds' fold.json and of a Navier sweep's diagram.csv;
+# a scan that picks the same cells leaves every endpoint shot and byte alone
+PINNED_SHA256 = [
+    (["fold", "--bc", "dirichlet"], "fold.json",
+     "c4f129e9990f0eadae6cf3391d19a7478d0732ee1e4090e1218cb60ed58c2716"),
+    (["fold", "--bc", "navier"], "fold.json",
+     "c2a94f404c0dfba74b8268ae71431ea1ba29aa046a12b624e82d76a574e569ed"),
+    (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
+     "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", PINNED_SHA256,
+                         ids=["fold-dirichlet", "fold-navier", "sweep-navier"])
+def test_fold_and_sweep_bytes_are_pinned(tmp_path, argv, name, digest):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    with open(os.path.join(tmp_path, name), "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == digest
+
 
 def test_sweep_matches_per_lam_root_sets(tmp_path):
     """The sweep, scanning all its lams at once, gives each lam's own root

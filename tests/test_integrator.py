@@ -336,6 +336,24 @@ def test_first_integral_zero_case():
     assert representation_residual(integrate(spec, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("kind, lam, a", [
+    (BoundaryKind.DIRICHLET, 100.0, -16.2635630662405),
+    (BoundaryKind.NAVIER, 5.0, -3.0),
+    (BoundaryKind.NAVIER, 9.0, -4.742307280271374),
+], ids=["dirichlet-100", "navier-5", "navier-9"])
+def test_validate_shares_one_singular_integral(monkeypatch, kind, lam, a):
+    """validate builds the singular integral once for both residuals and
+    reports the public residual functions' values bit for bit."""
+    traj = integrate(ProblemSpec(lam=lam, kind=kind, grid_n=16001), a)
+    calls = []
+    real = integrator._singular_integral
+    monkeypatch.setattr(integrator, "_singular_integral", lambda t: calls.append(t) or real(t))
+    report = validate(traj)
+    assert len(calls) == 1
+    assert report.first_integral_resid == first_integral_residual(traj)
+    assert report.representation_resid == representation_residual(traj)
+
+
 def test_acceptance_thresholds_at_their_edges():
     """Residuals exactly at FI_TOL, REP_TOL or BOUNDARY_TOL fail (strict <);
     max u exactly at SIGN_TOL passes (<=); a diverged shot's report never passes."""

@@ -20,6 +20,7 @@ from epibvp.shooting import (
     _SCAN_UNI_N,
     _residual_at,
     _scan_residuals,
+    _scan_times,
     find_shooting_roots,
     root_in_bracket,
 )
@@ -156,11 +157,7 @@ def test_root_stability_under_scan_doubling(root_cache, monkeypatch):
 def _scan_residuals_masked(spec, a_grid):
     """Reference scan that freezes each dead slope at its last finite state."""
     a = np.asarray(a_grid, dtype=float)
-    switch = max(_SCAN_SWITCH, 2.0 * spec.eps)
-    grid = np.concatenate([
-        np.geomspace(spec.eps, switch, _SCAN_GEO_N + 1)[:-1],
-        np.linspace(switch, 0.5, _SCAN_UNI_N + 1),
-    ])
+    grid = _scan_times(spec.eps)
     alive = np.ones(a.shape, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
         u, du = launch_state(a, spec.lam, spec.eps)
@@ -173,6 +170,49 @@ def _scan_residuals_masked(spec, a_grid):
             alive = step_ok
         resid = spec.kind.residual(u, du)
     return np.where(alive, resid, np.inf)
+
+
+@pytest.mark.parametrize("eps", [
+    1e-8, 1e-6, 1e-3, 2.5e-3, 5e-3, 0.1, 0.2499, 0.25, 0.26, 0.3, 0.4, 0.49,
+])
+def test_scan_times_rise_to_one_half(eps):
+    """The scan's RK4 nodes rise from eps to exactly 1/2 with no zero-length
+    step; from eps = 1/4 on, the switch 2 eps would lie past 1/2, and the
+    grid is geometric alone."""
+    times = _scan_times(eps)
+    assert times[0] == eps and times[-1] == 0.5
+    assert np.all(np.diff(times) > 0.0)
+    steps = _SCAN_GEO_N + (_SCAN_UNI_N if max(_SCAN_SWITCH, 2.0 * eps) < 0.5 else 0)
+    assert times.size == steps + 1
+
+
+_FOLD_LAMS = {
+    BoundaryKind.DIRICHLET: (168.769431276654, 168.7),
+    BoundaryKind.NAVIER: (11.340809421457, 11.34),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FOLD_LAMS), ids=lambda k: k.value)
+def test_scan_picks_the_cells_dp5_would_pick(kind):
+    """The coarse scan only picks cells: on the scan row, the extremum cells
+    and each side's first positive cell are those that adaptive residuals at
+    the same slopes give, from lam = 0 up to just below the fold."""
+    fold, near = _FOLD_LAMS[kind]
+    lams = [*np.linspace(0.0, 0.9 * fold, 10).tolist(), 0.99 * fold, near]
+    spec = ProblemSpec(lam=0.0, kind=kind)
+    s = shooting._DIP_SIGN[kind]
+    for lam, row in zip(lams, _scan_residuals(spec, lams)):
+        at = replace(spec, lam=lam)
+        exact = [_residual_at(at, a) for a in shooting._scan_grid(at).tolist()]
+        picks = []
+        for resid in (row.tolist(), exact):
+            g = [s * r if math.isfinite(r) else math.inf for r in resid]
+            cells = shooting._extremum_cells(at, g)
+            j = cells[1]
+            left = next((i for i in range(j, -1, -1) if g[i] > 0.0), None)
+            right = next((i for i in range(j, len(g)) if g[i] > 0.0), None)
+            picks.append((cells, left, right))
+        assert picks[0] == picks[1], lam
 
 
 # a sweep's lams, from two roots through the fold to divergence in the
