@@ -5,9 +5,11 @@ R is convex, Navier R has one maximum), so s R falls, then rises, with
 s = +1 or -1.  A root set is read off that shape: a coarse fixed-grid RK4
 scan, checked to be unimodal; Brent's minimization of s R around the scan's
 lowest point (the extremum dig), which stops at the first value of the other
-sign; at most one secant-refined root on each side of the dug point, which is
-also the root's branch; and the final validation gate.  The scan only
-guides: every sign that decides a count is an adaptive (DP5) residual.
+sign, or once it has placed the minimum to sqrt(eps_mach) |a|, which moves
+the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default folds);
+at most one secant-refined root on each side of the dug point, which is also
+the root's branch; and the final validation gate.  The scan only guides:
+every sign that decides a count is an adaptive (DP5) residual.
 
 The scan steps the slopes of one or several lams at once with ``_rk4_step``
 on arrays, so a sweep scans all its lams in one call and each row is bit
@@ -45,6 +47,8 @@ _SCAN_UNI_N = 100
 _DIP_SIGN = {BoundaryKind.DIRICHLET: 1.0, BoundaryKind.NAVIER: -1.0}
 # iteration cap of the extremum dig; a smooth dip settles in far fewer
 _DIG_MAX_ITER = 100
+# the dig's relative bracket floor, sqrt(eps_mach)
+_DIG_RTOL = math.sqrt(math.ulp(1.0))
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 # refinement stops once the slope bracket is narrower than this
 _ROOT_TOL = 1e-10
@@ -73,8 +77,8 @@ class RootSet:
     kind: BoundaryKind
     roots: list[ShootingRoot]
     scan_window: tuple[float, float]
-    # (a, R) where the extremum dig stopped: the extremum to _ROOT_TOL, or
-    # the first slope past zero; None when the scan saw no finite residual
+    # (a, R) where the extremum dig stopped: the extremum to the dig's
+    # tolerance, or the first slope past zero; None if the scan saw no finite R
     extremum: Optional[tuple[float, float]] = None
 
     def slopes(self) -> list[float]:
@@ -203,14 +207,16 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
     Returns (a, g(a)) at the first slope where g < 0, which a root pair
-    straddles, or else at the minimum, once its bracket is _ROOT_TOL wide.
+    straddles, or else within 2 tol of the minimum, tol = max(_ROOT_TOL,
+    sqrt(eps_mach) |a|), as values of g cannot place a minimum closer; g(a)
+    then exceeds the minimum by at most g''/2 (2 tol)^2.
     """
     v = w = x
     gv = gw = gx
     d = e = 0.0
     for _ in range(_DIG_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        tol = max(_ROOT_TOL, 4.0 * math.ulp(x))
+        tol = max(_ROOT_TOL, _DIG_RTOL * abs(x))
         if gx < 0.0 or abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
             break
         # a parabola through (v, w, x) while its steps keep shrinking
@@ -354,8 +360,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
             if spec.slope_max - a < _CLUSTER_TOL and spec.slope_max < 0.0:
                 raise WindowTooSmallError("slope_max", a)
 
-    # final gate: the full trajectory of every reported root must validate
-    gated = (_gated_root(spec, a) for a in sorted(candidates))
+    # final gate, each slope once: every reported root's trajectory must validate
+    gated = (_gated_root(spec, a) for a in sorted(set(candidates)))
     roots = [root for root in gated if root is not None]
     return RootSet(
         lam=spec.lam,

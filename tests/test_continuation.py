@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from epibvp import continuation, shooting
 from epibvp.cli import main
 from epibvp.continuation import (
     Branch,
@@ -165,6 +166,36 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
     assert lo <= DIRICHLET_FOLD <= hi
     assert 168.0 <= lo < lam0 < hi <= 171.0
     assert -500.0 < a_star < 0.0
+
+
+@pytest.mark.parametrize("kind, endpoint, variational", [
+    (BoundaryKind.DIRICHLET, 44, 5), (BoundaryKind.NAVIER, 57, 4),
+], ids=["dirichlet", "navier"])
+def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
+    """A default fold's shots, pinned: the root set at the bracket's low
+    end, the fold Newton's variational shots, and the certificate's root in
+    its slope bracket and root set at lam0 + d."""
+    shots = {"endpoint": 0, "variational": 0}
+
+    def counted(name, real):
+        def shoot(spec, a):
+            shots[name] += 1
+            return real(spec, a)
+        return shoot
+
+    monkeypatch.setattr(shooting, "shoot_endpoint",
+                        counted("endpoint", shooting.shoot_endpoint))
+    monkeypatch.setattr(continuation, "shoot_variational",
+                        counted("variational", continuation.shoot_variational))
+    locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
+    assert shots == {"endpoint": endpoint, "variational": variational}
+
+
+def test_sweep_lists_the_fold_root_once():
+    """At the Navier fold lam the one root is a single upper point."""
+    lam = 11.340809421307341
+    points = sweep(BoundaryKind.NAVIER, [lam])
+    assert [(p.a, p.branch) for p in points] == [(-8.872504445680562, Branch.UPPER)]
 
 
 def test_locate_fold_bracket_independence():

@@ -263,6 +263,65 @@ def test_variational_residual_is_the_endpoint_residual():
     assert compared > len(_SHOT_CASES) // 3
 
 
+def _shoot_variational_loop(spec, a):
+    """Reference variational shot: the stages as tableau loops over the
+    8-component state, each sum accumulated from 0.0 in tableau order."""
+    lam = spec.lam
+    t = spec.eps
+    u0, _ = launch_state(a, lam, t)
+    y = (t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0)
+
+    def rhs(ts, u, ys):
+        ua, dua, ul, dul, uaa, duaa, ual, dual = ys
+        c = 4.0 * ts * ts
+        return (dua, u * ua / c, dul, u * ul / c + 0.5, duaa, (ua * ua + u * uaa) / c,
+                dual, (ul * ua + u * ual) / c)
+
+    kv = [rhs(t, u0, y)]
+
+    def advance(t, h, u, du, k):
+        nonlocal y
+        for s, row in enumerate(integrator._DP_A):
+            au = 0.0
+            b = [0.0] * 8
+            for aij, kj, vj in zip(row, k, kv):
+                au += aij * kj[0]
+                for i in range(8):
+                    b[i] += aij * vj[i]
+            ys = tuple(yi + h * bi for yi, bi in zip(y, b))
+            kv.append(rhs(t + integrator._DP_C[s] * h, u + h * au, ys))
+        y = ys
+        del kv[:6]
+
+    u, du, diverged = integrator._dp45(spec, a, advance)
+    derivs = [spec.kind.residual(y[i], y[i + 1]) for i in (0, 2, 4, 6)]
+    if diverged or not all(math.isfinite(d) for d in derivs):
+        raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
+    return (spec.kind.residual(u, du), *derivs)
+
+
+def test_unrolled_variational_matches_tableau_loops():
+    """The unrolled shoot_variational reproduces the loop reference bit for
+    bit (all five values), and raises the same error where it fails, a
+    diverging shot among them."""
+    outcomes = set()
+    cases = [case for case in _SHOT_CASES if case[2] == 1e-3] + [
+        (kind, lam, ProblemSpec.eps, a)
+        for kind, lam, a in (
+            (BoundaryKind.DIRICHLET, 168.76943127403896, -52.35461061897922),
+            (BoundaryKind.NAVIER, 11.340809421307341, -8.87250444244705),
+            (BoundaryKind.NAVIER, 11.34, -10.0),
+        )
+    ]
+    assert len(cases) > 100
+    for kind, lam, eps, a in cases:
+        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
+        want = _end(lambda: _shoot_variational_loop(spec, a))
+        assert _end(lambda: shoot_variational(spec, a)) == want, (kind, lam, eps, a)
+        outcomes.add("landed" if want.startswith("(") else want.split(" (")[0])
+    assert outcomes == {"landed", "variational shot diverged"}
+
+
 def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
     """Sample-by-sample reference for the dense fill of one accepted step:
     the samples before the step's end, from the first not yet filled."""

@@ -340,6 +340,72 @@ def test_root_set_shot_budget(monkeypatch, lam, kind):
     assert len(shots) <= 20
 
 
+# the default folds' certificate lam lam0 + d (fold.json's upper end), where
+# the dug minimum of s R is designed to be about 4e-8, and the dig's shot
+# budget there; a dig down to a _ROOT_TOL bracket takes 28 and 29 shots
+_CERT_HI = {
+    BoundaryKind.DIRICHLET: (168.76943220563186, 14),
+    BoundaryKind.NAVIER: (11.340809688926408, 22),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CERT_HI), ids=lambda k: k.value)
+def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
+    """Above the fold the dig narrows the minimum to sqrt(eps_mach) |a|, not
+    to _ROOT_TOL: its value moves by far less than BOUNDARY_TOL, stays above
+    it, and the dig takes about half the shots."""
+    lam, budget = _CERT_HI[kind]
+    spec = ProblemSpec(lam=lam, kind=kind)
+    with monkeypatch.context() as m:
+        m.setattr(shooting, "_DIG_RTOL", 0.0)
+        tight = find_shooting_roots(spec).extremum[1]
+    shots = _count_shots(monkeypatch)
+    dig_shots = []
+    real_dig = shooting._dig
+
+    def counted_dig(*args):
+        start = len(shots)
+        out = real_dig(*args)
+        dig_shots.append(len(shots) - start)
+        return out
+
+    monkeypatch.setattr(shooting, "_dig", counted_dig)
+    rs = find_shooting_roots(spec)
+    assert rs.roots == []
+    assert abs(rs.extremum[1] - tight) <= 1e-13
+    assert shooting._DIP_SIGN[kind] * rs.extremum[1] > BOUNDARY_TOL
+    assert len(dig_shots) == 1 and dig_shots[0] <= budget
+
+
+# default folds lam0 (the fold Newton's) and, at lam0 (1 + r), the root
+# counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
+# tangency root just above it, none further up
+_NEAR_FOLD = {
+    BoundaryKind.DIRICHLET: (168.76943127403896, [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
+    BoundaryKind.NAVIER: (11.340809421307341, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
+}
+_NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
+
+
+@pytest.mark.parametrize("kind", list(_NEAR_FOLD), ids=lambda k: k.value)
+def test_near_fold_root_counts(kind):
+    """The dig's coarser stop changes no root count around the fold."""
+    lam0, counts = _NEAR_FOLD[kind]
+    spec = ProblemSpec(lam=lam0, kind=kind)
+    got = [len(find_shooting_roots(replace(spec, lam=lam0 * (1.0 + r))).roots)
+           for r in _NEAR_FOLD_R]
+    assert got == counts
+
+
+def test_root_at_the_fold_is_listed_once():
+    """At the Navier fold lam the residual's minimum is 2e-15 past zero and
+    both sides' secants return the dug point: one root, not the same slope
+    twice."""
+    rs = find_shooting_roots(ProblemSpec(lam=11.340809421307341, kind=BoundaryKind.NAVIER))
+    assert rs.slopes() == [-8.872504445680562]
+    assert rs.extremum[0] == rs.slopes()[0]
+
+
 @pytest.mark.parametrize("lam, kind, a, text", [
     (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1],
      "root at scan-window edge slope_min (a = -16.2635630662405); widen the window"),
