@@ -115,11 +115,11 @@ def locate_fold(
 ) -> tuple[float, float, float, float]:
     """Solve for the fold point by Newton and certify a bracket around it.
 
-    Preconditions: 0 <= bracket[0] < bracket[1] < inf, 0 < fold_tol < inf,
-    and at bracket[0] the nontrivial-root count is >= 1.  The bracket and
-    fold_tol are checked before any root set is computed.  Newton on R = 0, R_a = 0 (:func:`_fold_newton`)
-    starts from bracket[0] at the midpoint of the smallest and largest root
-    there (the trivial a = 0 counted) and gives the fold (a*, lam0).
+    Preconditions: 0 <= bracket[0] < bracket[1] < inf and 0 < fold_tol < inf,
+    both checked before any root set, and at bracket[0] the nontrivial-root
+    count is >= 1.  Newton on R = 0, R_a = 0 (:func:`_fold_newton`) starts
+    from bracket[0] at the midpoint of the smallest and largest root there
+    (the trivial a = 0 counted) and gives the fold (a*, lam0).
 
     The bracket [lam0 - d, lam0 + d] is then certified by the count
     predicate, which monotone solvability makes sound: one validated root

@@ -9,7 +9,10 @@ little more than its arithmetic.  Dense output records the accepted steps
 and then fills every sample of the uniform grid in one vectorized pass from
 the pair's quartic interpolant, and the variational equations are advanced
 on the same accepted steps, so step sizes are chosen by the error controller
-alone.
+alone.  Only the lam-derivatives are integrated: if u(t) solves the equation,
+u(kt) solves it with k^2 lam, and the k-derivative at k = 1 of u(kt; a, lam)
+= u(t; ka, k^2 lam) is the scaling identity t u' = a u_a + 2 lam u_lam.  The
+a-derivatives are read off it divided by a, nonzero on every fold iterate.
 
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
@@ -304,121 +307,100 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
 def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float, float, float]:
     """Endpoint residual R(a, lam) and its derivatives (R, R_a, R_lam, R_aa, R_alam).
 
-    Rides on the accepted steps of :func:`_dp45` and advances, with the same
-    tableau and on Python floats, the variational equations of
-    u'' = u^2/(8t^2) + lam/2 as the 8-component state (u_a, u_a', u_lam,
-    u_lam', u_aa, u_aa', u_alam, u_alam'):
+    Rides on the accepted steps of :func:`_dp45` and advances on them, with
+    the same tableau, only u_lam'' = u u_lam / (4t^2) + 1/2 and u_lamlam'' =
+    (u_lam^2 + u u_lamlam) / (4t^2) from the series launch (eps^2/4, eps/2,
+    0, 0).  The a-derivatives at t = 1/2 come from the scaling identity
+    t u' = a u_a + 2 lam u_lam (module docstring), its a- and lam-derivatives
+    and their t-derivatives, with u'' and u_lam'' from the equation; they
+    are divided by a, not by lam, so lam = 0 is served too (at lam > 0 this
+    scales the error by 1/|a| in R_a, 1/a^2 in R_aa).  For the launched
+    solutions the identity holds up to O(eps^2): w = t u' - a u_a - 2 lam u_lam
+    solves w'' = u w / (4t^2) with w(eps) = 0 and w'(eps) = a beta eps^2/4
+    + beta^2 eps^3/8 from the two-term launch.
 
-        u_a''    = u u_a / (4t^2)
-        u_lam''  = u u_lam / (4t^2) + 1/2
-        u_aa''   = (u_a^2 + u u_aa) / (4t^2)
-        u_alam'' = (u_lam u_a + u u_alam) / (4t^2)
-
-    launched from the a- and lam-derivatives of the series launch.  Its
-    stages are spelled out on local floats like the stepper's (each sum from
-    0.0 in tableau order, zero weights included), and the stage values of u
-    are rebuilt from the step's stages in the stepper's own summation order;
-    R comes from the stepper's end state, so R is bit for bit the residual of
-    :func:`shoot_endpoint`.  The boundary residual is linear in (u, u'), so it
-    maps each pair of variational components to the matching derivative of R.
+    Stages are spelled out on floats like the stepper's, and R is its end
+    state's, bit for bit :func:`shoot_endpoint`'s; the boundary residual,
+    linear in (u, u'), maps each variational pair to its derivative of R.
 
     Raises
     ------
     IntegrationError
-        If the shot diverges (the derivatives have no meaning there) or on
-        step-size underflow.
+        If a == 0, if the shot diverges or on step-size underflow.
     """
-    lam = spec.lam
-    t = spec.eps
-    u0, _ = launch_state(a, lam, t)
-    y = (t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0)
+    if a == 0.0:
+        raise IntegrationError(f"variational shot: a must be nonzero, got a = {a!r}")
+    lam, t = spec.lam, spec.eps
+    y = (t * t / 4.0, t / 2.0, 0.0, 0.0)
     c1, c2, c3, c4, c5, c6 = _DP_C
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _DP_A
 
-    def accel(ts, u, ua, ul, uaa, ual):
-        """(u_a'', u_lam'', u_aa'', u_alam'') at time ts."""
+    def accel(ts, u, ul, ull):  # (u_lam'', u_lamlam'') at time ts
         c = 4.0 * ts * ts
-        return u * ua / c, u * ul / c + 0.5, (ua * ua + u * uaa) / c, (ul * ua + u * ual) / c
+        return u * ul / c + 0.5, (ul * ul + u * ull) / c
 
-    # stage j of a step holds zj0..zj7 (and u there is w); component i's slope
+    # stage j of a step holds zj0..zj3 (and u there is w); component i's slope
     # is zj(i+1) for even i, rji for odd i; stage 0 is y, r the last stage 6's
-    r = accel(t, u0, y[0], y[2], y[4], y[6])
+    r = accel(t, launch_state(a, lam, t)[0], y[0], y[2])
 
     def advance(t, h, u, du, k):
         nonlocal y, r
-        z00, z01, z02, z03, z04, z05, z06, z07 = y
-        r01, r03, r05, r07 = r
+        z00, z01, z02, z03 = y
+        r01, r03 = r
         (q0, _), (q1, _), (q2, _), (q3, _), (q4, _), (q5, _), _ = k
         w = u + h * (0.0 + a10 * q0)
         z10 = z00 + h * (0.0 + a10 * z01)
         z11 = z01 + h * (0.0 + a10 * r01)
         z12 = z02 + h * (0.0 + a10 * z03)
         z13 = z03 + h * (0.0 + a10 * r03)
-        z14 = z04 + h * (0.0 + a10 * z05)
-        z15 = z05 + h * (0.0 + a10 * r05)
-        z16 = z06 + h * (0.0 + a10 * z07)
-        z17 = z07 + h * (0.0 + a10 * r07)
-        r11, r13, r15, r17 = accel(t + c1 * h, w, z10, z12, z14, z16)
+        r11, r13 = accel(t + c1 * h, w, z10, z12)
         w = u + h * (0.0 + a20 * q0 + a21 * q1)
         z20 = z00 + h * (0.0 + a20 * z01 + a21 * z11)
         z21 = z01 + h * (0.0 + a20 * r01 + a21 * r11)
         z22 = z02 + h * (0.0 + a20 * z03 + a21 * z13)
         z23 = z03 + h * (0.0 + a20 * r03 + a21 * r13)
-        z24 = z04 + h * (0.0 + a20 * z05 + a21 * z15)
-        z25 = z05 + h * (0.0 + a20 * r05 + a21 * r15)
-        z26 = z06 + h * (0.0 + a20 * z07 + a21 * z17)
-        z27 = z07 + h * (0.0 + a20 * r07 + a21 * r17)
-        r21, r23, r25, r27 = accel(t + c2 * h, w, z20, z22, z24, z26)
+        r21, r23 = accel(t + c2 * h, w, z20, z22)
         w = u + h * (0.0 + a30 * q0 + a31 * q1 + a32 * q2)
         z30 = z00 + h * (0.0 + a30 * z01 + a31 * z11 + a32 * z21)
         z31 = z01 + h * (0.0 + a30 * r01 + a31 * r11 + a32 * r21)
         z32 = z02 + h * (0.0 + a30 * z03 + a31 * z13 + a32 * z23)
         z33 = z03 + h * (0.0 + a30 * r03 + a31 * r13 + a32 * r23)
-        z34 = z04 + h * (0.0 + a30 * z05 + a31 * z15 + a32 * z25)
-        z35 = z05 + h * (0.0 + a30 * r05 + a31 * r15 + a32 * r25)
-        z36 = z06 + h * (0.0 + a30 * z07 + a31 * z17 + a32 * z27)
-        z37 = z07 + h * (0.0 + a30 * r07 + a31 * r17 + a32 * r27)
-        r31, r33, r35, r37 = accel(t + c3 * h, w, z30, z32, z34, z36)
+        r31, r33 = accel(t + c3 * h, w, z30, z32)
         w = u + h * (0.0 + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
         z40 = z00 + h * (0.0 + a40 * z01 + a41 * z11 + a42 * z21 + a43 * z31)
         z41 = z01 + h * (0.0 + a40 * r01 + a41 * r11 + a42 * r21 + a43 * r31)
         z42 = z02 + h * (0.0 + a40 * z03 + a41 * z13 + a42 * z23 + a43 * z33)
         z43 = z03 + h * (0.0 + a40 * r03 + a41 * r13 + a42 * r23 + a43 * r33)
-        z44 = z04 + h * (0.0 + a40 * z05 + a41 * z15 + a42 * z25 + a43 * z35)
-        z45 = z05 + h * (0.0 + a40 * r05 + a41 * r15 + a42 * r25 + a43 * r35)
-        z46 = z06 + h * (0.0 + a40 * z07 + a41 * z17 + a42 * z27 + a43 * z37)
-        z47 = z07 + h * (0.0 + a40 * r07 + a41 * r17 + a42 * r27 + a43 * r37)
-        r41, r43, r45, r47 = accel(t + c4 * h, w, z40, z42, z44, z46)
+        r41, r43 = accel(t + c4 * h, w, z40, z42)
         w = u + h * (0.0 + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
         z50 = z00 + h * (0.0 + a50 * z01 + a51 * z11 + a52 * z21 + a53 * z31 + a54 * z41)
         z51 = z01 + h * (0.0 + a50 * r01 + a51 * r11 + a52 * r21 + a53 * r31 + a54 * r41)
         z52 = z02 + h * (0.0 + a50 * z03 + a51 * z13 + a52 * z23 + a53 * z33 + a54 * z43)
         z53 = z03 + h * (0.0 + a50 * r03 + a51 * r13 + a52 * r23 + a53 * r33 + a54 * r43)
-        z54 = z04 + h * (0.0 + a50 * z05 + a51 * z15 + a52 * z25 + a53 * z35 + a54 * z45)
-        z55 = z05 + h * (0.0 + a50 * r05 + a51 * r15 + a52 * r25 + a53 * r35 + a54 * r45)
-        z56 = z06 + h * (0.0 + a50 * z07 + a51 * z17 + a52 * z27 + a53 * z37 + a54 * z47)
-        z57 = z07 + h * (0.0 + a50 * r07 + a51 * r17 + a52 * r27 + a53 * r37 + a54 * r47)
-        r51, r53, r55, r57 = accel(t + c5 * h, w, z50, z52, z54, z56)
+        r51, r53 = accel(t + c5 * h, w, z50, z52)
         w = u + h * (0.0 + a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
         z60 = z00 + h * (0.0 + a60 * z01 + a61 * z11 + a62 * z21 + a63 * z31 + a64 * z41 + a65 * z51)
         z61 = z01 + h * (0.0 + a60 * r01 + a61 * r11 + a62 * r21 + a63 * r31 + a64 * r41 + a65 * r51)
         z62 = z02 + h * (0.0 + a60 * z03 + a61 * z13 + a62 * z23 + a63 * z33 + a64 * z43 + a65 * z53)
         z63 = z03 + h * (0.0 + a60 * r03 + a61 * r13 + a62 * r23 + a63 * r33 + a64 * r43 + a65 * r53)
-        z64 = z04 + h * (0.0 + a60 * z05 + a61 * z15 + a62 * z25 + a63 * z35 + a64 * z45 + a65 * z55)
-        z65 = z05 + h * (0.0 + a60 * r05 + a61 * r15 + a62 * r25 + a63 * r35 + a64 * r45 + a65 * r55)
-        z66 = z06 + h * (0.0 + a60 * z07 + a61 * z17 + a62 * z27 + a63 * z37 + a64 * z47 + a65 * z57)
-        z67 = z07 + h * (0.0 + a60 * r07 + a61 * r17 + a62 * r27 + a63 * r37 + a64 * r47 + a65 * r57)
-        r61, r63, r65, r67 = accel(t + c6 * h, w, z60, z62, z64, z66)
-        y = (z60, z61, z62, z63, z64, z65, z66, z67)
-        r = (r61, r63, r65, r67)
+        r61, r63 = accel(t + c6 * h, w, z60, z62)
+        y = (z60, z61, z62, z63)
+        r = (r61, r63)
 
     # the variational state may overflow to inf or nan on a divergent shot
     u, du, diverged = _dp45(spec, a, advance)
-    derivs = [spec.kind.residual(y[i], y[i + 1]) for i in (0, 2, 4, 6)]
+    ul, dul, ull, dull = y
+    # (value, slope) pairs at t = 1/2, where u'' = (u^2 + lam)/2, u_lam'' = u u_lam + 1/2
+    ua, dua = (0.5 * du - 2.0 * lam * ul) / a, (du + 0.25 * (u * u + lam) - 2.0 * lam * dul) / a
+    ual, dual = ((0.5 * dul - 2.0 * ul - 2.0 * lam * ull) / a,
+                 (0.5 * (u * ul + 0.5) - dul - 2.0 * lam * dull) / a)
+    uaa, duaa = (0.5 * dua - ua - 2.0 * lam * ual) / a, (0.5 * u * ua - 2.0 * lam * dual) / a
+    residual = spec.kind.residual
+    derivs = [residual(ua, dua), residual(ul, dul), residual(uaa, duaa), residual(ual, dual)]
     if diverged or not all(math.isfinite(d) for d in derivs):
         raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-    return (spec.kind.residual(u, du), *derivs)
+    return (residual(u, du), *derivs)
 
 
 def _rk4_step(t0, t1, h, u, du, lam):

@@ -360,8 +360,11 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
             if spec.slope_max - a < _CLUSTER_TOL and spec.slope_max < 0.0:
                 raise WindowTooSmallError("slope_max", a)
 
-    # final gate, each slope once: every reported root's trajectory must validate
-    gated = (_gated_root(spec, a) for a in sorted(set(candidates)))
+    # final gate: every reported root's trajectory must validate, each root once;
+    # a double root's two secants may stop apart, so slopes within _ROOT_TOL are one
+    candidates.sort()
+    gated = (_gated_root(spec, a) for i, a in enumerate(candidates)
+             if i == 0 or a - candidates[i - 1] >= _ROOT_TOL)
     roots = [root for root in gated if root is not None]
     return RootSet(
         lam=spec.lam,

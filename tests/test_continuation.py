@@ -111,9 +111,9 @@ DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e6
 # a scan that picks the same cells leaves every endpoint shot and byte alone
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "c4f129e9990f0eadae6cf3391d19a7478d0732ee1e4090e1218cb60ed58c2716"),
+     "252754089f277ba2c667a2e9a746f6d1f20bf5c362b26270ad5636cde8771707"),
     (["fold", "--bc", "navier"], "fold.json",
-     "c2a94f404c0dfba74b8268ae71431ea1ba29aa046a12b624e82d76a574e569ed"),
+     "cad28e7621488db0eb90cd81dd943175012053a5c8978dde7393ee1f7978ae6f"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
      "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
 ]
@@ -169,7 +169,7 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
 
 
 @pytest.mark.parametrize("kind, endpoint, variational", [
-    (BoundaryKind.DIRICHLET, 44, 5), (BoundaryKind.NAVIER, 57, 4),
+    (BoundaryKind.DIRICHLET, 41, 5), (BoundaryKind.NAVIER, 44, 4),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
     """A default fold's shots, pinned: the root set at the bracket's low

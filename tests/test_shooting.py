@@ -377,7 +377,7 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
     assert len(dig_shots) == 1 and dig_shots[0] <= budget
 
 
-# default folds lam0 (the fold Newton's) and, at lam0 (1 + r), the root
+# default folds lam0 (within 3 ulp of the fold Newton's) and, at lam0 (1 + r), the root
 # counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
 # tangency root just above it, none further up
 _NEAR_FOLD = {
@@ -399,11 +399,16 @@ def test_near_fold_root_counts(kind):
 
 def test_root_at_the_fold_is_listed_once():
     """At the Navier fold lam the residual's minimum is 2e-15 past zero and
-    both sides' secants return the dug point: one root, not the same slope
-    twice."""
-    rs = find_shooting_roots(ProblemSpec(lam=11.340809421307341, kind=BoundaryKind.NAVIER))
-    assert rs.slopes() == [-8.872504445680562]
-    assert rs.extremum[0] == rs.slopes()[0]
+    both sides' secants return the dug point; at the Dirichlet fold lam they
+    stop 2.6e-12 apart on either side of it, closer than _ROOT_TOL.  Either
+    way: one root, not the same root twice."""
+    for kind, lam, slope, dug in [
+        (BoundaryKind.NAVIER, 11.340809421307341, -8.872504445680562, -8.872504445680562),
+        (BoundaryKind.DIRICHLET, 168.76943127403896, -52.354610711419326, -52.35461071141806),
+    ]:
+        rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
+        assert rs.slopes() == [slope], kind
+        assert rs.extremum[0] == dug, kind
 
 
 @pytest.mark.parametrize("lam, kind, a, text", [
