@@ -44,11 +44,9 @@ from .errors import (
 )
 from .integrator import (
     ValidationReport,
-    first_integral_residual,
     integrate,
     integrate_rk4,
     launch_state,
-    representation_residual,
     validate,
 )
 from .model import (
@@ -86,7 +84,6 @@ __all__ = [
     "default_fold_tol",
     "f_criterion",
     "find_shooting_roots",
-    "first_integral_residual",
     "fixed_point_c0",
     "integrate",
     "integrate_rk4",
@@ -97,7 +94,6 @@ __all__ = [
     "nonexistence_dirichlet",
     "nonexistence_navier",
     "reconstruct_phi",
-    "representation_residual",
     "sweep",
     "truncated_monotone_solve",
     "universal_bound",

@@ -25,7 +25,7 @@ solvability for the given deposition rate:
 
 ``truncated_monotone_solve`` realizes the constructive side, the method of
 upper and lower functions (Amann, SIAM Rev. 18, 1976): v = -u/t solves the
-integral equation v = T_lam[v] that ``representation_residual`` checks, T_lam
+integral equation v = T_lam[v] whose residual ``validate`` reports, T_lam
 is monotone on v >= 0, and its iterates from the upper function v = 0 rise
 to the solution and stay below the lower function's -alpha/t.  The iterates
 are polynomials in x = 2t, so the solve has no truncation and needs no
@@ -441,15 +441,9 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
     Raises
     ------
     DomainError
-        If spec.grid_n < 3 (the samples must include a point inside
-        (eps, 1/2)), or if the lower-function certificate of spec.kind does
-        not certify existence at spec.lam.
+        If the lower-function certificate of spec.kind does not certify
+        existence at spec.lam.
     """
-    if spec.grid_n < 3:
-        raise DomainError(
-            f"the monotone solver samples inside (eps, 1/2) and needs grid_n >= 3, "
-            f"got {spec.grid_n}"
-        )
     if spec.kind is BoundaryKind.DIRICHLET:
         cert = lower_function_dirichlet(spec.lam)
     else:

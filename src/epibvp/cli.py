@@ -25,7 +25,7 @@ from .continuation import (
     sweep,
 )
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
-from .integrator import integrate, validate
+from .integrator import integrate
 from .model import BoundaryKind, ProblemSpec, reconstruct_phi
 from . import serialize, shooting
 
@@ -193,12 +193,10 @@ def _emit_solution(args, traj, report, suffix: str = "") -> None:
 def _cmd_solve(args) -> int:
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
-        traj = truncated_monotone_solve(spec)
-        _emit_solution(args, traj, validate(traj))
+        _emit_solution(args, *shooting.judge(spec, truncated_monotone_solve))
         return EXIT_OK
     if args.a is not None:
-        traj = integrate(spec, args.a)
-        _emit_solution(args, traj, shooting.calibrated_report(spec, traj))
+        _emit_solution(args, *shooting.judge(spec, lambda s: integrate(s, args.a)))
         return EXIT_OK
     roots = shooting.find_shooting_roots(spec)
     _write(args, "roots.json", serialize.rootset_to_json(roots))
@@ -259,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DomainError, BracketError, WindowTooSmallError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:  # e.g. a --grid whose samples the host cannot hold
+        print(f"precondition error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EpibvpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

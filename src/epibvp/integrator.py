@@ -480,39 +480,10 @@ def _singular_integral(traj: Trajectory) -> np.ndarray:
     return _cumtrapz(u * u / (8.0 * t), t) + tail
 
 
-def first_integral_residual(traj: Trajectory) -> float:
-    """Max defect of t u' - u = int_0^t u^2/(8s) ds + (lam/4) t^2 over the samples."""
-    return _first_integral_residual(traj, _singular_integral(traj))
-
-
-def _first_integral_residual(traj: Trajectory, sing: np.ndarray) -> float:
-    t, u, du = traj.t, traj.u, traj.du
-    resid = t * du - u - sing - traj.lam / 4.0 * t * t
-    return float(np.max(np.abs(resid)))
-
-
-def representation_residual(traj: Trajectory) -> float:
-    """Max defect of the integral representation of u over the samples.
-
-    Both integrals are trapezoid quadrature on the sample grid; the Navier
-    case keeps the 2 t u(1/2) term, which drops for Dirichlet solutions.
-    """
-    return _representation_residual(traj, 2.0 * _singular_integral(traj))
-
-
-def _representation_residual(traj: Trajectory, left: np.ndarray) -> float:
-    # left = int_0^t u^2/(4s) ds, the singular integral doubled (exactly)
-    t, u = traj.t, traj.u
-    lam = traj.lam
-    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
-    right = cum[-1] - cum
-    u_half = u[-1]
-    predicted = -((0.5 - t) * left + t * right + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u_half)
-    return float(np.max(np.abs(u - predicted)))
-
-
 def validate(traj: Trajectory) -> ValidationReport:
-    """Compute all validator residuals for one trajectory."""
+    """All validator residuals of one trajectory: the defects of the two
+    identities (module docstring) over the samples, max u and the endpoint
+    residual.  The package's one residual entry point."""
     if traj.diverged:
         return ValidationReport(
             first_integral_resid=math.inf,
@@ -520,12 +491,18 @@ def validate(traj: Trajectory) -> ValidationReport:
             sign_violation=float(np.max(traj.u)) if traj.u.size else math.inf,
             boundary_resid=math.inf,
         )
+    t, u, du, lam = traj.t, traj.u, traj.du, traj.lam
     sing = _singular_integral(traj)  # one integral serves both residuals
-    fi = _first_integral_residual(traj, sing)
-    sing *= 2.0  # in place, so no second array of the trajectory's length
+    fi = float(np.max(np.abs(t * du - u - sing - lam / 4.0 * t * t)))
+    # int_0^t u^2/(4s) ds, doubled in place, so no second array of the trajectory's length
+    sing *= 2.0
+    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
+    right = cum[-1] - cum
+    # the Navier case keeps the 2 t u(1/2) term, which drops for Dirichlet solutions
+    predicted = -((0.5 - t) * sing + t * right + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u[-1])
     return ValidationReport(
         first_integral_resid=fi,
-        representation_resid=_representation_residual(traj, sing),
-        sign_violation=float(np.max(traj.u)),
-        boundary_resid=float(traj.kind.residual(traj.u[-1], traj.du[-1])),
+        representation_resid=float(np.max(np.abs(u - predicted))),
+        sign_violation=float(np.max(u)),
+        boundary_resid=float(traj.kind.residual(u[-1], du[-1])),
     )

@@ -74,8 +74,10 @@ class ProblemSpec:
     slope_min, slope_max : float
         Shooting-slope scan window, finite with slope_min <= slope_max <= 0.
     grid_n : int
-        Number of output samples (uniform in t, endpoint included).  Also
-        sets the trapezoid resolution of the residual validators.
+        Number of output samples (uniform in t, endpoint included), at least
+        2 and few enough for numpy to size a float64 array of them.  A
+        solution on fewer than ``VALIDATION_GRID_MIN`` samples is judged on
+        that many (:func:`epibvp.shooting.judge`).
 
     ``scan_n``, the number of slopes of the coarse scan that locates the
     residual's extremum and guides the brackets, is the class constant 64.
@@ -106,8 +108,11 @@ class ProblemSpec:
             raise DomainError(
                 f"need finite slope_min <= slope_max <= 0, got [{self.slope_min}, {self.slope_max}]"
             )
-        if self.grid_n < 2:
-            raise DomainError("grid_n must be at least 2")
+        if not 2 <= self.grid_n <= np.iinfo(np.intp).max // 8:
+            raise DomainError(
+                f"grid_n must be at least 2 and small enough to size a float64 array, "
+                f"got {self.grid_n}"
+            )
 
 
 @dataclass
@@ -151,7 +156,7 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
 
 
-def reconstruct_phi(traj: Trajectory, report=None) -> RadialProfile:
+def reconstruct_phi(traj: Trajectory, report) -> RadialProfile:
     """Rebuild the physical profile w(r) = u(r^2/2) and the height phi(r).
 
     phi is anchored at phi(1) = 0 (for both boundary kinds) and computed by
@@ -163,20 +168,17 @@ def reconstruct_phi(traj: Trajectory, report=None) -> RadialProfile:
     ----------
     traj : Trajectory
         A trajectory that reached t = 1/2.
-    report : ValidationReport, optional
-        Pre-computed validation of ``traj``.  Computed on the fly when
-        omitted.  Reconstruction refuses trajectories that fail validation,
-        which prevents building a profile from a diverged shot.
+    report : ValidationReport
+        The validation of ``traj`` (:func:`epibvp.shooting.judge` or
+        :func:`epibvp.integrator.validate`).  Reconstruction refuses
+        trajectories that fail it, which prevents building a profile from a
+        diverged shot.
 
     Raises
     ------
     UnvalidatedTrajectoryError
         If the trajectory is diverged or fails any residual threshold.
     """
-    if report is None:
-        from .integrator import validate
-
-        report = validate(traj)
     if traj.diverged or not report.accepted():
         raise UnvalidatedTrajectoryError(
             f"refusing to reconstruct from an unvalidated trajectory: {report}"

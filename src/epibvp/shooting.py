@@ -17,15 +17,16 @@ for bit a single-lam scan.  From the scan on, slopes and residuals are
 Python floats.  Diverged shots report +inf residual and count as the tail
 side of the extremum.  Every root returned carries its trajectory on the
 caller's grid, whose launch slope is the root's slope, and the report that
-accepted it, taken at the validators' calibrated resolution
-(``calibrated_report``).
+accepted it; every candidate the gate turned down is kept with its report.
+:func:`judge` takes every report at the validators' calibrated resolution,
+for the gate and for the CLI's single-slope and monotone solves alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +81,8 @@ class RootSet:
     # (a, R) where the extremum dig stopped: the extremum to the dig's
     # tolerance, or the first slope past zero; None if the scan saw no finite R
     extremum: Optional[tuple[float, float]] = None
+    # (a, report) of each refined candidate that failed validation
+    rejected: list[tuple[float, ValidationReport]] = field(default_factory=list)
 
     def slopes(self) -> list[float]:
         return [r.a for r in self.roots]
@@ -89,18 +92,21 @@ class RootSet:
         return [r.a for r in self.roots if r.a != 0.0]
 
 
-def calibrated_report(spec: ProblemSpec, traj: Trajectory) -> ValidationReport:
-    """Validation report of a shot at the validators' calibrated resolution.
+def judge(
+    spec: ProblemSpec, sample: Callable[[ProblemSpec], Trajectory]
+) -> tuple[Trajectory, ValidationReport]:
+    """The trajectory ``sample(spec)`` and its report at the calibrated resolution.
 
     A coarse output grid raises the trapezoid error of the residual
-    validators past their thresholds, so a shot sampled on fewer than
-    ``VALIDATION_GRID_MIN`` points is re-integrated on that many before it
-    is judged; a diverged shot is rejected as it stands.
+    validators past their thresholds, so when spec.grid_n is below
+    ``VALIDATION_GRID_MIN`` the report is taken on ``sample`` run again at
+    that many points; a diverged trajectory is rejected as it stands.
     """
+    traj = sample(spec)
+    judged = traj
     if spec.grid_n < VALIDATION_GRID_MIN and not traj.diverged:
-        vspec = replace(spec, grid_n=VALIDATION_GRID_MIN)
-        return validate(integrate(vspec, traj.a))
-    return validate(traj)
+        judged = sample(replace(spec, grid_n=VALIDATION_GRID_MIN))
+    return traj, validate(judged)
 
 
 def _scan_grid(spec: ProblemSpec) -> np.ndarray:
@@ -247,15 +253,18 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
     return x, gx
 
 
-def _gated_root(spec: ProblemSpec, a: float) -> Optional[ShootingRoot]:
+def _gated_root(spec: ProblemSpec, a: float, rejected: list) -> Optional[ShootingRoot]:
     """The root at slope a if its full trajectory validates, else None.
 
     The final gate of every reported root: the trajectory on the spec's
-    grid, judged at the calibrated resolution.
+    grid, judged by :func:`judge`.  A rejected slope is appended to
+    ``rejected`` with its report.
     """
-    traj = integrate(spec, a)
-    report = calibrated_report(spec, traj)
-    return ShootingRoot(traj=traj, report=report) if report.accepted() else None
+    traj, report = judge(spec, lambda s: integrate(s, a))
+    if report.accepted():
+        return ShootingRoot(traj=traj, report=report)
+    rejected.append((a, report))
+    return None
 
 
 def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[ShootingRoot]:
@@ -272,7 +281,7 @@ def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[Shootin
     a = _refine_bracket(spec, lo, hi, flo, fhi)
     if not spec.slope_min <= a <= spec.slope_max:
         return None
-    return _gated_root(spec, a)
+    return _gated_root(spec, a, [])
 
 
 def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) -> RootSet:
@@ -284,7 +293,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     side of the dug point by safeguarded secant, or takes the dug point as
     the fold's double root when its residual is within BOUNDARY_TOL of 0.
     Each root that validates at the calibrated resolution is kept, with its
-    trajectory on ``spec.grid_n`` points and its report.
+    trajectory on ``spec.grid_n`` points and its report; each that does not
+    goes to ``rejected`` with its slope and report.
 
     Raises
     ------
@@ -363,7 +373,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     # final gate: every reported root's trajectory must validate, each root once;
     # a double root's two secants may stop apart, so slopes within _ROOT_TOL are one
     candidates.sort()
-    gated = (_gated_root(spec, a) for i, a in enumerate(candidates)
+    rejected: list[tuple[float, ValidationReport]] = []
+    gated = (_gated_root(spec, a, rejected) for i, a in enumerate(candidates)
              if i == 0 or a - candidates[i - 1] >= _ROOT_TOL)
     roots = [root for root in gated if root is not None]
     return RootSet(
@@ -372,4 +383,5 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         roots=roots,
         scan_window=(spec.slope_min, spec.slope_max),
         extremum=extremum,
+        rejected=rejected,
     )

@@ -28,11 +28,7 @@ from epibvp.certificates import (
     truncated_monotone_solve,
 )
 from epibvp.continuation import default_fold_bracket, locate_fold
-from epibvp.integrator import (
-    first_integral_residual,
-    integrate,
-    representation_residual,
-)
+from epibvp.integrator import integrate, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 
 
@@ -158,9 +154,9 @@ def test_criterion_7_solution_validation(root_cache):
             spec = ProblemSpec(lam=lam, kind=kind)
             for root in root_cache(lam, kind).roots:
                 traj = integrate(spec, root.a)
-                fi = first_integral_residual(traj)
-                rep = representation_residual(traj)
-                prof = reconstruct_phi(traj)
+                report = validate(traj)
+                fi, rep = report.first_integral_resid, report.representation_resid
+                prof = reconstruct_phi(traj, report)
                 assert fi < 1e-6, (kind, lam, root.a, fi)
                 assert rep < 1e-5, (kind, lam, root.a, rep)
                 assert np.max(traj.u) <= 1e-8
@@ -232,7 +228,7 @@ def test_criterion_10_convergence_order(root_cache):
         spec = ProblemSpec(
             lam=100.0, kind=BoundaryKind.DIRICHLET, step_tol=4e-4 * 0.5 ** k
         )
-        fis.append(first_integral_residual(integrate(spec, a_lower)))
+        fis.append(validate(integrate(spec, a_lower)).first_integral_resid)
     assert all(fis[i + 1] < fis[i] for i in range(4)), fis
     print(f"PASS criterion 10: first-integral residual decreases monotonically "
           f"across 4 step_tol halvings: {', '.join(f'{v:.3e}' for v in fis)}")

@@ -239,6 +239,39 @@ def test_monotone_solve_cli(tmp_path):
     assert abs(report["boundary_resid"]) < 1e-8
 
 
+@pytest.mark.parametrize("grid", ["2", "101", "2001"])
+@pytest.mark.parametrize("bc, lam", [("dirichlet", "144"), ("navier", "9")],
+                         ids=["dirichlet-144", "navier-9"])
+def test_monotone_solve_is_judged_like_the_default_grid(tmp_path, bc, lam, grid):
+    """A monotone solve on any output grid is judged at the calibrated
+    resolution: it succeeds, and its validation.json is the default grid's."""
+    argv = ["solve", "--bc", bc, "--lambda", lam, "--monotone"]
+    code, out = run(tmp_path / "coarse", *argv, "--grid", grid)
+    assert code == 0
+    assert load_csv(os.path.join(out, "trajectory.csv")).shape[0] == int(grid)
+    code, default = run(tmp_path / "default", *argv)
+    assert code == 0
+    with open(os.path.join(out, "validation.json"), "rb") as coarse, \
+            open(os.path.join(default, "validation.json"), "rb") as calibrated:
+        assert coarse.read() == calibrated.read()
+
+
+def test_out_of_memory_is_a_precondition_error(tmp_path, capsys, monkeypatch):
+    """A MemoryError, e.g. from a --grid the host cannot hold, exits 2 with
+    one line; the stand-in integrate allocates nothing."""
+    def no_memory(spec, a):
+        raise MemoryError(f"Unable to allocate {8 * spec.grid_n} bytes")
+
+    monkeypatch.setattr(cli, "integrate", no_memory)
+    code, out = run(tmp_path, "solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0",
+                    "--grid", "100000000000")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("precondition error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--no-such-flag"],
     ["sweep", "--lo", "0", "--hi", "5", "--n", "-1", "--bc", "navier"],
@@ -305,14 +338,15 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["solve", "--lambda", "1", "--bc", "dirichlet", "--a=-1", "--eps", "1e-300"],
     ["solve", "--lambda", "100", "--bc", "dirichlet", "--eps", "5.6e-163"],
     ["solve", "--lambda", "100", "--bc", "dirichlet", "--eps", "1e-161"],
-    ["solve", "--monotone", "--lambda", "100", "--bc", "dirichlet", "--grid", "2"],
     ["fold", "--bc", "navier", "--a-min", "-8", "--a-max", "-1"],
     ["fold", "--bc", "dirichlet", "--a-max", "-60"],
+    ["solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0", "--grid", "9223372036854775807"],
+    ["solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0", "--grid", "1152921504606846976"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
     "monotone-above-144", "monotone-above-9", "slope-min-inf",
-    "eps-underflow", "eps-square-5.6e-163", "eps-square-1e-161", "monotone-grid-2",
-    "fold-slope-below-window", "fold-slope-above-window",
+    "eps-underflow", "eps-square-5.6e-163", "eps-square-1e-161",
+    "fold-slope-below-window", "fold-slope-above-window", "grid-intp-max", "grid-2-to-60",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)

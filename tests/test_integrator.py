@@ -15,16 +15,14 @@ from epibvp.integrator import (
     SIGN_TOL,
     ValidationReport,
     _beta,
-    first_integral_residual,
     integrate,
     integrate_rk4,
     launch_state,
-    representation_residual,
     shoot_endpoint,
     shoot_variational,
     validate,
 )
-from epibvp.model import BoundaryKind, ProblemSpec
+from epibvp.model import BoundaryKind, ProblemSpec, _cumtrapz
 
 
 def test_launch_zero():
@@ -501,8 +499,9 @@ def test_determinism():
 
 def test_first_integral_zero_case():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=1001)
-    assert first_integral_residual(integrate(spec, 0.0)) == 0.0
-    assert representation_residual(integrate(spec, 0.0)) == 0.0
+    report = validate(integrate(spec, 0.0))
+    assert report.first_integral_resid == 0.0
+    assert report.representation_resid == 0.0
 
 
 @pytest.mark.parametrize("kind, lam, a", [
@@ -511,16 +510,22 @@ def test_first_integral_zero_case():
     (BoundaryKind.NAVIER, 9.0, -4.742307280271374),
 ], ids=["dirichlet-100", "navier-5", "navier-9"])
 def test_validate_shares_one_singular_integral(monkeypatch, kind, lam, a):
-    """validate builds the singular integral once for both residuals and
-    reports the public residual functions' values bit for bit."""
+    """validate builds the singular integral once for both residuals, and
+    its residuals are bit for bit the two identities' defects computed each
+    from its own copy of the integral."""
     traj = integrate(ProblemSpec(lam=lam, kind=kind, grid_n=16001), a)
     calls = []
     real = integrator._singular_integral
     monkeypatch.setattr(integrator, "_singular_integral", lambda t: calls.append(t) or real(t))
     report = validate(traj)
     assert len(calls) == 1
-    assert report.first_integral_resid == first_integral_residual(traj)
-    assert report.representation_resid == representation_residual(traj)
+    t, u, du = traj.t, traj.u, traj.du
+    fi = np.max(np.abs(t * du - u - real(traj) - lam / 4.0 * t * t))
+    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
+    predicted = -((0.5 - t) * (2.0 * real(traj)) + t * (cum[-1] - cum)
+                  + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u[-1])
+    assert report.first_integral_resid == fi
+    assert report.representation_resid == np.max(np.abs(u - predicted))
 
 
 def test_acceptance_thresholds_at_their_edges():
@@ -547,8 +552,8 @@ def test_residuals_small_on_roots(root_cache):
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
         traj = integrate(spec, root.a)
-        fi = first_integral_residual(traj)
-        rep = representation_residual(traj)
+        report = validate(traj)
+        fi, rep = report.first_integral_resid, report.representation_resid
         assert fi < FI_TOL
         # the two exact identities agree on accepted Dirichlet solutions
         assert rep < 10.0 * fi
@@ -559,9 +564,9 @@ def test_corruption_sensitivity(root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     traj = integrate(spec, rs.roots[0].a)
-    clean = first_integral_residual(traj)
+    clean = validate(traj).first_integral_resid
     corrupted = dataclasses.replace(traj, u=traj.u * 1.01)
-    assert first_integral_residual(corrupted) > 10.0 * clean
+    assert validate(corrupted).first_integral_resid > 10.0 * clean
 
 
 def test_representation_resampling_stability(root_cache):
@@ -570,8 +575,8 @@ def test_representation_resampling_stability(root_cache):
     a = rs.roots[0].a
     spec1 = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=16001)
     spec2 = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=32001)
-    r1 = representation_residual(integrate(spec1, a))
-    r2 = representation_residual(integrate(spec2, a))
+    r1 = validate(integrate(spec1, a)).representation_resid
+    r2 = validate(integrate(spec2, a)).representation_resid
     assert r2 < r1
     assert r1 < REP_TOL
 
@@ -589,7 +594,7 @@ def test_convergence_under_step_tol_halving(root_cache):
         spec = ProblemSpec(
             lam=100.0, kind=BoundaryKind.DIRICHLET, step_tol=4e-4 * 0.5 ** k
         )
-        fis.append(first_integral_residual(integrate(spec, a)))
+        fis.append(validate(integrate(spec, a)).first_integral_resid)
     assert all(fis[i + 1] < fis[i] for i in range(4)), fis
     assert fis[0] / fis[4] > 4.0
 
@@ -628,8 +633,8 @@ def test_quadrature_independence_on_subgrid(root_cache):
     sub = dataclasses.replace(
         traj, t=traj.t[::2], u=traj.u[::2], du=traj.du[::2]
     )
-    fi_full = first_integral_residual(traj)
-    fi_sub = first_integral_residual(sub)
+    fi_full = validate(traj).first_integral_resid
+    fi_sub = validate(sub).first_integral_resid
     # trapezoid is second order: the coarse grid may lose at most ~4x,
     # plus a safety factor for the changed sample set
     assert fi_sub <= 8.0 * fi_full

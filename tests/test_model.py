@@ -43,6 +43,17 @@ def test_problem_spec_validation():
     assert len(find_shooting_roots(spec).nontrivial()) == 2
 
 
+def test_grid_n_must_size_a_float64_array():
+    """grid_n runs from 2 up to the float64 count numpy can size; the spec
+    allocates nothing, so its bounds are checked without memory."""
+    big = np.iinfo(np.intp).max // 8
+    for grid_n in (1, big + 1, 2 ** 63 - 1):
+        with pytest.raises(DomainError, match="grid_n"):
+            ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+    for grid_n in (2, big):
+        assert ProblemSpec(lam=1.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n).grid_n == grid_n
+
+
 def test_trajectory_requires_increasing_t():
     with pytest.raises(DomainError):
         Trajectory(
@@ -58,7 +69,7 @@ def test_trajectory_requires_increasing_t():
 def test_reconstruct_zero_solution():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=2001)
     traj = integrate(spec, 0.0)
-    prof = reconstruct_phi(traj)
+    prof = reconstruct_phi(traj, validate(traj))
     assert np.all(prof.w == 0.0)
     assert np.all(prof.phi == 0.0)
     assert prof.r[-1] == 1.0
@@ -67,7 +78,7 @@ def test_reconstruct_zero_solution():
 def test_reconstruct_anchor_and_sign(dirichlet_spec, root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     traj = integrate(dirichlet_spec, rs.roots[0].a)
-    prof = reconstruct_phi(traj)
+    prof = reconstruct_phi(traj, validate(traj))
     assert prof.phi[-1] == 0.0  # anchored at r = 1 by construction
     assert np.max(prof.w) <= SIGN_TOL
     assert np.min(prof.phi) >= 0.0  # w <= 0 forces phi >= 0
@@ -85,7 +96,7 @@ def test_reconstruct_derivative_identity(dirichlet_spec, root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     for root in rs.roots:
         traj = integrate(dirichlet_spec, root.a)
-        prof = reconstruct_phi(traj)
+        prof = reconstruct_phi(traj, validate(traj))
         r, w, phi = prof.r, prof.w, prof.phi
         h1 = r[1:-1] - r[:-2]
         h2 = r[2:] - r[1:-1]
@@ -101,14 +112,14 @@ def test_reconstruct_refuses_diverged():
     traj = integrate(spec, -2000.0)
     assert traj.diverged
     with pytest.raises(UnvalidatedTrajectoryError):
-        reconstruct_phi(traj)
+        reconstruct_phi(traj, validate(traj))
 
 
 def test_reconstruct_refuses_non_root():
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=2001)
     traj = integrate(spec, -5.0)  # not a boundary root
     with pytest.raises(UnvalidatedTrajectoryError):
-        reconstruct_phi(traj)
+        reconstruct_phi(traj, validate(traj))
 
 
 def test_reconstruct_accepts_precomputed_report(dirichlet_spec, root_cache):

@@ -166,7 +166,7 @@ def test_kernel_takes_almost_every_solution_cell(root_cache):
     fallback, so the kernel, not format, writes the artifacts."""
     upper = max(root_cache(100.0, BoundaryKind.DIRICHLET).slopes())
     traj = integrate(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), upper)
-    prof = reconstruct_phi(traj)
+    prof = reconstruct_phi(traj, validate(traj))
     for columns in ([traj.t, traj.u, traj.du], [prof.r, prof.w, prof.phi]):
         _, ok = serialize._cells(np.column_stack(columns))
         assert np.count_nonzero(~ok) <= 0.01 * len(ok)
@@ -215,7 +215,7 @@ def test_trajectory_and_profile_json_match_list_form():
     """tolist() gives the text of list(ndarray): the same doubles, each
     written by float.__repr__."""
     traj = _traj()
-    prof = reconstruct_phi(traj)
+    prof = reconstruct_phi(traj, validate(traj))
     dump = lambda payload: json.dumps(payload, indent=2, allow_nan=False) + "\n"
     want = dump({"t": list(traj.t), "u": list(traj.u), "du": list(traj.du)})
     assert serialize.trajectory_to_json(traj) == want
@@ -242,7 +242,7 @@ def test_trajectory_csv_roundtrip():
 
 def test_profile_csv_roundtrip():
     traj = _traj()
-    prof = reconstruct_phi(traj)
+    prof = reconstruct_phi(traj, validate(traj))
     text = serialize.profile_to_csv(prof)
     assert text.startswith("r,w,phi\n")
     r, w, phi = _columns(text)

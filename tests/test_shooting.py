@@ -139,7 +139,7 @@ def test_reconstructed_w_sign_property(root_cache):
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
         traj = integrate(spec, root.a)
-        prof = reconstruct_phi(traj)
+        prof = reconstruct_phi(traj, validate(traj))
         assert np.max(prof.w) <= SIGN_TOL
         assert abs(prof.w[0]) < 1e-4
 
@@ -468,3 +468,41 @@ def test_rootset_fields(root_cache):
     assert rs.lam == 100.0
     assert rs.kind is BoundaryKind.DIRICHLET
     assert rs.scan_window == (-500.0, 0.0)
+    assert rs.rejected == []
+
+
+def test_rootset_keeps_the_candidates_the_gate_rejects(root_cache, monkeypatch):
+    """A candidate whose report fails is listed in ``rejected`` with that
+    report, and the other root is kept as before."""
+    lower, upper = root_cache(100.0, BoundaryKind.DIRICHLET).roots
+    real = shooting.validate
+
+    def reject_upper(traj):
+        report = real(traj)
+        return replace(report, first_integral_resid=math.inf) if traj.a == upper.a else report
+
+    monkeypatch.setattr(shooting, "validate", reject_upper)
+    rs = find_shooting_roots(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET))
+    assert rs.slopes() == [lower.a]
+    assert rs.roots[0].report == lower.report
+    [(a, report)] = rs.rejected
+    assert a == upper.a
+    assert report == replace(upper.report, first_integral_resid=math.inf)
+    assert not report.accepted()
+
+
+@pytest.mark.parametrize("grid_n, diverged, grids", [
+    (16001, False, [16001]), (101, False, [101, 16001]), (101, True, [101]),
+], ids=["calibrated", "coarse", "coarse-diverged"])
+def test_judge_validates_at_the_calibrated_resolution(grid_n, diverged, grids):
+    """judge returns the trajectory on the spec's grid; below the calibrated
+    grid it judges the sampler's output on that grid instead, unless the
+    trajectory diverged."""
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+    a = -2000.0 if diverged else LAM100_DIRICHLET[1]
+    seen = []
+    traj, report = shooting.judge(spec, lambda s: seen.append(s.grid_n) or integrate(s, a))
+    assert seen == grids
+    assert np.array_equal(traj.u, integrate(spec, a).u)
+    assert report == validate(integrate(replace(spec, grid_n=grids[-1]), a))
+    assert report.accepted() is not diverged
