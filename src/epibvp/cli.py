@@ -71,7 +71,6 @@ def _add_numerics(p, tol_dest: str, tol_help: str) -> None:
     """The ProblemSpec flags, named after the fields they set."""
     p.add_argument("--eps", type=float, help="series launch point")
     p.add_argument("--tol", dest=tol_dest, type=float, help=tol_help)
-    p.add_argument("--grid", dest="grid_n", type=int, help="output sample count")
     p.add_argument("--a-min", dest="slope_min", type=float, help="scan window lower slope")
     p.add_argument("--a-max", dest="slope_max", type=float, help="scan window upper slope")
 
@@ -95,6 +94,7 @@ def _build_parser() -> _Parser:
     method.add_argument("--monotone", action="store_true",
                         help="use the monotone iteration instead of shooting")
     _add_numerics(p_solve, "step_tol", "integrator step tolerance")
+    p_solve.add_argument("--grid", dest="grid_n", type=int, help="output sample count")
     p_solve.add_argument("--format", choices=["csv", "json"], default="csv",
                          help="tabular output format")
 

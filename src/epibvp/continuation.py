@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import BOUNDARY_TOL, shoot_variational
 from .model import BoundaryKind, ProblemSpec
-from .shooting import _scan_residuals, find_shooting_roots, root_in_bracket
+from .shooting import _scan_extremum, _scan_residuals, find_shooting_roots, root_in_bracket
 
 # Newton on the fold stops once both steps are below this, relative to
 # 1 + |a| and 1 + lam; quadratic convergence makes the last iterate far
@@ -116,10 +116,9 @@ def locate_fold(
     """Solve for the fold point by Newton and certify a bracket around it.
 
     Preconditions: 0 <= bracket[0] < bracket[1] < inf and 0 < fold_tol < inf,
-    both checked before any root set, and at bracket[0] the nontrivial-root
-    count is >= 1.  Newton on R = 0, R_a = 0 (:func:`_fold_newton`) starts
-    from bracket[0] at the midpoint of the smallest and largest root there
-    (the trivial a = 0 counted) and gives the fold (a*, lam0).
+    both checked before any shot, and a finite residual in the slope scan at
+    bracket[0].  Newton on R = 0, R_a = 0 (:func:`_fold_newton`) starts
+    there, at the scan's lowest point of s R, and gives the fold (a*, lam0).
 
     The bracket [lam0 - d, lam0 + d] is then certified by the count
     predicate, which monotone solvability makes sound: one validated root
@@ -127,8 +126,7 @@ def locate_fold(
     quadratic turning point predicts, and no nontrivial root at lam0 + d.
     d starts at 4 BOUNDARY_TOL / |R_lam|, so the residual's minimum at
     lam0 + d clears the root gate's tangency threshold, and doubles while a
-    check fails.  When lam0 - d falls below bracket[0], bracket[0] is the
-    lower end.
+    check fails.
 
     Returns (lam_lo, lam_hi, lam0, a_star) with lam_hi - lam_lo <= fold_tol;
     no claim is made about solvability exactly at the fold.
@@ -136,8 +134,9 @@ def locate_fold(
     Raises
     ------
     BracketError
-        Naming the failing end when a bracket precondition does not hold,
-        or "hi" when lam0 + d exceeds bracket[1].
+        Naming the failing end when a bracket precondition does not hold;
+        "lo" when the scan at bracket[0] has no finite residual or lam0 - d
+        falls below it, "hi" when lam0 + d exceeds bracket[1].
     DomainError
         When fold_tol is not finite and > 0.
     WindowTooSmallError
@@ -158,12 +157,10 @@ def locate_fold(
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
     spec = replace(spec_defaults, lam=lo, kind=kind)
 
-    roots = find_shooting_roots(spec)
-    if not roots.nontrivial():
-        raise BracketError("lo", f"no nontrivial root at lam = {lo}")
-    start = float(0.5 * (roots.roots[0].a + roots.roots[-1].a))
-    del roots  # only the start point is needed, not the roots' trajectories
-    a_star, lam0, r_lam, r_aa = _fold_newton(spec, start)
+    a_grid, _, cells = _scan_extremum(spec)
+    if cells is None:
+        raise BracketError("lo", f"the slope scan at lam = {lo} sees no finite residual")
+    a_star, lam0, r_lam, r_aa = _fold_newton(spec, a_grid[cells[1]])
     # the certificate's root sets scan only the window, so a fold slope
     # outside it could never be certified
     if not spec.slope_min <= a_star <= spec.slope_max:
@@ -172,15 +169,14 @@ def locate_fold(
 
     d = 4.0 * BOUNDARY_TOL / abs(r_lam)
     while 2.0 * d <= fold_tol:
+        if lam0 - d < lo:
+            raise BracketError("lo", f"the fold lam0 = {lam0!r} is not above lo = {lo} by {d:.3g}")
         if lam0 + d > hi:
             raise BracketError("hi", f"the fold lam0 = {lam0!r} is not below hi = {hi} by {d:.3g}")
-        lam_lo = max(lo, lam0 - d)  # at lo itself the root set above is the check
         delta = math.sqrt(2.0 * abs(r_lam) * d / abs(r_aa))
-        lower_ok = lam_lo == lo or root_in_bracket(
-            replace(spec, lam=lam_lo), a_star, a_star + 2.0 * delta
-        ) is not None
-        if lower_ok and not find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial():
-            return lam_lo, lam0 + d, lam0, a_star
+        below = root_in_bracket(replace(spec, lam=lam0 - d), a_star, a_star + 2.0 * delta)
+        if below is not None and not find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial():
+            return lam0 - d, lam0 + d, lam0, a_star
         d *= 2.0
     raise EpibvpError(
         f"no bracket of width <= fold_tol = {fold_tol} certifies the fold lam0 = {lam0!r}"

@@ -208,6 +208,16 @@ def _extremum_cells(spec: ProblemSpec, g: list[float]) -> Optional[tuple[int, in
     return finite[max(j - 1, 0)], finite[j], finite[min(j + 1, len(finite) - 1)]
 
 
+def _scan_extremum(spec: ProblemSpec, scan: Optional[np.ndarray] = None):
+    """Slopes, g = s R and :func:`_extremum_cells` of g for the scan at
+    spec.lam, or its row ``scan``, in Python floats for ``_dp45``'s scalar loop."""
+    if scan is None:
+        scan = _scan_residuals(spec, [spec.lam])[0]
+    s = _DIP_SIGN[spec.kind]
+    coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
+    return _scan_grid(spec).tolist(), coarse, _extremum_cells(spec, coarse)
+
+
 def _dig(g, lo: float, hi: float, x: float, gx: float):
     """Brent's parabolic minimization of g = s R on [lo, hi] from x, g(x) = gx.
 
@@ -315,13 +325,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     if spec.slope_max < 0.0 and math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
         raise WindowTooSmallError("slope_max", spec.slope_max)
 
-    if scan is None:
-        scan = _scan_residuals(spec, [spec.lam])[0]
+    a_grid, coarse, cells = _scan_extremum(spec, scan)
     s = _DIP_SIGN[spec.kind]
-    # Python floats from here on: every endpoint shot then runs _dp45's
-    # scalar loop on floats, not on numpy scalars
-    a_grid = _scan_grid(spec).tolist()
-    coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
     exact = {spec.slope_min: f_lo_edge, spec.slope_max: f_hi_edge}
 
     def g(a: float) -> float:
@@ -333,7 +338,6 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
 
     candidates: list[float] = []
     extremum = None
-    cells = _extremum_cells(spec, coarse)
     if cells is not None:
         lo, start, hi = (a_grid[i] for i in cells)
         x, gx = _dig(g, lo, hi, start, g(start))

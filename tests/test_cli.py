@@ -278,7 +278,10 @@ def test_out_of_memory_is_a_precondition_error(tmp_path, capsys, monkeypatch):
     ["certify", "--lambda", "5", "--bc", "navier", "--grid", "2"],
     ["fold", "--bc", "navier", "--format", "json"],
     ["solve", "--lambda", "100", "--bc", "dirichlet", "--a", "-5", "--monotone"],
-], ids=["no-such-flag", "range-n-negative", "certify-grid", "fold-format", "a-with-monotone"])
+    ["sweep", "--lambdas", "0,5", "--bc", "navier", "--grid", "2001"],
+    ["fold", "--bc", "navier", "--grid", "2001"],
+], ids=["no-such-flag", "range-n-negative", "certify-grid", "fold-format", "a-with-monotone",
+        "sweep-grid", "fold-grid"])
 def test_usage_error_unknown_flag(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
     assert code == 1
@@ -325,6 +328,19 @@ def test_precondition_error_bad_bracket(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("eps", ["0.01", "0.1", "0.3"])
+def test_coarse_eps_fold_is_numerical_failure(tmp_path, capsys, eps):
+    """At a coarse eps the Dirichlet fold Newton fails (0.1, 0.3), or no
+    bracket certifies, as the roots near its fold fail validation (0.01):
+    exit 3."""
+    code, out = run(tmp_path, "fold", "--bc", "dirichlet", "--eps", eps)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--lambda", "nan", "--bc", "navier"],
     ["certify", "--lambda", "inf", "--bc", "dirichlet"],
@@ -340,13 +356,16 @@ def test_precondition_error_bad_bracket(tmp_path):
     ["solve", "--lambda", "100", "--bc", "dirichlet", "--eps", "1e-161"],
     ["fold", "--bc", "navier", "--a-min", "-8", "--a-max", "-1"],
     ["fold", "--bc", "dirichlet", "--a-max", "-60"],
+    ["fold", "--bc", "navier", "--lo", "11.3408094", "--hi", "11.5"],
+    ["fold", "--bc", "dirichlet", "--a-min", "-1e308", "--a-max", "-1e307"],
     ["solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0", "--grid", "9223372036854775807"],
     ["solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0", "--grid", "1152921504606846976"],
 ], ids=[
     "certify-nan", "certify-inf", "sweep-nan", "solve-tol-0", "solve-tol-neg", "fold-tol-nan",
     "monotone-above-144", "monotone-above-9", "slope-min-inf",
     "eps-underflow", "eps-square-5.6e-163", "eps-square-1e-161",
-    "fold-slope-below-window", "fold-slope-above-window", "grid-intp-max", "grid-2-to-60",
+    "fold-slope-below-window", "fold-slope-above-window", "fold-within-d-of-lo",
+    "fold-scan-not-finite", "grid-intp-max", "grid-2-to-60",
 ])
 def test_precondition_error_bad_number(tmp_path, capsys, argv):
     code, out = run(tmp_path, *argv)
@@ -359,8 +378,7 @@ def test_precondition_error_bad_number(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--lambda", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307"],
-    ["sweep", "--lambdas", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307",
-     "--grid", "10"],
+    ["sweep", "--lambdas", "1", "--bc", "navier", "--a-min=-1e308", "--a-max=-1e307"],
     ["solve", "--lambda", "5", "--bc", "navier", "--tol", "1e300"],
     ["sweep", "--lambdas", "5", "--bc", "navier", "--tol", "1e300"],
 ], ids=["solve", "sweep", "solve-tol-1e300", "sweep-tol-1e300"])

@@ -111,9 +111,9 @@ DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e6
 # a scan that picks the same cells leaves every endpoint shot and byte alone
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "252754089f277ba2c667a2e9a746f6d1f20bf5c362b26270ad5636cde8771707"),
+     "ecdc6cf8d2864348ec5a68e6ca01b1cd4e195d84d04795d407478ea4acdaa0fa"),
     (["fold", "--bc", "navier"], "fold.json",
-     "cad28e7621488db0eb90cd81dd943175012053a5c8978dde7393ee1f7978ae6f"),
+     "1cbaa309166bbfeb49bd7c845684541be8dc83040348cff480206aa6dc854bc2"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
      "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
 ]
@@ -169,26 +169,31 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
 
 
 @pytest.mark.parametrize("kind, endpoint, variational", [
-    (BoundaryKind.DIRICHLET, 41, 5), (BoundaryKind.NAVIER, 44, 4),
+    (BoundaryKind.DIRICHLET, 23, 5), (BoundaryKind.NAVIER, 26, 4),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
-    """A default fold's shots, pinned: the root set at the bracket's low
-    end, the fold Newton's variational shots, and the certificate's root in
-    its slope bracket and root set at lam0 + d."""
-    shots = {"endpoint": 0, "variational": 0}
+    """A default fold's shots and calls, pinned: the fold Newton's
+    variational shots from the scan at the bracket's low end, then one root
+    in its slope bracket at lam0 - d and one full root set at lam0 + d."""
+    calls = {"endpoint": 0, "variational": 0, "root_sets": 0, "roots_in_bracket": 0}
 
     def counted(name, real):
-        def shoot(spec, a):
-            shots[name] += 1
-            return real(spec, a)
-        return shoot
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
     monkeypatch.setattr(shooting, "shoot_endpoint",
                         counted("endpoint", shooting.shoot_endpoint))
     monkeypatch.setattr(continuation, "shoot_variational",
                         counted("variational", continuation.shoot_variational))
+    monkeypatch.setattr(continuation, "find_shooting_roots",
+                        counted("root_sets", continuation.find_shooting_roots))
+    monkeypatch.setattr(continuation, "root_in_bracket",
+                        counted("roots_in_bracket", continuation.root_in_bracket))
     locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
-    assert shots == {"endpoint": endpoint, "variational": variational}
+    assert calls == {"endpoint": endpoint, "variational": variational,
+                     "root_sets": 1, "roots_in_bracket": 1}
 
 
 def test_sweep_lists_the_fold_root_once():
@@ -208,7 +213,8 @@ def test_locate_fold_bracket_independence():
 
 
 def test_locate_fold_dirichlet_from_zero():
-    """From lo = 0 (trivial root counted in the Newton start) to the same bracket."""
+    """From the scan at lo = 0, where the trivial root a = 0 is one of two,
+    Newton reaches the same bracket."""
     fold = locate_fold(BoundaryKind.DIRICHLET, (0.0, 307.0), 0.5)
     default = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
     assert fold == pytest.approx(default, rel=0.0, abs=1e-9)
@@ -218,6 +224,35 @@ def test_locate_fold_bad_bracket_lo():
     with pytest.raises(BracketError) as err:
         locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), 0.05)
     assert err.value.end == "lo"
+
+
+def test_locate_fold_within_d_of_lo():
+    """A lo less than d below the fold fails at "lo", as a hi less than d
+    above it fails at "hi"; the message names the fold Newton found."""
+    with pytest.raises(BracketError) as err:
+        locate_fold(BoundaryKind.NAVIER, (11.3408094, 11.5), 0.05)
+    assert err.value.end == "lo"
+    assert "11.3408094213" in str(err.value)
+
+
+def test_locate_fold_scan_without_a_finite_residual():
+    # every slope of this window overflows at launch
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-1e308, slope_max=-1e307)
+    with pytest.raises(BracketError) as err:
+        locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5, spec)
+    assert err.value.end == "lo"
+    assert "sees no finite residual" in str(err.value)
+
+
+def test_locate_fold_window_without_the_roots_at_lo():
+    """Newton needs only the scan at lo, not its roots: a window that holds
+    a* but leaves out both roots at lo = 144 certifies the default bracket."""
+    spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-60.0, slope_max=-40.0)
+    assert find_shooting_roots(replace(spec, lam=144.0)).roots == []
+    lo, hi, lam0, a_star = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5, spec)
+    default = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
+    assert (lo, hi, lam0, a_star) == pytest.approx(default, rel=1e-14, abs=0.0)
+    assert lo <= DIRICHLET_FOLD <= hi
 
 
 def test_locate_fold_bad_bracket_hi():
