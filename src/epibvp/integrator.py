@@ -406,9 +406,9 @@ def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float,
 def _rk4_step(t0, t1, h, u, du, lam):
     """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
 
-    Works on scalars and, elementwise, on arrays of states and of lams:
-    it steps the reference integrator below and the slope scan of
-    :mod:`epibvp.shooting`.
+    Works on scalars and, elementwise, on arrays of states and of lams.  It
+    steps the reference integrator below, and its order of operations is the
+    one that the in-place slope scan of :mod:`epibvp.shooting` repeats.
     """
     th = t0 + 0.5 * h
     half_lam = lam / 2.0

@@ -11,13 +11,17 @@ at most one secant-refined root on each side of the dug point, which is also
 the root's branch; and the final validation gate.  The scan only guides:
 every sign that decides a count is an adaptive (DP5) residual.
 
-The scan steps the slopes of one or several lams at once with ``_rk4_step``
-on arrays, so a sweep scans all its lams in one call and each row is bit
-for bit a single-lam scan.  From the scan on, slopes and residuals are
-Python floats.  Diverged shots report +inf residual and count as the tail
-side of the extremum.  Every root returned carries its trajectory on the
-caller's grid, whose launch slope is the root's slope, and the report that
-accepted it; every candidate the gate turned down is kept with its report.
+The scan steps the slopes of one or several lams at once, in place on
+preallocated arrays and in the order of operations of ``_rk4_step``, so a
+sweep scans all its lams in one call and each row is bit for bit a
+single-lam scan.  From the scan on, slopes and residuals are Python floats.
+Diverged shots report +inf residual and count as the tail side of the
+extremum.  Every root returned carries its trajectory on the caller's grid,
+whose launch slope is the root's slope, and the report that accepted it;
+every candidate the gate turned down is kept with its report.  A root set
+refines its roots to a slope bracket of _ROOT_TOL, since it lists them and
+merges a double root's two secants; the lone root of :func:`root_in_bracket`
+is only gated, so it stops at the first slope with |R| <= BOUNDARY_TOL / 2.
 :func:`judge` takes every report at the validators' calibrated resolution,
 for the gate and for the CLI's single-slope and monotone solves alike.
 """
@@ -126,27 +130,51 @@ def _scan_times(eps: float) -> np.ndarray:
 def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     """Endpoint residuals of the scan grid at each lam, one row per lam.
 
-    Fixed-grid RK4 (``_rk4_step``) on one flattened state of
-    ``len(lams) * scan_n`` slopes, each with its own lam; the arithmetic is
-    elementwise, so a row's bits do not depend on the lams scanned with it.
-    Guidance only: every residual that decides a root comes from the
-    adaptive integrator.  Diverged entries come back +inf.
+    Fixed-grid RK4 on one flattened state of ``len(lams) * scan_n`` slopes,
+    each with its own lam, written in place into preallocated buffers.
+    Every element goes through the operations of ``_rk4_step`` in its
+    order, so a row is bit for bit a single-lam ``_rk4_step`` scan, whatever
+    lams are scanned with it.  Guidance only: every residual that decides a
+    root comes from the adaptive integrator.  Diverged entries come back +inf.
     """
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
     lam = np.repeat(np.asarray(lams, dtype=float), a_grid.size)
+    half_lam = lam / 2.0
     grid = _scan_times(spec.eps).tolist()
-    alive = np.ones(a.shape, dtype=bool)
+    # stage s's rows are its state u and its slope pair (u', u''); stage 0
+    # starts at y = (u, u'), so y and every slope pair are views
+    k = np.empty((4, 3, a.size))
+    y, u, du, k1v = k[0, :2], k[0, 0], k[0, 1], k[0, 2]
+    stages = [(k[s, :2], k[s, 0], k[s, 2], k[s - 1, 1:]) for s in range(1, 4)]
+    k1, k2, k3, k4 = (k[s, 1:] for s in range(4))
+    acc, tmp = np.empty((2, a.size)), np.empty((2, a.size))
+    peak = np.zeros(a.size)
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
-        u, du = launch_state(a, lam, spec.eps)
+        u[...], du[...] = launch_state(a, lam, spec.eps)
         for t0, t1 in zip(grid, grid[1:]):
-            u, du = _rk4_step(t0, t1, t1 - t0, u, du, lam)
-            # NaN and inf fail the comparison too; a dead slope stays dead
-            alive &= np.abs(u) <= BLOWUP
+            h = t1 - t0
+            th = t0 + 0.5 * h
+            np.multiply(u, u, out=k1v)
+            np.divide(k1v, 8.0 * t0 * t0, out=k1v)
+            np.add(k1v, half_lam, out=k1v)
+            for (state, us, vs, prev), step, t in zip(stages, (0.5 * h, 0.5 * h, h), (th, th, t1)):
+                # (u_s, u'_s) = y + step (u', u'') of the stage before
+                np.add(y, np.multiply(step, prev, out=state), out=state)
+                np.multiply(us, us, out=vs)
+                np.divide(vs, 8.0 * t * t, out=vs)
+                np.add(vs, half_lam, out=vs)
+            # y += h / 6 (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k1, np.multiply(2.0, k2, out=tmp), out=acc)
+            np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(y, np.multiply(h / 6.0, acc, out=acc), out=y)
+            # NaN propagates through maximum, so NaN and inf slopes stay dead
+            np.maximum(peak, np.abs(u, out=tmp[0]), out=peak)
         resid = spec.kind.residual(u, du)
-    return np.where(alive, resid, np.inf).reshape(len(lams), a_grid.size)
+    return np.where(peak <= BLOWUP, resid, np.inf).reshape(len(lams), a_grid.size)
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
@@ -156,19 +184,21 @@ def _residual_at(spec: ProblemSpec, a: float) -> float:
     return spec.kind.residual(u, du)
 
 
-def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
+def _refine_bracket(
+    spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float, width: float = _ROOT_TOL
+) -> float:
     """Bracket-safeguarded secant inside a sign-change bracket.
 
     Starts on the bracket it is given; a step that leaves the bracket, or
     whose secant denominator is 0 or not finite, is replaced by the
     midpoint.  Returns the slope of smallest |residual| once the bracket is
-    narrower than _ROOT_TOL and that residual is within BOUNDARY_TOL / 2,
+    no wider than ``width`` and that residual is within BOUNDARY_TOL / 2,
     or once the bracket is 4 ulp wide, or after 60 steps.
     """
     x0, f0, x1, f1 = lo, flo, hi, fhi
     best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
     for _ in range(60):
-        if hi - lo <= _ROOT_TOL and abs(best_f) <= 0.5 * BOUNDARY_TOL:
+        if hi - lo <= width and abs(best_f) <= 0.5 * BOUNDARY_TOL:
             break
         denom = f1 - f0
         if denom == 0.0 or not math.isfinite(denom):
@@ -277,21 +307,26 @@ def _gated_root(spec: ProblemSpec, a: float, rejected: list) -> Optional[Shootin
     return None
 
 
-def root_in_bracket(spec: ProblemSpec, lo: float, hi: float) -> Optional[ShootingRoot]:
+def root_in_bracket(
+    spec: ProblemSpec, lo: float, hi: float, rejected: Optional[list] = None
+) -> Optional[ShootingRoot]:
     """The validated root inside the slope bracket [lo, hi], or None.
 
-    The residual must change sign across the bracket; the root is refined
-    as in :func:`find_shooting_roots`, must lie inside the scan window and
-    must pass the same final gate.
+    The residual must change sign across the bracket.  The secant of
+    :func:`find_shooting_roots` stops at its first slope with |R| <=
+    BOUNDARY_TOL / 2, however wide the bracket still is: that slope is not
+    listed beside others, and only the final gate rules on it.  It must lie
+    inside the scan window and pass that gate; a slope the gate turns down
+    is appended to ``rejected``, if given, with its report.
     """
     flo = _residual_at(spec, lo)
     fhi = _residual_at(spec, hi)
     if not (math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0):
         return None
-    a = _refine_bracket(spec, lo, hi, flo, fhi)
+    a = _refine_bracket(spec, lo, hi, flo, fhi, width=math.inf)
     if not spec.slope_min <= a <= spec.slope_max:
         return None
-    return _gated_root(spec, a, [])
+    return _gated_root(spec, a, [] if rejected is None else rejected)
 
 
 def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) -> RootSet:

@@ -169,7 +169,7 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
 
 
 @pytest.mark.parametrize("kind, endpoint, variational", [
-    (BoundaryKind.DIRICHLET, 23, 5), (BoundaryKind.NAVIER, 26, 4),
+    (BoundaryKind.DIRICHLET, 18, 5), (BoundaryKind.NAVIER, 20, 4),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
     """A default fold's shots and calls, pinned: the fold Newton's

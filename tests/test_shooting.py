@@ -218,6 +218,8 @@ def test_scan_picks_the_cells_dp5_would_pick(kind):
 # a sweep's lams, from two roots through the fold to divergence in the
 # window, scanned as one block in one call
 _SWEEP_LAMS = [100.0, 0.0, 50.0, 150.0, 168.0, 200.0, 300.0, 1000.0, 5000.0]
+# the same for Navier, on to partly (4000) and wholly (1e4) diverged rows
+_NAVIER_LAMS = [5.0, 0.0, 11.0, 11.340809421307341, 11.5, 20.0, 100.0, 4000.0, 1e4]
 
 
 @pytest.mark.parametrize("spec, lams", [
@@ -225,7 +227,10 @@ _SWEEP_LAMS = [100.0, 0.0, 50.0, 150.0, 168.0, 200.0, 300.0, 1000.0, 5000.0]
     (ProblemSpec(lam=1.0, kind=BoundaryKind.NAVIER, slope_min=-1e308, slope_max=-1e307), [1.0]),
     (ProblemSpec(lam=5000.0, kind=BoundaryKind.DIRICHLET), [5000.0]),
     (ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET), _SWEEP_LAMS),
-], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000", "dirichlet-block"])
+    (ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, eps=0.3), [100.0]),
+    (ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER), _NAVIER_LAMS),
+], ids=["dirichlet-100", "navier-overflow-window", "dirichlet-5000", "dirichlet-block",
+        "dirichlet-eps-0.3-geometric", "navier-block"])
 def test_scan_residuals_match_masked_reference(spec, lams):
     """Every row of a multi-lam scan is bit for bit the single-lam masked scan."""
     a_grid = np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
@@ -461,6 +466,27 @@ def test_root_in_bracket_matches_root_set(root_cache):
     assert root_in_bracket(spec, upper.a + 1.0, upper.a + 2.0) is None
     narrow = replace(spec, slope_min=upper.a + 0.5)
     assert root_in_bracket(narrow, upper.a - 1.0, upper.a + 1.0) is None
+
+
+@pytest.mark.parametrize("lam, kind, a", [
+    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[0]),
+    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1]),
+    (9.0, BoundaryKind.NAVIER, -4.742307280271374),
+], ids=["dirichlet-100-lower", "dirichlet-100-upper", "navier-9"])
+def test_root_in_bracket_stops_at_the_gates_residual(monkeypatch, lam, kind, a):
+    """The bracket's secant stops at a slope with |R| <= BOUNDARY_TOL / 2,
+    and the gate's report, at 16001 samples, holds the same bound; a slope
+    the gate turns down goes to ``rejected`` with its report."""
+    spec = ProblemSpec(lam=lam, kind=kind)
+    root = root_in_bracket(spec, a - 1.0, a + 1.0)
+    assert abs(_residual_at(spec, root.a)) <= 0.5 * BOUNDARY_TOL
+    assert abs(root.report.boundary_resid) <= 0.5 * BOUNDARY_TOL
+    real = shooting.validate
+    monkeypatch.setattr(shooting, "validate",
+                        lambda traj: replace(real(traj), first_integral_resid=math.inf))
+    rejected = []
+    assert root_in_bracket(spec, a - 1.0, a + 1.0, rejected) is None
+    assert rejected == [(root.a, replace(root.report, first_integral_resid=math.inf))]
 
 
 def test_rootset_fields(root_cache):
