@@ -34,7 +34,6 @@ linear solve.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -413,20 +412,16 @@ def _picard_step(p: np.ndarray, lam: float, dirichlet: bool) -> np.ndarray:
     return new[:p.size]
 
 
-@functools.lru_cache(maxsize=1)
 def _picard_solve(lam: float, kind: BoundaryKind) -> np.ndarray:
     """The limit p of ``_picard_step`` from v = 0 (v = (1 - x) p for Dirichlet).
 
     Stops once no coefficient moves by more than _PICARD_TOL (1 + v(0)).
-    The last solve is kept, read-only, for a coarse monotone solve, which
-    :func:`~epibvp.shooting.judge` samples again at the calibrated grid.
     """
     dirichlet = kind is BoundaryKind.DIRICHLET
     p = np.zeros(_PICARD_DEGREE + 1)
     for _ in range(_PICARD_MAX_ITER):
         p, prev = _picard_step(p, lam, dirichlet), p
         if np.max(np.abs(p - prev)) <= _PICARD_TOL * (1.0 + p[0]):
-            p.flags.writeable = False
             return p
     raise EpibvpError(f"monotone iteration did not settle in {_PICARD_MAX_ITER} steps "
                       f"(lam={lam}, kind={kind.value})")

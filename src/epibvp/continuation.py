@@ -145,8 +145,9 @@ def locate_fold(
     EpibvpError
         When Newton fails, or no bracket of width <= fold_tol certifies
         (among them a fold_tol below 2 d at the first d); the message then
-        names the last lower root the final gate turned down, with its lam
-        and report.
+        names the check that failed at the last d: a lower root the gate
+        turned down, with its lam and report, a slope bracket with no lower
+        root, or a nontrivial root at lam0 + d.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
@@ -170,27 +171,34 @@ def locate_fold(
         raise WindowTooSmallError(edge, a_star)
 
     d = 4.0 * BOUNDARY_TOL / abs(r_lam)
-    # (lam, a, report) of the last lower root that the final gate turned down
-    last_rejected = None
+    # why the latest d failed, for the message when no d is left
+    failure = f"the first bracket is already 2 d = {2.0 * d:.3g} wide"
     while 2.0 * d <= fold_tol:
         if lam0 - d < lo:
             raise BracketError("lo", f"the fold lam0 = {lam0!r} is not above lo = {lo} by {d:.3g}")
         if lam0 + d > hi:
             raise BracketError("hi", f"the fold lam0 = {lam0!r} is not below hi = {hi} by {d:.3g}")
         delta = math.sqrt(2.0 * abs(r_lam) * d / abs(r_aa))
+        lower = (a_star, a_star + 2.0 * delta)
         rejected: list = []
-        below = root_in_bracket(replace(spec, lam=lam0 - d), a_star, a_star + 2.0 * delta, rejected)
-        if rejected:
-            last_rejected = (lam0 - d, *rejected[0])
-        if below is not None and not find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial():
-            return lam0 - d, lam0 + d, lam0, a_star
+        if root_in_bracket(replace(spec, lam=lam0 - d), *lower, rejected) is None:
+            if rejected:
+                a, report = rejected[0]
+                fields = ", ".join(f"{name} = {value!r}" for name, value in report.to_dict().items())
+                failure = (f"the gate rejected the lower root a = {a!r} at lam = {lam0 - d!r} "
+                           f"({fields})")
+            else:
+                failure = f"the slope bracket {lower!r} holds no lower root at lam = {lam0 - d!r}"
+        else:
+            upper = find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial()
+            if not upper:
+                return lam0 - d, lam0 + d, lam0, a_star
+            failure = f"the upper root a = {upper[0]!r} remains at lam = {lam0 + d!r}"
         d *= 2.0
-    message = f"no bracket of width <= fold_tol = {fold_tol} certifies the fold lam0 = {lam0!r}"
-    if last_rejected is not None:
-        lam, a, report = last_rejected
-        fields = ", ".join(f"{name} = {value!r}" for name, value in report.to_dict().items())
-        message += f"; the gate last rejected the root a = {a!r} at lam = {lam!r} ({fields})"
-    raise EpibvpError(message)
+    raise EpibvpError(
+        f"no bracket of width <= fold_tol = {fold_tol} certifies the fold lam0 = {lam0!r}; "
+        f"last, {failure}"
+    )
 
 
 def default_fold_bracket(kind: BoundaryKind) -> tuple[float, float]:

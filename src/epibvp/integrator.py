@@ -407,8 +407,8 @@ def _rk4_step(t0, t1, h, u, du, lam):
     """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
 
     Works on scalars and, elementwise, on arrays of states and of lams.  It
-    steps the reference integrator below, and its order of operations is the
-    one that the in-place slope scan of :mod:`epibvp.shooting` repeats.
+    steps the reference integrator below, and :func:`_rk4_scan` repeats its
+    order of operations in place.
     """
     th = t0 + 0.5 * h
     half_lam = lam / 2.0
@@ -427,6 +427,46 @@ def _rk4_step(t0, t1, h, u, du, lam):
         u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
         du + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
+
+
+def _rk4_scan(grid, u, du, half_lam):
+    """``_rk4_step`` over the times ``grid`` on arrays, in place.
+
+    Steps the states (u, u') of the launch arrays ``u`` and ``du``, each
+    with its own ``half_lam`` = lam / 2, through preallocated buffers, and
+    returns the final (u, u') and the running peak of |u|.  Every element
+    goes through the operations of ``_rk4_step`` in its order, so it is bit
+    for bit an ``_rk4_step`` march; NaN propagates through the peak.
+    """
+    n = half_lam.size
+    # stage s's rows are its state u and its slope pair (u', u''); stage 0
+    # starts at y = (u, u'), so y and every slope pair are views
+    k = np.empty((4, 3, n))
+    k[0, 0], k[0, 1] = u, du
+    y, u, k1v = k[0, :2], k[0, 0], k[0, 2]
+    stages = [(k[s, :2], k[s, 0], k[s, 2], k[s - 1, 1:]) for s in range(1, 4)]
+    k1, k2, k3, k4 = (k[s, 1:] for s in range(4))
+    acc, tmp = np.empty((2, n)), np.empty((2, n))
+    peak = np.zeros(n)
+    for t0, t1 in zip(grid, grid[1:]):
+        h = t1 - t0
+        th = t0 + 0.5 * h
+        np.multiply(u, u, out=k1v)
+        np.divide(k1v, 8.0 * t0 * t0, out=k1v)
+        np.add(k1v, half_lam, out=k1v)
+        for (state, us, vs, prev), step, t in zip(stages, (0.5 * h, 0.5 * h, h), (th, th, t1)):
+            # (u_s, u'_s) = y + step (u', u'') of the stage before
+            np.add(y, np.multiply(step, prev, out=state), out=state)
+            np.multiply(us, us, out=vs)
+            np.divide(vs, 8.0 * t * t, out=vs)
+            np.add(vs, half_lam, out=vs)
+        # y += h / 6 (((k1 + 2 k2) + 2 k3) + k4)
+        np.add(k1, np.multiply(2.0, k2, out=tmp), out=acc)
+        np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(y, np.multiply(h / 6.0, acc, out=acc), out=y)
+        np.maximum(peak, np.abs(u, out=tmp[0]), out=peak)
+    return y[0], y[1], peak
 
 
 def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:

@@ -11,8 +11,8 @@ at most one secant-refined root on each side of the dug point, which is also
 the root's branch; and the final validation gate.  The scan only guides:
 every sign that decides a count is an adaptive (DP5) residual.
 
-The scan steps the slopes of one or several lams at once, in place on
-preallocated arrays and in the order of operations of ``_rk4_step``, so a
+The scan steps the slopes of one or several lams at once with
+``_rk4_scan``, in place and in the order of operations of ``_rk4_step``, so a
 sweep scans all its lams in one call and each row is bit for bit a
 single-lam scan.  From the scan on, slopes and residuals are Python floats.
 Diverged shots report +inf residual and count as the tail side of the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_step, integrate,
+    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_scan, integrate,
     launch_state, shoot_endpoint, validate,
 )
 from .model import BoundaryKind, ProblemSpec, Trajectory
@@ -130,50 +130,22 @@ def _scan_times(eps: float) -> np.ndarray:
 def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
     """Endpoint residuals of the scan grid at each lam, one row per lam.
 
-    Fixed-grid RK4 on one flattened state of ``len(lams) * scan_n`` slopes,
-    each with its own lam, written in place into preallocated buffers.
-    Every element goes through the operations of ``_rk4_step`` in its
-    order, so a row is bit for bit a single-lam ``_rk4_step`` scan, whatever
+    Fixed-grid RK4 (``_rk4_scan``, in place) on one flattened state of
+    ``len(lams) * scan_n`` slopes, each with its own lam.  Every element
+    goes through the operations of ``_rk4_step`` in its order, so a row is bit for bit a single-lam ``_rk4_step`` scan, whatever
     lams are scanned with it.  Guidance only: every residual that decides a
     root comes from the adaptive integrator.  Diverged entries come back +inf.
     """
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
     lam = np.repeat(np.asarray(lams, dtype=float), a_grid.size)
-    half_lam = lam / 2.0
     grid = _scan_times(spec.eps).tolist()
-    # stage s's rows are its state u and its slope pair (u', u''); stage 0
-    # starts at y = (u, u'), so y and every slope pair are views
-    k = np.empty((4, 3, a.size))
-    y, u, du, k1v = k[0, :2], k[0, 0], k[0, 1], k[0, 2]
-    stages = [(k[s, :2], k[s, 0], k[s, 2], k[s - 1, 1:]) for s in range(1, 4)]
-    k1, k2, k3, k4 = (k[s, 1:] for s in range(4))
-    acc, tmp = np.empty((2, a.size)), np.empty((2, a.size))
-    peak = np.zeros(a.size)
     # overflowing slopes, states and residuals all end up as +inf entries,
     # so numpy's warnings about them carry no information
     with np.errstate(invalid="ignore", over="ignore"):
-        u[...], du[...] = launch_state(a, lam, spec.eps)
-        for t0, t1 in zip(grid, grid[1:]):
-            h = t1 - t0
-            th = t0 + 0.5 * h
-            np.multiply(u, u, out=k1v)
-            np.divide(k1v, 8.0 * t0 * t0, out=k1v)
-            np.add(k1v, half_lam, out=k1v)
-            for (state, us, vs, prev), step, t in zip(stages, (0.5 * h, 0.5 * h, h), (th, th, t1)):
-                # (u_s, u'_s) = y + step (u', u'') of the stage before
-                np.add(y, np.multiply(step, prev, out=state), out=state)
-                np.multiply(us, us, out=vs)
-                np.divide(vs, 8.0 * t * t, out=vs)
-                np.add(vs, half_lam, out=vs)
-            # y += h / 6 (((k1 + 2 k2) + 2 k3) + k4)
-            np.add(k1, np.multiply(2.0, k2, out=tmp), out=acc)
-            np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(y, np.multiply(h / 6.0, acc, out=acc), out=y)
-            # NaN propagates through maximum, so NaN and inf slopes stay dead
-            np.maximum(peak, np.abs(u, out=tmp[0]), out=peak)
+        u, du, peak = _rk4_scan(grid, *launch_state(a, lam, spec.eps), lam / 2.0)
         resid = spec.kind.residual(u, du)
+    # NaN fails the comparison too, so NaN and inf slopes stay dead
     return np.where(peak <= BLOWUP, resid, np.inf).reshape(len(lams), a_grid.size)
 
 

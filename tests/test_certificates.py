@@ -452,8 +452,6 @@ def test_picard_iterates_rise_below_the_lower_function(lam, kind, alpha):
 
 def test_monotone_solver_iteration_cap(monkeypatch):
     monkeypatch.setattr(certificates, "_PICARD_MAX_ITER", 3)
-    # a solve kept from an earlier test would never reach the cap
-    certificates._picard_solve.cache_clear()
     with pytest.raises(EpibvpError, match="did not settle in 3 steps"):
         truncated_monotone_solve(ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET))
 

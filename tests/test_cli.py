@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epibvp import certificates, cli, continuation, shooting
+from epibvp import cli, continuation, shooting
 from epibvp.cli import main
 
 
@@ -256,17 +256,6 @@ def test_monotone_solve_is_judged_like_the_default_grid(tmp_path, bc, lam, grid)
         assert coarse.read() == calibrated.read()
 
 
-def test_coarse_monotone_solve_iterates_once(tmp_path):
-    """A monotone solve below the calibrated grid is sampled twice, once for
-    the output and once to be judged, from one Picard iteration."""
-    certificates._picard_solve.cache_clear()
-    code, _ = run(tmp_path, "solve", "--bc", "dirichlet", "--lambda", "144", "--monotone",
-                  "--grid", "101")
-    assert code == 0
-    info = certificates._picard_solve.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 def test_out_of_memory_is_a_precondition_error(tmp_path, capsys, monkeypatch):
     """A MemoryError, e.g. from a --grid the host cannot hold, exits 2 with
     one line; the stand-in integrate allocates nothing."""
@@ -350,7 +339,7 @@ def test_coarse_eps_fold_is_numerical_failure(tmp_path, capsys, eps):
     assert code == 3
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert ("the gate last rejected the root a = " in err) == (eps == "0.01")
+    assert ("; last, the gate rejected the lower root a = " in err) == (eps == "0.01")
     assert ("first_integral_resid = " in err) == (eps == "0.01")
     assert not os.path.exists(out) or not os.listdir(out)
 

@@ -16,7 +16,8 @@ from epibvp.continuation import (
     locate_fold,
     sweep,
 )
-from epibvp.errors import BracketError, DomainError, WindowTooSmallError
+from epibvp.errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
+from epibvp.integrator import ValidationReport
 from epibvp.model import BoundaryKind, ProblemSpec
 from epibvp.shooting import find_shooting_roots
 
@@ -279,6 +280,40 @@ def test_locate_fold_rejects_bad_tol():
     for fold_tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), fold_tol)
+
+
+@pytest.mark.parametrize("check, fold_tol, last", [
+    ("none", 1e-9, "the first bracket is already 2 d = "),
+    ("lower", 1e-5, "the slope bracket ("),
+    ("upper", 1e-5, "the upper root a = "),
+], ids=["tol-below-first-bracket", "lower-check", "upper-check"])
+def test_uncertified_fold_names_the_last_failed_check(monkeypatch, check, fold_tol, last):
+    """With no d left, the message says why the last d failed, and only
+    that: the gate's rejection at the first d is not carried over to a later
+    d whose lower bracket holds no root, or whose upper root set still has
+    a nontrivial root."""
+    real_lower, real_upper = continuation.root_in_bracket, continuation.find_shooting_roots
+    calls = []
+
+    def lower(spec, lo, hi, rejected):
+        calls.append(spec.lam)
+        if len(calls) == 1:
+            rejected.append((lo, ValidationReport(1.0, 1.0, 0.0, 0.0)))
+            return None
+        return real_lower(spec, lo, hi, rejected) if check == "upper" else None
+
+    monkeypatch.setattr(continuation, "root_in_bracket", lower)
+    # below the fold, the root set still holds both roots
+    monkeypatch.setattr(continuation, "find_shooting_roots",
+                        lambda spec: real_upper(replace(spec, lam=spec.lam - 1.0)))
+    with pytest.raises(EpibvpError) as err:
+        locate_fold(BoundaryKind.NAVIER, default_fold_bracket(BoundaryKind.NAVIER), fold_tol)
+    message = str(err.value)
+    assert message.startswith(f"no bracket of width <= fold_tol = {fold_tol} certifies")
+    assert f"; last, {last}" in message
+    assert ("holds no lower root at lam = " in message) == (check == "lower")
+    assert "gate" not in message
+    assert len(calls) >= (0 if check == "none" else 2)
 
 
 def test_locate_fold_rejects_fold_slope_outside_window():
