@@ -184,7 +184,7 @@ def locate_fold(
         if root_in_bracket(replace(spec, lam=lam0 - d), *lower, rejected) is None:
             if rejected:
                 a, report = rejected[0]
-                fields = ", ".join(f"{name} = {value!r}" for name, value in report.to_dict().items())
+                fields = ", ".join(f"{k} = {v!r}" for k, v in report.to_dict().items())
                 failure = (f"the gate rejected the lower root a = {a!r} at lam = {lam0 - d!r} "
                            f"({fields})")
             else:

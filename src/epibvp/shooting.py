@@ -132,9 +132,10 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
 
     Fixed-grid RK4 (``_rk4_scan``, in place) on one flattened state of
     ``len(lams) * scan_n`` slopes, each with its own lam.  Every element
-    goes through the operations of ``_rk4_step`` in its order, so a row is bit for bit a single-lam ``_rk4_step`` scan, whatever
-    lams are scanned with it.  Guidance only: every residual that decides a
-    root comes from the adaptive integrator.  Diverged entries come back +inf.
+    goes through the operations of ``_rk4_step`` in its order, so a row is
+    bit for bit a single-lam ``_rk4_step`` scan, whatever lams are scanned
+    with it.  Guidance only: every residual that decides a root comes from
+    the adaptive integrator.  Diverged entries come back +inf.
     """
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
