@@ -12,50 +12,19 @@ confine that fold.
 """
 
 from .certificates import (
-    Certificate,
-    CertificateKind,
-    Verdict,
-    certificates_for,
-    f_criterion,
-    fixed_point_c0,
-    lower_function_dirichlet,
-    lower_function_navier,
-    nonexistence_dirichlet,
-    nonexistence_navier,
-    truncated_monotone_solve,
-    universal_bound,
-    universal_certificate,
+    Certificate, CertificateKind, Verdict, certificates_for, f_criterion, fixed_point_c0,
+    lower_function_dirichlet, lower_function_navier, nonexistence_dirichlet, nonexistence_navier,
+    truncated_monotone_solve, universal_bound, universal_certificate,
 )
 from .continuation import (
-    Branch,
-    DiagramPoint,
-    default_fold_bracket,
-    default_fold_tol,
-    locate_fold,
-    sweep,
+    Branch, DiagramPoint, default_fold_bracket, default_fold_tol, locate_fold, sweep,
 )
 from .errors import (
-    BracketError,
-    DomainError,
-    EpibvpError,
-    IntegrationError,
-    UnvalidatedTrajectoryError,
+    BracketError, DomainError, EpibvpError, IntegrationError, UnvalidatedTrajectoryError,
     WindowTooSmallError,
 )
-from .integrator import (
-    ValidationReport,
-    integrate,
-    integrate_rk4,
-    launch_state,
-    validate,
-)
-from .model import (
-    BoundaryKind,
-    ProblemSpec,
-    RadialProfile,
-    Trajectory,
-    reconstruct_phi,
-)
+from .integrator import ValidationReport, integrate, integrate_rk4, launch_state, validate
+from .model import BoundaryKind, ProblemSpec, RadialProfile, Trajectory, reconstruct_phi
 from .shooting import RootSet, ShootingRoot, find_shooting_roots
 
 __version__ = "1.0.0"

@@ -18,12 +18,7 @@ import re
 import sys
 
 from .certificates import certificates_for, truncated_monotone_solve
-from .continuation import (
-    default_fold_bracket,
-    default_fold_tol,
-    locate_fold,
-    sweep,
-)
+from .continuation import default_fold_bracket, default_fold_tol, locate_fold, sweep
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import integrate
 from .model import BoundaryKind, ProblemSpec, reconstruct_phi
@@ -172,9 +167,13 @@ def _spec_from_args(args, lam: float) -> ProblemSpec:
 
 
 def _write(args, name: str, text: str) -> None:
-    path = os.path.join(args.out, name)
+    _save(serialize.atomic_write_text, os.path.join(args.out, name), text)
+
+
+def _save(write, path: str, *data) -> None:
+    """write(path, *data), with an OSError a usage error that names path."""
     try:
-        serialize.atomic_write_text(path, text)
+        write(path, *data)
     except OSError as exc:  # e.g. --out names a file, or a path below one
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -182,8 +181,8 @@ def _write(args, name: str, text: str) -> None:
 def _emit_solution(args, traj, report, suffix: str = "") -> None:
     profile = reconstruct_phi(traj, report)
     if args.format == "csv":
-        _write(args, f"trajectory{suffix}.csv", serialize.trajectory_to_csv(traj))
-        _write(args, f"profile{suffix}.csv", serialize.profile_to_csv(profile))
+        paths = [os.path.join(args.out, f"{n}{suffix}.csv") for n in ("trajectory", "profile")]
+        _save(serialize.solution_to_csv, *paths, traj, profile)
     else:
         _write(args, f"trajectory{suffix}.json", serialize.trajectory_to_json(traj))
         _write(args, f"profile{suffix}.json", serialize.profile_to_json(profile))

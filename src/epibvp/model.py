@@ -184,8 +184,8 @@ def reconstruct_phi(traj: Trajectory, report) -> RadialProfile:
             f"refusing to reconstruct from an unvalidated trajectory: {report}"
         )
     r = np.sqrt(2.0 * traj.t)
-    w = traj.u.copy()
-    cum = _cumtrapz(w / r, r)
-    # phi(r) = -int_r^1 w/s ds, exactly 0 at the last sample (r = 1)
+    cum = _cumtrapz(traj.u / r, r)
+    # phi(r) = -int_r^1 w/s ds, exactly 0 at the last sample (r = 1); w is
+    # u itself, not a copy, as w(r) = u(t) at t = r^2/2
     phi = cum - cum[-1]
-    return RadialProfile(r=r, w=w, phi=phi)
+    return RadialProfile(r=r, w=traj.u, phi=phi)

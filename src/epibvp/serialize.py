@@ -2,19 +2,23 @@
 
 CSV uses '.' decimals, ',' separators, LF line endings, and 17-significant-
 digit floats, so a reload reproduces every double bit-for-bit.  A float's
-text is exactly ``format(x, ".17g")``.  Trajectory and profile columns are
-formatted a block of rows at a time by a numpy kernel: a finite
-``1e-4 <= |x| < 1e17`` is scaled to its 17 digits by an error-free product
-and spelled in 4-byte words from a table of 4-digit groups; a value outside
-that range, or whose rounding is a near tie or may change its decade, is
-formatted by ``format`` itself.  All writers go through an atomic
-temp-file-plus-rename so partial artifacts never land on disk.
+text is exactly ``format(x, ".17g")``.  A solution's trajectory and profile
+CSVs are written in one pass, a block of rows at a time: a numpy kernel
+formats the block's five distinct columns once, u serving as both files' w
+column, and each file's cells are gathered from them and streamed in binary
+to a temp file.  The kernel scales a finite ``1e-4 <= |x| < 1e17`` to its 17
+digits by an error-free product and spells it in 4-byte words from a table
+of 4-digit groups; a value outside that range, or whose rounding is a near
+tie or may change its decade, is formatted by ``format`` itself.  Every file
+is written to a temp file and renamed, so partial artifacts never land on
+disk.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import tempfile
 
@@ -27,7 +31,7 @@ from .model import BoundaryKind, RadialProfile, Trajectory
 from .shooting import RootSet
 
 
-# rows per kernel call in _csv: bounds the kernel's temporaries, a few
+# rows per kernel call: bounds the kernel's temporaries, a few
 # hundred bytes a cell (4096 rows raised the solve workload's peak RSS)
 _CSV_BLOCK_ROWS = 2048
 
@@ -41,6 +45,10 @@ _PLUS, _MINUS, _COMMA, _NEWLINE = range(20000, 20004)
 _POW10 = np.array([float(10 ** k) for k in range(21)])  # exact up to 10**22
 # at E + 4: n modulo 10**(16 - max(E, -1)) is n's digits after the '.'
 _FRACTION_UNIT = np.array([10 ** (16 - max(e, -1)) for e in range(-4, 17)], dtype=np.int64)
+# at b + 13 for 2**(b - 1) <= x < 2**b, b in -13..57: x's decade E is
+# _DECADE, or one more from _DECADE_END, the one power of 10 in that range
+_DECADE = np.array([math.floor(math.log10(2.0 ** (b - 1))) for b in range(-13, 58)], np.int64)
+_DECADE_END = np.array([float(f"1e{e + 1}") for e in _DECADE])
 
 
 def _fmt(x: float) -> str:
@@ -69,10 +77,8 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.abs(x)
     ok = (a >= 1e-4) & (a < 1e17)
     a = np.where(ok, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
-    hi = a * _POW10[16 - e]
-    e += (hi >= 1e17).astype(np.int64) - (hi < 1e16)
-    np.clip(e, -4, 16, out=e)
+    b = np.frexp(a)[1] + np.int32(13)
+    e = _DECADE[b] + (a >= _DECADE_END[b])
     # Dekker's product: hi + lo == a * 10**(16 - E) exactly, and hi is an
     # integer, as it exceeds 2**53
     k = 16 - e
@@ -114,9 +120,9 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     return words, np.frombuffer(rows, np.uint32).reshape(-1, _CELL_WORDS)
 
 
-def _cells(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
-    """The cells of format(v, ".17g") for the (rows, columns) float64 block,
-    each with its ',' or '\n', and the mask of those the kernel wrote; the
+def _cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of format(v, ".17g") for the float64 block, in its order
+    and each with a ',', and the mask of those the kernel wrote; the
     others, where :func:`_scaled` is unsure, are written by format.
 
     The digits are those of n with '.' after digit E, less trailing zeros
@@ -145,51 +151,75 @@ def _cells(block: np.ndarray) -> tuple[bytearray, np.ndarray]:
         np.add(group, stripped, out=idx[:, col])
         stripped *= group == 0
     idx[:, 6] = _COMMA
-    idx.reshape(*block.shape, _CELL_WORDS)[:, -1, 6] = _NEWLINE
     words, flips = _tables()
-    # the cells fill a bytearray, which _csv translates as it is: a bytes
-    # copy of each block raised the solve workload's peak RSS by about 2 MB
-    text = bytearray(4 * idx.size)
-    cells = np.frombuffer(text, np.uint32).reshape(idx.shape)
-    np.take(words, idx, out=cells, mode="clip")  # no index is out of range
+    cells = np.take(words, idx, mode="clip")  # no index is out of range
     cells ^= np.take(flips, 2 * (e + 4) + fraction, axis=0)
-    rest = [_fmt(v) for v in x[~ok].tolist()]
-    cells[~ok, :6] = np.array(rest, dtype="S24").view(np.uint32).reshape(len(rest), 6)
-    return text, ok
+    if not ok.all():
+        rest = [_fmt(v) for v in x[~ok].tolist()]
+        cells[~ok, :6] = np.array(rest, dtype="S24").view(np.uint32).reshape(len(rest), 6)
+    return cells, ok
+
+
+def _write_files(paths: list[str], chunks) -> None:
+    """Stream chunks, each one bytes piece per path, to temp files beside the
+    paths and rename them over the paths after the last chunk.  Any
+    exception removes every temp file, so no partial artifact lands."""
+    handles, temps = [], []
+    try:
+        for path in paths:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
+            temps.append(tmp)
+            handles.append(os.fdopen(fd, "wb"))
+        for pieces in chunks:
+            for handle, piece in zip(handles, pieces):
+                handle.write(piece)
+        for handle, tmp, path in zip(handles, temps, paths):
+            handle.close()
+            os.replace(tmp, path)
+    except BaseException:
+        for handle in handles:
+            handle.close()
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory + rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix="~")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_files([path], [[text.encode("utf-8")]])
 
 
-def _csv(header: str, columns: list[np.ndarray]) -> str:
-    # one growing bytearray and a table per block, rather than block strings
-    # joined at the end and a copy of all the columns: in the solve workload
-    # those raised the peak RSS by about 3 MB
-    text = bytearray((header + "\n").encode("ascii"))
+def _blocks(columns: list[np.ndarray], files: list[tuple[int, ...]], headers: list[bytes]):
+    """The headers, then per block of rows the text of each file, whose
+    columns are indices into columns, from one kernel call on the block."""
+    yield headers
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells, _ = _cells(np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]))
-        text += cells.translate(None, b"\0")
-    return text.decode("ascii")
+        # in a function of its own, no block's arrays outlive it in this frame
+        yield _texts([c[start:start + _CSV_BLOCK_ROWS] for c in columns], files)
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    return _csv("t,u,du", [traj.t, traj.u, traj.du])
+def _texts(columns: list[np.ndarray], files: list[tuple[int, ...]]) -> list[bytes]:
+    cells = _cells(np.column_stack(columns))[0].reshape(-1, len(columns), _CELL_WORDS)
+    texts = []
+    for file in files:
+        gathered = np.take(cells, file, axis=1)
+        gathered[:, -1, 6] = _tables()[0][_NEWLINE]
+        texts.append(gathered.tobytes().translate(None, b"\0"))
+    return texts
 
 
-def profile_to_csv(profile: RadialProfile) -> str:
-    return _csv("r,w,phi", [profile.r, profile.w, profile.phi])
+def solution_to_csv(traj_path: str, profile_path: str, traj: Trajectory,
+                    profile: RadialProfile) -> None:
+    """Write trajectory.csv (t, u, du) and profile.csv (r, w, phi) of one
+    solution in one pass.  w is u, so the kernel formats it once."""
+    if profile.w is not traj.u:
+        raise ValueError("profile.w must be traj.u, as reconstruct_phi gives it")
+    columns = [traj.t, traj.u, traj.du, profile.r, profile.phi]
+    chunks = _blocks(columns, [(0, 1, 2), (3, 1, 4)], [b"t,u,du\n", b"r,w,phi\n"])
+    _write_files([traj_path, profile_path], chunks)
 
 
 def validation_to_json(report: ValidationReport) -> str:

@@ -209,7 +209,7 @@ def test_start_builds_no_csv_table():
         "from epibvp import serialize\n"
         "from epibvp.cli import main\n"
         "print(main([]), serialize._tables.cache_info().currsize)\n"
-        "serialize._csv('x', [np.ones(2)])\n"
+        "serialize._cells(np.ones(2))\n"
         "print(serialize._tables.cache_info().currsize)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -289,18 +289,27 @@ def test_usage_error_unknown_flag(tmp_path, capsys, argv):
     assert not os.path.exists(out) or not os.listdir(out)
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
-def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, below):
+_CERTIFY = ["certify", "--lambda", "1", "--bc", "navier"]
+
+
+@pytest.mark.parametrize("argv, name, below", [
+    (_CERTIFY, "certificates.json", False),
+    (_CERTIFY, "certificates.json", True),
+    (["solve", "--bc", "navier", "--lambda", "9", "--a", "-4.742307280271374", "--grid", "101"],
+     "trajectory.csv", True),
+], ids=["file", "below-a-file", "solve-a"])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv, name, below):
     """An --out naming a regular file, or a path below one, exits 1 with
-    one line, not with the OSError's traceback."""
+    one line, not with the OSError's traceback; a solution's CSV pair names
+    its trajectory file."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     out = str(blocker / "sub") if below else str(blocker)
-    code = main(["certify", "--lambda", "1", "--bc", "navier", "--out", out])
+    code = main(argv + ["--out", out])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [
-        f"error: cannot write {os.path.join(out, 'certificates.json')}: "
+        f"error: cannot write {os.path.join(out, name)}: "
         + ("Not a directory" if below else "File exists")
     ]
     assert captured.out == ""

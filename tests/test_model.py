@@ -86,6 +86,15 @@ def test_reconstruct_anchor_and_sign(dirichlet_spec, root_cache):
     assert abs(prof.w[-1]) < BOUNDARY_TOL
 
 
+def test_reconstruct_takes_w_as_u(dirichlet_spec, root_cache):
+    """w(r) = u(r^2/2) is u itself, bit for bit, with no copy: the one-pass
+    CSV writer formats u once for both files."""
+    traj = integrate(dirichlet_spec, root_cache(100.0, BoundaryKind.DIRICHLET).roots[0].a)
+    prof = reconstruct_phi(traj, validate(traj))
+    assert prof.w is traj.u
+    assert np.array_equal(prof.w.view(np.uint64), traj.u.view(np.uint64))
+
+
 def test_reconstruct_derivative_identity(dirichlet_spec, root_cache):
     """Finite-difference phi' at interior r matches w/r within quadrature error.
 

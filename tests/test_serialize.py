@@ -23,12 +23,18 @@ from epibvp.certificates import certificates_for
 from epibvp.cli import main
 from epibvp.continuation import sweep
 from epibvp.integrator import integrate, validate
-from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
+from epibvp.model import BoundaryKind, ProblemSpec, RadialProfile, Trajectory, reconstruct_phi
 
 
 def _traj():
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=401)
     return integrate(spec, -4.742307280271374)
+
+
+def _csv(header, columns):
+    """One CSV's text from the block loop of serialize.solution_to_csv."""
+    blocks = serialize._blocks(columns, [tuple(range(len(columns)))], [f"{header}\n".encode()])
+    return "".join(text.decode("ascii") for (text,) in blocks)
 
 
 def _columns(text, **kwargs):
@@ -46,8 +52,8 @@ def test_csv_text_matches_per_cell_format():
     want = "a,b,c\n" + "".join(
         ",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns)
     )
-    assert serialize._csv("a,b,c", columns) == want
-    assert serialize._csv("a,b,c", [np.empty(0)] * 3) == "a,b,c\n"
+    assert _csv("a,b,c", columns) == want
+    assert _csv("a,b,c", [np.empty(0)] * 3) == "a,b,c\n"
 
 
 def _per_cell(values):
@@ -89,7 +95,7 @@ def test_format_hard_cases():
         digits = str(Fraction(tie).numerator * 10 ** 40 // Fraction(tie).denominator).rstrip("0")
         assert len(digits) == 18 and digits.endswith("5"), tie
     values = np.array(FORMAT_HARD_CASES)
-    assert serialize._csv("x", [values]) == _per_cell(FORMAT_HARD_CASES)
+    assert _csv("x", [values]) == _per_cell(FORMAT_HARD_CASES)
 
 
 def test_kernel_writes_fixed_notation_itself():
@@ -147,7 +153,7 @@ def test_kernel_spells_every_decade_and_digit_count():
     assert ok.tolist() == (~powers).tolist()
     assert np.abs(values[powers]).tolist() == [1e-4, 1e-4]
     cases = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
-    assert serialize._csv("x", [cases]) == _per_cell(cases)
+    assert _csv("x", [cases]) == _per_cell(cases)
 
 
 _ANY_FLOAT = st.floats(allow_subnormal=True)  # nan and inf included
@@ -158,7 +164,7 @@ _FIXED_RANGE = st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4)
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_ANY_FLOAT | _BIT_PATTERN | _FIXED_RANGE, min_size=1, max_size=40))
 def test_kernel_matches_format(values):
-    assert serialize._csv("x", [np.array(values)]) == _per_cell(values)
+    assert _csv("x", [np.array(values)]) == _per_cell(values)
 
 
 def test_kernel_takes_almost_every_solution_cell(root_cache):
@@ -229,9 +235,19 @@ def test_float_formatting_roundtrips_bits():
         assert float(format(v, ".17g")) == v
 
 
-def test_trajectory_csv_roundtrip():
+def _solution_csvs(tmp_path, traj, prof):
+    paths = [os.path.join(tmp_path, name) for name in ("trajectory.csv", "profile.csv")]
+    serialize.solution_to_csv(*paths, traj, prof)
+    texts = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            texts.append(handle.read().decode("ascii"))
+    return texts
+
+
+def test_trajectory_csv_roundtrip(tmp_path):
     traj = _traj()
-    text = serialize.trajectory_to_csv(traj)
+    text, _ = _solution_csvs(tmp_path, traj, reconstruct_phi(traj, validate(traj)))
     assert text.startswith("t,u,du\n")
     assert "\r" not in text
     t, u, du = _columns(text)
@@ -240,15 +256,63 @@ def test_trajectory_csv_roundtrip():
     assert np.array_equal(du, traj.du)
 
 
-def test_profile_csv_roundtrip():
+def test_profile_csv_roundtrip(tmp_path):
     traj = _traj()
     prof = reconstruct_phi(traj, validate(traj))
-    text = serialize.profile_to_csv(prof)
+    _, text = _solution_csvs(tmp_path, traj, prof)
     assert text.startswith("r,w,phi\n")
+    assert "\r" not in text
     r, w, phi = _columns(text)
     assert np.array_equal(r, prof.r)
     assert np.array_equal(w, prof.w)
     assert np.array_equal(phi, prof.phi)
+
+
+def _lines(values):
+    return ",".join(format(float(x), ".17g") for x in values) + "\n"
+
+
+def test_solution_csvs_match_per_cell_format(tmp_path):
+    """Both files of the one-pass writer are the per-cell format of their
+    rows, across block boundaries, where the shared u column holds signed
+    zeros, subnormals, tiny, huge and non-finite values for the fallback."""
+    rng = np.random.default_rng(11)
+    edge = [0.0, -0.0, 5e-324, -2.2e-308, 3e-5, -1e-300, 1e17, -_LARGEST, np.inf, -np.inf, np.nan]
+    n = 2 * serialize._CSV_BLOCK_ROWS + 77
+    u = np.concatenate([edge, rng.standard_normal(n) * 10.0 ** rng.integers(-12, 24, n), edge])
+    t = np.linspace(1e-6, 0.5, len(u))
+    du, r, phi = (rng.standard_normal(len(u)) * 10.0 ** k for k in (3, 0, -6))
+    traj = Trajectory(lam=1.0, kind=BoundaryKind.NAVIER, t=t, u=u, du=du, a=0.0, diverged=False)
+    prof = RadialProfile(r=r, w=traj.u, phi=phi)
+    text, profile = _solution_csvs(tmp_path, traj, prof)
+    assert text == "t,u,du\n" + "".join(_lines(row) for row in zip(t, u, du))
+    assert profile == "r,w,phi\n" + "".join(_lines(row) for row in zip(r, u, phi))
+    assert sorted(os.listdir(tmp_path)) == ["profile.csv", "trajectory.csv"]
+    with pytest.raises(ValueError, match="profile.w must be traj.u"):
+        _solution_csvs(tmp_path, traj, RadialProfile(r=r, w=u.copy(), phi=phi))
+
+
+def test_solution_csvs_leave_nothing_when_a_block_fails(tmp_path, monkeypatch):
+    """An error in the second block removes both temp files, and neither
+    artifact is written."""
+    cells = serialize._cells
+    calls = []
+
+    def fail_second(block):
+        calls.append(len(block))
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return cells(block)
+
+    monkeypatch.setattr(serialize, "_cells", fail_second)
+    n = serialize._CSV_BLOCK_ROWS + 5
+    traj = Trajectory(lam=1.0, kind=BoundaryKind.NAVIER, t=np.linspace(0.0, 0.5, n),
+                      u=np.ones(n), du=np.ones(n), a=0.0, diverged=False)
+    prof = RadialProfile(r=np.ones(n), w=traj.u, phi=np.ones(n))
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        _solution_csvs(tmp_path, traj, prof)
+    assert calls == [serialize._CSV_BLOCK_ROWS, 5]
+    assert os.listdir(tmp_path) == []
 
 
 def test_validation_json_roundtrip():
