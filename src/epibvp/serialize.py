@@ -16,6 +16,7 @@ disk.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -180,7 +181,8 @@ def _write_files(paths: list[str], chunks) -> None:
             os.replace(tmp, path)
     except BaseException:
         for handle in handles:
-            handle.close()
+            with contextlib.suppress(OSError):  # a failed flush must not keep the temps
+                handle.close()
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -315,6 +315,29 @@ def test_solution_csvs_leave_nothing_when_a_block_fails(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_solution_csvs_leave_nothing_when_the_disk_fills(tmp_path, monkeypatch):
+    """A write that fails, and a close that fails again as it flushes, as on
+    a full disk: the OSError reaches the caller and both temp files go."""
+    fdopen = os.fdopen
+
+    class Full:
+        def __init__(self, fd, mode):
+            self.file = fdopen(fd, mode)
+
+        def write(self, piece):
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            self.file.close()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", Full)
+    traj = _traj()
+    with pytest.raises(OSError, match="No space left"):
+        _solution_csvs(tmp_path, traj, reconstruct_phi(traj, validate(traj)))
+    assert os.listdir(tmp_path) == []
+
+
 def test_validation_json_roundtrip():
     report = validate(_traj())
     back = json.loads(serialize.validation_to_json(report))
