@@ -199,7 +199,7 @@ def _blocks(columns: list[np.ndarray], files: list[tuple[int, ...]], headers: li
     columns are indices into columns, from one kernel call on the block."""
     yield headers
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        # in a function of its own, no block's arrays outlive it in this frame
+        # a call, so that no block's arrays stay alive in this frame across the yield
         yield _texts([c[start:start + _CSV_BLOCK_ROWS] for c in columns], files)
 
 
