@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv",
                          help="tabular output format")
 
-    p_fold = _command(sub, "fold", "solve for the fold by Newton, certify a bracket by root counts")
+    p_fold = _command(sub, "fold", "find the fold by Brent's search, certify it by root counts")
     p_fold.add_argument("--lo", type=float, help="bracket start")
     p_fold.add_argument("--hi", type=float, help="bracket end")
     _add_numerics(p_fold, "fold_tol", "largest certified fold bracket width")

@@ -3,11 +3,14 @@
 Solvability is monotone in the deposition rate: if the problem is solvable
 at some lam it is solvable at every smaller lam.  The fold lam0 is the
 largest solvable lam, where the two branches merge at a slope a* into a
-double root of the endpoint residual R(a, lam).  It is a regular turning
-point (R_lam and R_aa are nonzero there), so Newton on the extended system
-R = 0, R_a = 0 converges to it quadratically (Moore & Spence, SIAM J.
-Numer. Anal. 17, 1980).  The nontrivial-root count, sound by the
-monotonicity, then certifies a bracket around lam0.
+double root of the endpoint residual R(a, lam).  lam is a pure scale of the
+equation, so one event shot at the kind's proven nonexistence bound
+lam_ref, stretched, is a solution at 4 t*^2 lam_ref
+(:func:`~epibvp.integrator.shoot_event`), and the fold is the maximum of
+that one scalar function of the slope, found by Brent's derivative-free
+search (Brent, Algorithms for Minimization without Derivatives, 1973).
+The nontrivial-root count, sound by the monotonicity, then certifies a
+bracket around lam0.
 """
 
 from __future__ import annotations
@@ -18,15 +21,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
-from .integrator import BOUNDARY_TOL, shoot_variational
+from .integrator import BOUNDARY_TOL, shoot_event
 from .model import BoundaryKind, ProblemSpec
-from .shooting import _scan_extremum, _scan_residuals, find_shooting_roots, root_in_bracket
-
-# Newton on the fold stops once both steps are below this, relative to
-# 1 + |a| and 1 + lam; quadratic convergence makes the last iterate far
-# more accurate still.  A regular start takes 4-10 steps.
-_FOLD_NEWTON_RTOL = 1e-10
-_FOLD_NEWTON_MAX_ITER = 30
+from .shooting import _CGOLD, _dig, _scan_residuals, find_shooting_roots, root_in_bracket
 
 
 class Branch(Enum):
@@ -77,34 +74,42 @@ def sweep(
     return points
 
 
-def _fold_newton(spec: ProblemSpec, a: float) -> tuple[float, float, float, float]:
-    """Newton on the extended system R = 0, R_a = 0 from (a, spec.lam).
+def _fold_point(spec: ProblemSpec) -> tuple[float, float, float, float]:
+    """The fold (a*, lam0), with R_lam and R_aa there.
 
-    Returns the fold point (a*, lam0) with R_lam and R_aa there.  Each
-    iterate takes one variational shot and solves
-    [[R_a, R_lam], [R_aa, R_alam]] (da, dlam) = -(R, R_a) by Cramer's rule.
-
-    Raises
-    ------
-    EpibvpError
-        If a shot diverges, the Jacobian is singular, lam leaves [0, inf)
-        or the steps do not settle within ``_FOLD_NEWTON_MAX_ITER``.
+    An event shot at lam_ref, the kind's proven nonexistence bound, with
+    slope x, stretched by 2 t*, is the solution at lam(x) = 4 t*^2 lam_ref
+    with slope 2 t* x; no event can come past t = 1/2.  Brent's search takes
+    g = lam_ref - lam(x) to its minimum over the class-default window, so no
+    shot depends on the caller's bracket or window.  R_lam is read off the
+    event state by the scaling identity t u' = a u_a + 2 lam u_lam at t = 1/2
+    and its t-derivative, with R_a = 0.  R_aa comes from one more event shot,
+    at x* + dx, as R_lam (lam - lam0) + R_aa (a - a*)^2 / 2 = 0 along the
+    family, where a - a* = 2 t* dx: at a coarse eps, (a*, lam0) is no double
+    root of the problem launched at eps.
     """
-    lam = spec.lam
-    for _ in range(_FOLD_NEWTON_MAX_ITER):
-        r, r_a, r_lam, r_aa, r_alam = shoot_variational(replace(spec, lam=lam), a)
-        det = r_a * r_alam - r_lam * r_aa
-        if not math.isfinite(det) or det == 0.0 or r_lam * r_aa == 0.0:
-            raise EpibvpError(f"singular fold Jacobian at a = {a!r}, lam = {lam!r}")
-        da = (r_lam * r_a - r * r_alam) / det
-        dlam = (r * r_aa - r_a * r_a) / det
-        a += da
-        lam += dlam
-        if not 0.0 <= lam < math.inf:
-            raise EpibvpError(f"fold Newton left lam >= 0 (lam = {lam!r})")
-        if max(abs(da) / (1.0 + abs(a)), abs(dlam) / (1.0 + lam)) <= _FOLD_NEWTON_RTOL:
-            return a, lam, r_lam, r_aa
-    raise EpibvpError(f"fold Newton did not converge in {_FOLD_NEWTON_MAX_ITER} steps")
+    lam_ref = default_fold_bracket(spec.kind)[1]
+    ref = replace(spec, lam=lam_ref)
+    events = {}
+
+    def g(x: float) -> float:
+        events[x] = shoot_event(ref, x)
+        if events[x] is None:
+            raise EpibvpError(f"the shot at lam = {lam_ref!r}, a = {x!r} keeps the launch sign "
+                              f"of its boundary function up to t = 1/2")
+        return lam_ref - 4.0 * events[x][0] ** 2 * lam_ref
+
+    lo, hi = ProblemSpec.slope_min, ProblemSpec.slope_max
+    x = lo + _CGOLD * (hi - lo)
+    x, gx = _dig(g, lo, hi, x, g(x))
+    t_star, u, du = events[x]
+    lam0 = 4.0 * t_star ** 2 * lam_ref
+    # the stretched solution at t = 1/2, where the equation gives u'' = (u^2 + lam0)/2
+    du *= 2.0 * t_star
+    r_lam = spec.kind.residual(du, 2.0 * du + 0.5 * (u * u + lam0)) / (4.0 * lam0)
+    dx = 1e-3 * abs(x)
+    r_aa = 2.0 * r_lam * (g(x + dx) - gx) / (2.0 * t_star * dx) ** 2
+    return 2.0 * t_star * x, lam0, r_lam, r_aa
 
 
 def locate_fold(
@@ -113,12 +118,11 @@ def locate_fold(
     fold_tol: float,
     spec_defaults: Optional[ProblemSpec] = None,
 ) -> tuple[float, float, float, float]:
-    """Solve for the fold point by Newton and certify a bracket around it.
+    """Find the fold point (:func:`_fold_point`) and certify a bracket around it.
 
     Preconditions: 0 <= bracket[0] < bracket[1] < inf and 0 < fold_tol < inf,
-    both checked before any shot, and a finite residual in the slope scan at
-    bracket[0].  Newton on R = 0, R_a = 0 (:func:`_fold_newton`) starts
-    there, at the scan's lowest point of s R, and gives the fold (a*, lam0).
+    both checked before any shot.  The bracket and the slope window only
+    bound lam0 +- d and a*, not where the fold is found.
 
     The bracket [lam0 - d, lam0 + d] is then certified by the count
     predicate, which monotone solvability makes sound: one validated root
@@ -135,19 +139,19 @@ def locate_fold(
     ------
     BracketError
         Naming the failing end when a bracket precondition does not hold;
-        "lo" when the scan at bracket[0] has no finite residual or lam0 - d
-        falls below it, "hi" when lam0 + d exceeds bracket[1].
+        "lo" when lam0 - d falls below bracket[0], "hi" when lam0 + d
+        exceeds bracket[1].
     DomainError
         When fold_tol is not finite and > 0.
     WindowTooSmallError
-        Naming the scan-window edge that the Newton fold slope a* lies
-        beyond, before any certificate root set.
+        Naming the scan-window edge that the fold slope a* lies beyond,
+        before any certificate root set.
     EpibvpError
-        When Newton fails, or no bracket of width <= fold_tol certifies
-        (among them a fold_tol below 2 d at the first d); the message then
-        names the check that failed at the last d: a lower root the gate
-        turned down, with its lam and report, a slope bracket with no lower
-        root, or a nontrivial root at lam0 + d.
+        When an event shot finds no sign change, or no bracket of width <=
+        fold_tol certifies (among them a fold_tol below 2 d at the first d);
+        the message then names the check that failed at the last d: a lower
+        root the gate turned down, with its lam and report, a slope bracket
+        with no lower root, or a nontrivial root at lam0 + d.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
@@ -158,12 +162,9 @@ def locate_fold(
         raise DomainError(f"need a finite fold_tol > 0, got {fold_tol}")
     if spec_defaults is None:
         spec_defaults = ProblemSpec(lam=0.0, kind=kind)
-    spec = replace(spec_defaults, lam=lo, kind=kind)
+    spec = replace(spec_defaults, kind=kind)
 
-    a_grid, _, cells = _scan_extremum(spec)
-    if cells is None:
-        raise BracketError("lo", f"the slope scan at lam = {lo} sees no finite residual")
-    a_star, lam0, r_lam, r_aa = _fold_newton(spec, a_grid[cells[1]])
+    a_star, lam0, r_lam, r_aa = _fold_point(spec)
     # the certificate's root sets scan only the window, so a fold slope
     # outside it could never be certified
     if not spec.slope_min <= a_star <= spec.slope_max:

@@ -3,16 +3,14 @@
 The initial value problem is launched at t = eps with the two-term series
 u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
 embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
-every shot.  Its stages, and those of the variational equations, are
-spelled out on Python floats, each sum in tableau order, so a shot costs
-little more than its arithmetic.  Dense output records the accepted steps
-and then fills every sample of the uniform grid in one vectorized pass from
-the pair's quartic interpolant, and the variational equations are advanced
-on the same accepted steps, so step sizes are chosen by the error controller
-alone.  Only the lam-derivatives are integrated: if u(t) solves the equation,
-u(kt) solves it with k^2 lam, and the k-derivative at k = 1 of u(kt; a, lam)
-= u(t; ka, k^2 lam) is the scaling identity t u' = a u_a + 2 lam u_lam.  The
-a-derivatives are read off it divided by a, nonzero on every fold iterate.
+every shot.  Its stages are spelled out on Python floats, each sum in
+tableau order, so a shot costs little more than its arithmetic.  Dense
+output records the accepted steps and then fills every sample of the
+uniform grid in one vectorized pass from the pair's quartic interpolant, so
+step sizes are chosen by the error controller alone.  lam is a pure scale
+of the equation: if u(t) solves it, u(kt) solves it with k^2 lam and launch
+slope k a, so the event shot at one lam (:func:`shoot_event`) gives a
+solution at another lam for each slope.
 
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import mul
 
 import numpy as np
 
@@ -135,12 +134,12 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     The one step-size controller of the package: local error per step is
     bounded by ``spec.step_tol``, measured on (u, u').  Each accepted step
     calls ``on_step(t, h, u, du, k)`` with its start time, size, start state
-    and the seven stage derivatives ``k[s] = (u', u'')`` before moving on;
-    :func:`integrate` records the steps to fill its output samples and
-    :func:`shoot_variational` advances the variational equations.  Returns
-    the last state ``(u, u', diverged)``: the state at t = 1/2, or the last
-    state reached when |u| exceeded ``BLOWUP`` or a stage went non-finite
-    (both flagged as divergence).
+    and the seven stage derivatives ``k[s] = (u', u'')``, and stops there if
+    it returns true; :func:`integrate` records the steps to fill its output
+    samples and :func:`shoot_event` stops past a sign change.  Returns the
+    last state ``(u, u', diverged)``: the state at t = 1/2 or where it
+    stopped, or the last state reached when |u| exceeded ``BLOWUP`` or a
+    stage went non-finite (both flagged as divergence).
 
     The stages are spelled out on local floats.  Each stage sum and error
     sum starts at 0.0 and adds its terms in tableau order, zero weights
@@ -211,9 +210,9 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
         if not isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None:
-                on_step(t, h, u, du, ((du, f0), (v1, f1), (v2, f2), (v3, f3), (v4, f4),
-                                      (v5, f5), (v6, f6)))
+            if on_step is not None and on_step(t, h, u, du, ((du, f0), (v1, f1), (v2, f2), (v3, f3),
+                                                             (v4, f4), (v5, f5), (v6, f6))):
+                return u, du, False
             t += h
             u, du, f0 = u6, v6, f6
             if abs(u) > BLOWUP:
@@ -304,103 +303,57 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
     return _dp45(spec, a)
 
 
-def shoot_variational(spec: ProblemSpec, a: float) -> tuple[float, float, float, float, float]:
-    """Endpoint residual R(a, lam) and its derivatives (R, R_a, R_lam, R_aa, R_alam).
+def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | None:
+    """(t*, u, u') where b = ``spec.kind.residual(u, 2 t u')`` first leaves its
+    launch sign, or None if b keeps it up to t = 1/2 or to divergence.
 
-    Rides on the accepted steps of :func:`_dp45` and advances on them, with
-    the same tableau, only u_lam'' = u u_lam / (4t^2) + 1/2 and u_lamlam'' =
-    (u_lam^2 + u u_lamlam) / (4t^2) from the series launch (eps^2/4, eps/2,
-    0, 0).  The a-derivatives at t = 1/2 come from the scaling identity
-    t u' = a u_a + 2 lam u_lam (module docstring), its a- and lam-derivatives
-    and their t-derivatives, with u'' and u_lam'' from the equation; they
-    are divided by a, not by lam, so lam = 0 is served too (at lam > 0 this
-    scales the error by 1/|a| in R_a, 1/a^2 in R_aa).  For the launched
-    solutions the identity holds up to O(eps^2): w = t u' - a u_a - 2 lam u_lam
-    solves w'' = u w / (4t^2) with w(eps) = 0 and w'(eps) = a beta eps^2/4
-    + beta^2 eps^3/8 from the two-term launch.
-
-    Stages are spelled out on floats like the stepper's, and R is its end
-    state's, bit for bit :func:`shoot_endpoint`'s; the boundary residual,
-    linear in (u, u'), maps each variational pair to its derivative of R.
-
-    Raises
-    ------
-    IntegrationError
-        If a == 0, if the shot diverges or on step-size underflow.
+    b is u (Dirichlet) or u - 2 t u' (Navier), so u(2 t* t) is the solution
+    at 4 t*^2 lam with slope 2 t* a.  The :func:`_dp45` shot stops at the
+    first step start past the sign change, and Newton, kept inside the sign
+    change, places t* on the quartic interpolant of the step before it.
     """
-    if a == 0.0:
-        raise IntegrationError(f"variational shot: a must be nonzero, got a = {a!r}")
-    lam, t = spec.lam, spec.eps
-    y = (t * t / 4.0, t / 2.0, 0.0, 0.0)
-    c1, c2, c3, c4, c5, c6 = _DP_C
-    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _DP_A
+    # the residual is linear, so b = residual(u, 2 t u') = u + c t u'
+    c = 2.0 * spec.kind.residual(0.0, 1.0)
+    u, du = launch_state(a, spec.lam, spec.eps)
+    sign = math.copysign(1.0, u + c * spec.eps * du)
+    last = None
 
-    def accel(ts, u, ul, ull):  # (u_lam'', u_lamlam'') at time ts
-        c = 4.0 * ts * ts
-        return u * ul / c + 0.5, (ul * ul + u * ull) / c
+    def on_step(t, h, u, du, k):
+        nonlocal last
+        if sign * (u + c * t * du) <= 0.0:
+            return True
+        last = (t, h, u, du, k)
 
-    # stage j of a step holds zj0..zj3 (and u there is w); component i's slope
-    # is zj(i+1) for even i, rji for odd i; stage 0 is y, r the last stage 6's
-    r = accel(t, launch_state(a, lam, t)[0], y[0], y[2])
+    u, du, _ = _dp45(spec, a, on_step)
+    if last is None:
+        return None
+    t0, h, u0, du0, k = last
+    b1 = u + c * (t0 + h) * du
+    if sign * b1 > 0.0:
+        return None
+    # coefficients in theta = (t - t0)/h of u, u' and b on the step's interpolant
+    pu, pv = ([y0] + [h * sum(map(mul, ks, col)) for col in zip(*_DP_P)] + [0.0]
+              for ks, y0 in zip(zip(*k), (u0, du0)))
+    pb = [x + c * (t0 * v + h * prev) for x, v, prev in zip(pu, pv, [0.0] + pv)]
 
-    def advance(t, h, u, du, k):
-        nonlocal y, r
-        z00, z01, z02, z03 = y
-        r01, r03 = r
-        (q0, _), (q1, _), (q2, _), (q3, _), (q4, _), (q5, _), _ = k
-        w = u + h * (0.0 + a10 * q0)
-        z10 = z00 + h * (0.0 + a10 * z01)
-        z11 = z01 + h * (0.0 + a10 * r01)
-        z12 = z02 + h * (0.0 + a10 * z03)
-        z13 = z03 + h * (0.0 + a10 * r03)
-        r11, r13 = accel(t + c1 * h, w, z10, z12)
-        w = u + h * (0.0 + a20 * q0 + a21 * q1)
-        z20 = z00 + h * (0.0 + a20 * z01 + a21 * z11)
-        z21 = z01 + h * (0.0 + a20 * r01 + a21 * r11)
-        z22 = z02 + h * (0.0 + a20 * z03 + a21 * z13)
-        z23 = z03 + h * (0.0 + a20 * r03 + a21 * r13)
-        r21, r23 = accel(t + c2 * h, w, z20, z22)
-        w = u + h * (0.0 + a30 * q0 + a31 * q1 + a32 * q2)
-        z30 = z00 + h * (0.0 + a30 * z01 + a31 * z11 + a32 * z21)
-        z31 = z01 + h * (0.0 + a30 * r01 + a31 * r11 + a32 * r21)
-        z32 = z02 + h * (0.0 + a30 * z03 + a31 * z13 + a32 * z23)
-        z33 = z03 + h * (0.0 + a30 * r03 + a31 * r13 + a32 * r23)
-        r31, r33 = accel(t + c3 * h, w, z30, z32)
-        w = u + h * (0.0 + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
-        z40 = z00 + h * (0.0 + a40 * z01 + a41 * z11 + a42 * z21 + a43 * z31)
-        z41 = z01 + h * (0.0 + a40 * r01 + a41 * r11 + a42 * r21 + a43 * r31)
-        z42 = z02 + h * (0.0 + a40 * z03 + a41 * z13 + a42 * z23 + a43 * z33)
-        z43 = z03 + h * (0.0 + a40 * r03 + a41 * r13 + a42 * r23 + a43 * r33)
-        r41, r43 = accel(t + c4 * h, w, z40, z42)
-        w = u + h * (0.0 + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-        z50 = z00 + h * (0.0 + a50 * z01 + a51 * z11 + a52 * z21 + a53 * z31 + a54 * z41)
-        z51 = z01 + h * (0.0 + a50 * r01 + a51 * r11 + a52 * r21 + a53 * r31 + a54 * r41)
-        z52 = z02 + h * (0.0 + a50 * z03 + a51 * z13 + a52 * z23 + a53 * z33 + a54 * z43)
-        z53 = z03 + h * (0.0 + a50 * r03 + a51 * r13 + a52 * r23 + a53 * r33 + a54 * r43)
-        r51, r53 = accel(t + c5 * h, w, z50, z52)
-        w = u + h * (0.0 + a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-        z60 = z00 + h * (0.0 + a60 * z01 + a61 * z11 + a62 * z21 + a63 * z31 + a64 * z41 + a65 * z51)
-        z61 = z01 + h * (0.0 + a60 * r01 + a61 * r11 + a62 * r21 + a63 * r31 + a64 * r41 + a65 * r51)
-        z62 = z02 + h * (0.0 + a60 * z03 + a61 * z13 + a62 * z23 + a63 * z33 + a64 * z43 + a65 * z53)
-        z63 = z03 + h * (0.0 + a60 * r03 + a61 * r13 + a62 * r23 + a63 * r33 + a64 * r43 + a65 * r53)
-        r61, r63 = accel(t + c6 * h, w, z60, z62)
-        y = (z60, z61, z62, z63)
-        r = (r61, r63)
+    def horner(coeffs, theta):
+        value = slope = 0.0
+        for coeff in reversed(coeffs):
+            slope = slope * theta + value
+            value = value * theta + coeff
+        return value, slope
 
-    # the variational state may overflow to inf or nan on a divergent shot
-    u, du, diverged = _dp45(spec, a, advance)
-    ul, dul, ull, dull = y
-    # (value, slope) pairs at t = 1/2, where u'' = (u^2 + lam)/2, u_lam'' = u u_lam + 1/2
-    ua, dua = (0.5 * du - 2.0 * lam * ul) / a, (du + 0.25 * (u * u + lam) - 2.0 * lam * dul) / a
-    ual, dual = ((0.5 * dul - 2.0 * ul - 2.0 * lam * ull) / a,
-                 (0.5 * (u * ul + 0.5) - dul - 2.0 * lam * dull) / a)
-    uaa, duaa = (0.5 * dua - ua - 2.0 * lam * ual) / a, (0.5 * u * ua - 2.0 * lam * dual) / a
-    residual = spec.kind.residual
-    derivs = [residual(ua, dua), residual(ul, dul), residual(uaa, duaa), residual(ual, dual)]
-    if diverged or not all(math.isfinite(d) for d in derivs):
-        raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-    return (residual(u, du), *derivs)
+    lo, hi, theta = 0.0, 1.0, pb[0] / (pb[0] - b1)
+    for _ in range(60):
+        b, db = horner(pb, theta)
+        lo, hi = (theta, hi) if sign * b > 0.0 else (lo, theta)
+        step = theta - b / db if db != 0.0 else math.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - theta) <= 1e-14:
+            break
+        theta = step
+    return t0 + theta * h, horner(pu, theta)[0], horner(pv, theta)[0]
 
 
 def _rk4_step(t0, t1, h, u, du, lam):

@@ -65,9 +65,10 @@ class ProblemSpec:
         Series launch point in (0, 1/2) whose square is a normal float
         (eps >= about 1.4917e-154): the right-hand side and the validators
         divide by t^2, which loses precision or reaches 0 once t^2 is
-        subnormal.  The integration starts here with the two-term expansion
-        u = a*t + beta*t^2, so the trajectory carries an O(eps^3)
-        truncation error, far below step_tol at the default.
+        subnormal.  The two-term expansion u = a*t + beta*t^2 launches
+        every shot here, with an O(eps^3) error, far below step_tol at the
+        default; ``fold``'s event shots launch here at lam_ref, so the fold's
+        solution launches at eps sqrt(lam_ref / lam0).
     step_tol : float
         Local error tolerance per step of the adaptive integrator, finite
         and > 0.

@@ -211,23 +211,13 @@ def _extremum_cells(spec: ProblemSpec, g: list[float]) -> Optional[tuple[int, in
     return finite[max(j - 1, 0)], finite[j], finite[min(j + 1, len(finite) - 1)]
 
 
-def _scan_extremum(spec: ProblemSpec, scan: Optional[np.ndarray] = None):
-    """Slopes, g = s R and :func:`_extremum_cells` of g for the scan at
-    spec.lam, or its row ``scan``, in Python floats for ``_dp45``'s scalar loop."""
-    if scan is None:
-        scan = _scan_residuals(spec, [spec.lam])[0]
-    s = _DIP_SIGN[spec.kind]
-    coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
-    return _scan_grid(spec).tolist(), coarse, _extremum_cells(spec, coarse)
-
-
 def _dig(g, lo: float, hi: float, x: float, gx: float):
-    """Brent's parabolic minimization of g = s R on [lo, hi] from x, g(x) = gx.
+    """Brent's parabolic minimization of a unimodal g on [lo, hi] from x, g(x) = gx.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    Returns (a, g(a)) at the first slope where g < 0, which a root pair
-    straddles, or else within 2 tol of the minimum, tol = max(_ROOT_TOL,
-    sqrt(eps_mach) |a|), as values of g cannot place a minimum closer; g(a)
+    Returns (x, g(x)) at the first x where g < 0 (for g = s R, a root pair
+    straddles it), or else within 2 tol of the minimum, tol = max(_ROOT_TOL,
+    sqrt(eps_mach) |x|), as values of g cannot place a minimum closer; g(x)
     then exceeds the minimum by at most g''/2 (2 tol)^2.
     """
     v = w = x
@@ -333,8 +323,13 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     if spec.slope_max < 0.0 and math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
         raise WindowTooSmallError("slope_max", spec.slope_max)
 
-    a_grid, coarse, cells = _scan_extremum(spec, scan)
+    if scan is None:
+        scan = _scan_residuals(spec, [spec.lam])[0]
+    # slopes and g = s R in Python floats, for _dp45's scalar loop
     s = _DIP_SIGN[spec.kind]
+    a_grid = _scan_grid(spec).tolist()
+    coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
+    cells = _extremum_cells(spec, coarse)
     exact = {spec.slope_min: f_lo_edge, spec.slope_max: f_hi_edge}
 
     def g(a: float) -> float:

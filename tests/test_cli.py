@@ -121,12 +121,14 @@ def test_fold_tol_1e_4_certifies(tmp_path):
     assert fold["hi"] - fold["lo"] <= 1e-4
 
 
-def test_fold_singular_jacobian_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(continuation, "shoot_variational", lambda spec, a: (1.0, 0.0, 0.0, 0.0, 0.0))
+def test_fold_without_a_sign_change_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """No shot at lam_ref may keep its launch sign up to t = 1/2, as no
+    solution exists there; one that does is a numerical failure."""
+    monkeypatch.setattr(continuation, "shoot_event", lambda spec, a: None)
     code, out = run(tmp_path, "fold", "--bc", "navier")
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("numerical failure: ") and "singular" in err
+    assert err.startswith("numerical failure: ") and "keeps the launch sign" in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not os.path.exists(out) or not os.listdir(out)
 
@@ -337,13 +339,17 @@ def test_precondition_error_bad_bracket(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("eps", ["0.01", "0.1", "0.3"])
-def test_coarse_eps_fold_is_numerical_failure(tmp_path, capsys, eps):
-    """At a coarse eps the Dirichlet fold Newton fails (0.1, 0.3), or no
-    bracket certifies, as the roots near its fold fail validation (0.01):
-    exit 3.  A certificate that fails at the gate names the last rejected
-    root's report on the same line."""
-    code, out = run(tmp_path, "fold", "--bc", "dirichlet", "--eps", eps)
+@pytest.mark.parametrize("bc, eps", [
+    ("dirichlet", "0.01"), ("dirichlet", "0.1"), ("dirichlet", "0.3"),
+    ("navier", "0.01"), ("navier", "0.1"), ("navier", "0.3"),
+], ids=["0.01", "0.1", "0.3", "navier-0.01", "navier-0.1", "navier-0.3"])
+def test_coarse_eps_fold_is_numerical_failure(tmp_path, capsys, bc, eps):
+    """At a coarse eps the shot at lam_ref from the window's golden-section
+    slope changes sign before its launch at eps and keeps its launch sign up
+    to t = 1/2 (0.1, 0.3), or no bracket certifies, as the roots near the
+    fold fail validation (0.01): exit 3.  A certificate that fails at the
+    gate names the last rejected root's report on the same line."""
+    code, out = run(tmp_path, "fold", "--bc", bc, "--eps", eps)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ")

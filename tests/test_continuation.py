@@ -112,9 +112,9 @@ DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e6
 # a scan that picks the same cells leaves every endpoint shot and byte alone
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "ecdc6cf8d2864348ec5a68e6ca01b1cd4e195d84d04795d407478ea4acdaa0fa"),
+     "77b094f02a6cb4424c892ed64bedebe9f4f8ec03ead2a3f8464089c899f86beb"),
     (["fold", "--bc", "navier"], "fold.json",
-     "1cbaa309166bbfeb49bd7c845684541be8dc83040348cff480206aa6dc854bc2"),
+     "6426d9bd5f2a836b45107d6580358d43a5d5ac10c6721a7e5676441f52fa5771"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
      "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
 ]
@@ -157,6 +157,7 @@ def test_locate_fold_navier():
     lo, hi, lam0, a_star = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
     assert 0.0 < hi - lo <= 1e-5
     assert lo <= NAVIER_FOLD <= hi
+    assert lam0 == pytest.approx(NAVIER_FOLD, rel=2e-11, abs=0.0)
     assert lo < lam0 < hi <= 128.0 / 11.0
     assert -500.0 < a_star < 0.0
 
@@ -165,18 +166,19 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
     lo, hi, lam0, a_star = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
     assert 0.0 < hi - lo <= 1e-5
     assert lo <= DIRICHLET_FOLD <= hi
+    assert lam0 == pytest.approx(DIRICHLET_FOLD, rel=2e-11, abs=0.0)
     assert 168.0 <= lo < lam0 < hi <= 171.0
     assert -500.0 < a_star < 0.0
 
 
-@pytest.mark.parametrize("kind, endpoint, variational", [
-    (BoundaryKind.DIRICHLET, 18, 5), (BoundaryKind.NAVIER, 20, 4),
+@pytest.mark.parametrize("kind, endpoint, event", [
+    (BoundaryKind.DIRICHLET, 17, 16), (BoundaryKind.NAVIER, 20, 21),
 ], ids=["dirichlet", "navier"])
-def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
-    """A default fold's shots and calls, pinned: the fold Newton's
-    variational shots from the scan at the bracket's low end, then one root
-    in its slope bracket at lam0 - d and one full root set at lam0 + d."""
-    calls = {"endpoint": 0, "variational": 0, "root_sets": 0, "roots_in_bracket": 0}
+def test_default_fold_shot_counts(monkeypatch, kind, endpoint, event):
+    """A default fold's shots and calls, pinned: the Brent search's event
+    shots plus the one for R_aa, then one root in its slope bracket at
+    lam0 - d and one full root set at lam0 + d, which take every endpoint shot."""
+    calls = {"endpoint": 0, "event": 0, "root_sets": 0, "roots_in_bracket": 0}
 
     def counted(name, real):
         def call(*args):
@@ -186,14 +188,14 @@ def test_default_fold_shot_counts(monkeypatch, kind, endpoint, variational):
 
     monkeypatch.setattr(shooting, "shoot_endpoint",
                         counted("endpoint", shooting.shoot_endpoint))
-    monkeypatch.setattr(continuation, "shoot_variational",
-                        counted("variational", continuation.shoot_variational))
+    monkeypatch.setattr(continuation, "shoot_event",
+                        counted("event", continuation.shoot_event))
     monkeypatch.setattr(continuation, "find_shooting_roots",
                         counted("root_sets", continuation.find_shooting_roots))
     monkeypatch.setattr(continuation, "root_in_bracket",
                         counted("roots_in_bracket", continuation.root_in_bracket))
     locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
-    assert calls == {"endpoint": endpoint, "variational": variational,
+    assert calls == {"endpoint": endpoint, "event": event,
                      "root_sets": 1, "roots_in_bracket": 1}
 
 
@@ -205,17 +207,42 @@ def test_sweep_lists_the_fold_root_once():
 
 
 def test_locate_fold_bracket_independence():
-    """Any valid starting bracket localizes the same fold within tolerance."""
-    lo1, hi1, _, _ = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
-    lo2, hi2, _, _ = locate_fold(BoundaryKind.NAVIER, (10.0, 11.5), 0.05)
-    mid1 = 0.5 * (lo1 + hi1)
-    mid2 = 0.5 * (lo2 + hi2)
-    assert abs(mid1 - mid2) <= 0.05
+    """The fold's search never reads the bracket or the slope window: every
+    valid bracket and window gives the default's (lam0, a_star) bit for bit."""
+    want = {kind: locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))[2:]
+            for kind in BoundaryKind}
+    window = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-60.0, slope_max=-40.0)
+    for kind, bracket, spec in [
+        (BoundaryKind.DIRICHLET, (0.0, 307.0), None),
+        (BoundaryKind.DIRICHLET, (150.0, 290.0), None),
+        (BoundaryKind.DIRICHLET, (144.0, 307.0), window),
+        (BoundaryKind.NAVIER, (9.5, 11.5), None),
+        (BoundaryKind.NAVIER, (11.3, 11.4), None),
+    ]:
+        fold = locate_fold(kind, bracket, default_fold_tol(kind), spec)
+        assert fold[2:] == want[kind], (kind, bracket, spec)
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+def test_fold_derivatives_match_differences(kind):
+    """R_lam, read off the event state, matches a central difference of
+    shoot_endpoint at (a*, lam0) to 1e-6; R_aa, from the search's extra
+    event shot, matches a second central difference to 2e-3."""
+    a, lam0, r_lam, r_aa = continuation._fold_point(ProblemSpec(lam=0.0, kind=kind))
+
+    def resid(lam, a):
+        return shooting._residual_at(ProblemSpec(lam=lam, kind=kind), a)
+
+    h = 1e-4
+    assert r_lam == pytest.approx((resid(lam0 + h, a) - resid(lam0 - h, a)) / (2 * h), rel=1e-6)
+    h = 1e-3 * abs(a)
+    second = (resid(lam0, a + h) - 2.0 * resid(lam0, a) + resid(lam0, a - h)) / (h * h)
+    assert r_aa == pytest.approx(second, rel=2e-3)
 
 
 def test_locate_fold_dirichlet_from_zero():
-    """From the scan at lo = 0, where the trivial root a = 0 is one of two,
-    Newton reaches the same bracket."""
+    """A bracket from lo = 0, where the trivial root a = 0 is one of two,
+    certifies the same bracket."""
     fold = locate_fold(BoundaryKind.DIRICHLET, (0.0, 307.0), 0.5)
     default = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
     assert fold == pytest.approx(default, rel=0.0, abs=1e-9)
@@ -229,25 +256,26 @@ def test_locate_fold_bad_bracket_lo():
 
 def test_locate_fold_within_d_of_lo():
     """A lo less than d below the fold fails at "lo", as a hi less than d
-    above it fails at "hi"; the message names the fold Newton found."""
+    above it fails at "hi"; the message names the fold it found."""
     with pytest.raises(BracketError) as err:
         locate_fold(BoundaryKind.NAVIER, (11.3408094, 11.5), 0.05)
     assert err.value.end == "lo"
-    assert "11.3408094213" in str(err.value)
+    assert "11.3408094212" in str(err.value)
 
 
 def test_locate_fold_scan_without_a_finite_residual():
-    # every slope of this window overflows at launch
+    """Every slope of this window overflows at launch; the fold's search does
+    not scan it, and its a* lies above the window."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-1e308, slope_max=-1e307)
-    with pytest.raises(BracketError) as err:
+    with pytest.raises(WindowTooSmallError) as err:
         locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5, spec)
-    assert err.value.end == "lo"
-    assert "sees no finite residual" in str(err.value)
+    assert err.value.edge == "slope_max"
+    assert err.value.a == locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)[3]
 
 
 def test_locate_fold_window_without_the_roots_at_lo():
-    """Newton needs only the scan at lo, not its roots: a window that holds
-    a* but leaves out both roots at lo = 144 certifies the default bracket."""
+    """The fold's search needs no roots at lo: a window that holds a* but
+    leaves out both roots at lo = 144 certifies the default bracket."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, slope_min=-60.0, slope_max=-40.0)
     assert find_shooting_roots(replace(spec, lam=144.0)).roots == []
     lo, hi, lam0, a_star = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5, spec)

@@ -19,7 +19,7 @@ from epibvp.integrator import (
     integrate_rk4,
     launch_state,
     shoot_endpoint,
-    shoot_variational,
+    shoot_event,
     validate,
 )
 from epibvp.model import BoundaryKind, ProblemSpec, _cumtrapz
@@ -107,41 +107,55 @@ def test_shoot_endpoint_matches_dense_output(root_cache):
         assert du == traj.du[-1]
 
 
+# each kind's lam_ref (its nonexistence bound, where the fold's event shots run)
+# and slopes from the window's end through the fold's x* to near 0
+_EVENT_SHOTS = [
+    (kind, lam_ref, x)
+    for kind, lam_ref, xs in [
+        (BoundaryKind.DIRICHLET, 307.0, (-500.0, -309.0, -70.6, -1.0)),
+        (BoundaryKind.NAVIER, 128.0 / 11.0, (-500.0, -309.0, -9.0, -1.0)),
+    ]
+    for x in xs
+]
+
+
+@pytest.mark.parametrize("kind, lam_ref, x", _EVENT_SHOTS,
+                         ids=[f"{kind.value}{x:g}" for kind, _, x in _EVENT_SHOTS])
+def test_event_shot_finds_the_sampled_sign_change(kind, lam_ref, x):
+    """t* lies in the cell of a 16001-sample integrate where b = u (Dirichlet)
+    or u - 2 t u' (Navier) leaves its launch sign, within 1e-7 of the cell's
+    linear zero.  Stretched by 2 t*, the shot is a root: at (2 t* x, 4 t*^2
+    lam_ref) the endpoint shot has |R| <= 1e-9 and ends at (u, 2 t* u')."""
+    spec = ProblemSpec(lam=lam_ref, kind=kind)
+    t_star, u, du = shoot_event(spec, x)
+    traj = integrate(spec, x)
+    b = kind.residual(traj.u, 2.0 * traj.t * traj.du)
+    k = int(np.argmax(np.sign(b) != np.sign(b[0])))
+    assert k > 0 and traj.t[k - 1] <= t_star <= traj.t[k]
+    linear = traj.t[k - 1] - b[k - 1] * (traj.t[k] - traj.t[k - 1]) / (b[k] - b[k - 1])
+    assert abs(t_star - linear) <= 1e-7
+    u_end, du_end, diverged = shoot_endpoint(
+        ProblemSpec(lam=4.0 * t_star ** 2 * lam_ref, kind=kind), 2.0 * t_star * x)
+    assert not diverged
+    assert abs(kind.residual(u_end, du_end)) <= 1e-9
+    assert u == pytest.approx(u_end, rel=1e-8, abs=1e-9)
+    assert 2.0 * t_star * du == pytest.approx(du_end, rel=1e-8)
+
+
 @pytest.mark.parametrize("kind, lam, a", [
-    (BoundaryKind.DIRICHLET, 100.0, -16.0),
-    (BoundaryKind.DIRICHLET, 168.7694, -52.35),
-    (BoundaryKind.NAVIER, 5.0, -3.0),
-    (BoundaryKind.NAVIER, 11.34, -10.0),
-], ids=["dirichlet-100", "dirichlet-near-fold", "navier-5", "navier-near-fold"])
-def test_variational_derivatives_match_differences(kind, lam, a):
-    """R equals shoot_endpoint's residual exactly; R_a and R_lam match central
-    differences of shoot_endpoint; R_aa and R_alam match central differences
-    of the variational R_a."""
-
-    def resid(lam, a):
-        u, du, diverged = shoot_endpoint(ProblemSpec(lam=lam, kind=kind), a)
-        assert not diverged
-        return kind.residual(u, du)
-
-    def r_a_at(lam, a):
-        return shoot_variational(ProblemSpec(lam=lam, kind=kind), a)[1]
-
-    h = 1e-4
-    spec = ProblemSpec(lam=lam, kind=kind)
-    r, r_a, r_lam, r_aa, r_alam = shoot_variational(spec, a)
-    close = dict(rel=1e-6, abs=1e-10)
-    # the variational shot rides on the endpoint shot's steps: R is bit for bit
-    assert r == kind.residual(*shoot_endpoint(spec, a)[:2])
-    assert r_a == pytest.approx((resid(lam, a + h) - resid(lam, a - h)) / (2 * h), **close)
-    assert r_lam == pytest.approx((resid(lam + h, a) - resid(lam - h, a)) / (2 * h), **close)
-    assert r_aa == pytest.approx((r_a_at(lam, a + h) - r_a_at(lam, a - h)) / (2 * h), **close)
-    assert r_alam == pytest.approx((r_a_at(lam + h, a) - r_a_at(lam - h, a)) / (2 * h), **close)
-
-
-def test_variational_shot_refuses_divergence():
-    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
-    with pytest.raises(IntegrationError):
-        shoot_variational(spec, -2000.0)
+    (BoundaryKind.DIRICHLET, 0.0, -1.0),
+    (BoundaryKind.DIRICHLET, 307.0, 0.0),
+    (BoundaryKind.NAVIER, 0.0, -1.0),
+    (BoundaryKind.DIRICHLET, 307.0, -1e154),
+], ids=["dirichlet-lam-0", "dirichlet-slope-0", "navier-lam-0", "diverged"])
+def test_event_shot_without_a_sign_change_is_none(kind, lam, a):
+    """A shot whose b keeps its launch sign up to t = 1/2, or diverges before
+    it leaves it, is reported as None: no sample of the trajectory changes sign."""
+    spec = ProblemSpec(lam=lam, kind=kind, grid_n=2001)
+    assert shoot_event(spec, a) is None
+    traj = integrate(spec, a)
+    b = kind.residual(traj.u, 2.0 * traj.t * traj.du)
+    assert traj.diverged or np.all(np.sign(b) == np.sign(b[0]))
 
 
 def _dp45_loop(spec, a, on_step=None):
@@ -183,8 +197,8 @@ def _dp45_loop(spec, a, on_step=None):
         if not math.isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None:
-                on_step(t, h, u, du, tuple(k))
+            if on_step is not None and on_step(t, h, u, du, tuple(k)):
+                return u, du, False
             t += h
             u, du = uu, vv
             k0 = k[6]
@@ -206,12 +220,14 @@ def _end(call):
         return str(exc)
 
 
-def _shot_record(stepper, spec, a):
+def _shot_record(stepper, spec, a, stop=None):
     """The end of a shot and the bytes of every accepted step's (t, h, u, u')
-    and stages."""
+    and stages; ``on_step`` stops the shot at the start of step ``stop``."""
     steps = []
 
     def record(t, h, u, du, k):
+        if len(steps) == stop:
+            return True
         steps.append((t, h, u, du, *(x for stage in k for x in stage)))
 
     return _end(lambda: stepper(spec, a, record)), np.array(steps).tobytes()
@@ -228,13 +244,15 @@ _SHOT_CASES = [
 
 def test_unrolled_stepper_matches_tableau_loops():
     """The unrolled _dp45 reproduces the loop stepper bit for bit: end
-    states, divergence flags, every accepted step with its stages, and the
-    step-underflow message."""
+    states, divergence flags, every accepted step with its stages, the
+    step-underflow message, and the state where on_step stops the shot."""
     outcomes = set()
     for kind, lam, eps, a in _SHOT_CASES:
         spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
         want = _shot_record(_dp45_loop, spec, a)
         assert _shot_record(integrator._dp45, spec, a) == want, (kind, lam, eps, a)
+        stopped = _shot_record(_dp45_loop, spec, a, stop=3)
+        assert _shot_record(integrator._dp45, spec, a, stop=3) == stopped, (kind, lam, eps, a)
         assert _end(lambda: shoot_endpoint(spec, a)) == want[0]
         if want[0].startswith("step size underflow"):
             outcomes.add("underflow")
@@ -242,165 +260,6 @@ def test_unrolled_stepper_matches_tableau_loops():
             outcomes.add("diverged" if want[0].endswith("True)") else "landed")
     # diverged covers both a blow-up and a non-finite stage
     assert outcomes == {"landed", "diverged", "underflow"}
-
-
-def test_variational_residual_is_the_endpoint_residual():
-    """shoot_variational rides on the unrolled steps: its R is bit for bit
-    shoot_endpoint's wherever the variational shot succeeds."""
-    compared = 0
-    for kind, lam, eps, a in _SHOT_CASES:
-        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
-        try:
-            r = shoot_variational(spec, a)[0]
-        except IntegrationError:
-            continue
-        u, du, diverged = shoot_endpoint(spec, a)
-        assert not diverged
-        assert repr(r) == repr(kind.residual(u, du)), (kind, lam, eps, a)
-        compared += 1
-    assert compared > len(_SHOT_CASES) // 3
-
-
-def _shoot_variational_loop(spec, a):
-    """Reference variational shot: the stages as tableau loops over the
-    8-component state, each sum accumulated from 0.0 in tableau order."""
-    lam = spec.lam
-    t = spec.eps
-    u0, _ = launch_state(a, lam, t)
-    y = (t + a * t * t / 8.0, 1.0 + a * t / 4.0, t * t / 4.0, t / 2.0, t * t / 8.0, t / 4.0, 0.0, 0.0)
-
-    def rhs(ts, u, ys):
-        ua, dua, ul, dul, uaa, duaa, ual, dual = ys
-        c = 4.0 * ts * ts
-        return (dua, u * ua / c, dul, u * ul / c + 0.5, duaa, (ua * ua + u * uaa) / c,
-                dual, (ul * ua + u * ual) / c)
-
-    kv = [rhs(t, u0, y)]
-
-    def advance(t, h, u, du, k):
-        nonlocal y
-        for s, row in enumerate(integrator._DP_A):
-            au = 0.0
-            b = [0.0] * 8
-            for aij, kj, vj in zip(row, k, kv):
-                au += aij * kj[0]
-                for i in range(8):
-                    b[i] += aij * vj[i]
-            ys = tuple(yi + h * bi for yi, bi in zip(y, b))
-            kv.append(rhs(t + integrator._DP_C[s] * h, u + h * au, ys))
-        y = ys
-        del kv[:6]
-
-    u, du, diverged = integrator._dp45(spec, a, advance)
-    derivs = [spec.kind.residual(y[i], y[i + 1]) for i in (0, 2, 4, 6)]
-    if diverged or not all(math.isfinite(d) for d in derivs):
-        raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-    return (spec.kind.residual(u, du), *derivs)
-
-
-def _shoot_lam_variational_loop(spec, a):
-    """Reference for the shot as built: the stages as tableau loops over the
-    4-component lam-state, each sum accumulated from 0.0 in tableau order,
-    and the a-derivatives from the scaling identity at t = 1/2."""
-    if a == 0.0:
-        raise IntegrationError(f"variational shot: a must be nonzero, got a = {a!r}")
-    lam = spec.lam
-    t = spec.eps
-    u0, _ = launch_state(a, lam, t)
-    y = (t * t / 4.0, t / 2.0, 0.0, 0.0)
-
-    def rhs(ts, u, ys):
-        ul, dul, ull, dull = ys
-        c = 4.0 * ts * ts
-        return (dul, u * ul / c + 0.5, dull, (ul * ul + u * ull) / c)
-
-    kv = [rhs(t, u0, y)]
-
-    def advance(t, h, u, du, k):
-        nonlocal y
-        for s, row in enumerate(integrator._DP_A):
-            au = 0.0
-            b = [0.0] * 4
-            for aij, kj, vj in zip(row, k, kv):
-                au += aij * kj[0]
-                for i in range(4):
-                    b[i] += aij * vj[i]
-            ys = tuple(yi + h * bi for yi, bi in zip(y, b))
-            kv.append(rhs(t + integrator._DP_C[s] * h, u + h * au, ys))
-        y = ys
-        del kv[:6]
-
-    u, du, diverged = integrator._dp45(spec, a, advance)
-    ul, dul, ull, dull = y
-    ua = (0.5 * du - 2.0 * lam * ul) / a
-    dua = (du + 0.25 * (u * u + lam) - 2.0 * lam * dul) / a
-    ual = (0.5 * dul - 2.0 * ul - 2.0 * lam * ull) / a
-    dual = (0.5 * (u * ul + 0.5) - dul - 2.0 * lam * dull) / a
-    uaa = (0.5 * dua - ua - 2.0 * lam * ual) / a
-    duaa = (0.5 * u * ua - 2.0 * lam * dual) / a
-    derivs = [spec.kind.residual(*pair) for pair in ((ua, dua), (ul, dul), (uaa, duaa), (ual, dual))]
-    if diverged or not all(math.isfinite(d) for d in derivs):
-        raise IntegrationError(f"variational shot diverged (a={a!r}, lam={lam!r})")
-    return (spec.kind.residual(u, du), *derivs)
-
-
-_FOLD_SHOTS = [
-    (BoundaryKind.DIRICHLET, 168.76943127403896, -52.35461061897922),
-    (BoundaryKind.NAVIER, 11.340809421307341, -8.87250444244705),
-    (BoundaryKind.NAVIER, 11.34, -10.0),
-]
-
-
-def test_unrolled_variational_matches_tableau_loops():
-    """The unrolled shoot_variational reproduces the 4-component loop
-    reference bit for bit (all five values), and raises the same error where
-    it fails: a diverging shot, and a = 0, where the identity gives no
-    a-derivative."""
-    outcomes = set()
-    cases = [case for case in _SHOT_CASES if case[2] == 1e-3] + [
-        (kind, lam, ProblemSpec.eps, a) for kind, lam, a in _FOLD_SHOTS
-    ]
-    assert len(cases) > 100
-    for kind, lam, eps, a in cases:
-        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
-        want = _end(lambda: _shoot_lam_variational_loop(spec, a))
-        assert _end(lambda: shoot_variational(spec, a)) == want, (kind, lam, eps, a)
-        outcomes.add("landed" if want.startswith("(") else want.split(" (")[0].split(",")[0])
-    assert outcomes == {"landed", "variational shot diverged", "variational shot: a must be nonzero"}
-
-
-def test_variational_shot_matches_the_eight_component_reference():
-    """At the default eps the a-derivatives read off the scaling identity
-    match the 8-component shot that integrates them, lam = 0 included; R and
-    R_lam ride on the same steps and are bit for bit equal.  The slopes keep
-    |a| >= 1: at lam > 0 the division by a scales the integration error by
-    1/|a| (R_a) and 1/a^2 (R_aa), and at a = -0.5, lam = 168.7694 R_aa is
-    off by 1.4e-6 relative."""
-    cases = [
-        (kind, lam, a)
-        for kind in BoundaryKind
-        for lam in (0.0, 1.0, 9.0, 100.0, 168.7694)
-        for a in (-2000.0, -52.35, -16.2635630662405, -4.742307280271374, -1.0, 3.0)
-    ] + _FOLD_SHOTS
-    landed = 0
-    for kind, lam, a in cases:
-        spec = ProblemSpec(lam=lam, kind=kind)
-        want = _end(lambda: _shoot_variational_loop(spec, a))
-        if not want.startswith("("):
-            assert _end(lambda: shoot_variational(spec, a)) == want, (kind, lam, a)
-            continue
-        want = _shoot_variational_loop(spec, a)
-        got = shoot_variational(spec, a)
-        assert (got[0], got[2]) == (want[0], want[2]), (kind, lam, a)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-10), (kind, lam, a)
-        landed += 1
-    assert landed > len(cases) // 2
-
-
-def test_variational_shot_needs_nonzero_slope():
-    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
-    with pytest.raises(IntegrationError, match="a must be nonzero"):
-        shoot_variational(spec, 0.0)
 
 
 @pytest.mark.parametrize("kind, lam, a", [

@@ -345,7 +345,7 @@ def test_root_set_shot_budget(monkeypatch, lam, kind):
     assert len(shots) <= 20
 
 
-# the default folds' certificate lam lam0 + d (fold.json's upper end), where
+# lams about d above the default folds (near fold.json's upper end), where
 # the dug minimum of s R is designed to be about 4e-8, and the dig's shot
 # budget there; a dig down to a _ROOT_TOL bracket takes 28 and 29 shots
 _CERT_HI = {
@@ -382,7 +382,7 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
     assert len(dig_shots) == 1 and dig_shots[0] <= budget
 
 
-# default folds lam0 (within 3 ulp of the fold Newton's) and, at lam0 (1 + r), the root
+# the default folds' lam0 to within 2e-12 relative and, at lam0 (1 + r), the root
 # counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
 # tangency root just above it, none further up
 _NEAR_FOLD = {
