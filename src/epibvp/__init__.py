@@ -23,7 +23,7 @@ from .errors import (
     BracketError, DomainError, EpibvpError, IntegrationError, UnvalidatedTrajectoryError,
     WindowTooSmallError,
 )
-from .integrator import ValidationReport, integrate, integrate_rk4, launch_state, validate
+from .integrator import ValidationReport, integrate, launch_state, shoot, validate
 from .model import BoundaryKind, ProblemSpec, RadialProfile, Trajectory, reconstruct_phi
 from .shooting import RootSet, ShootingRoot, find_shooting_roots
 
@@ -55,7 +55,6 @@ __all__ = [
     "find_shooting_roots",
     "fixed_point_c0",
     "integrate",
-    "integrate_rk4",
     "launch_state",
     "locate_fold",
     "lower_function_dirichlet",
@@ -63,6 +62,7 @@ __all__ = [
     "nonexistence_dirichlet",
     "nonexistence_navier",
     "reconstruct_phi",
+    "shoot",
     "sweep",
     "truncated_monotone_solve",
     "universal_bound",

@@ -25,11 +25,11 @@ solvability for the given deposition rate:
 
 ``truncated_monotone_solve`` realizes the constructive side, the method of
 upper and lower functions (Amann, SIAM Rev. 18, 1976): v = -u/t solves the
-integral equation v = T_lam[v] whose residual ``validate`` reports, T_lam
-is monotone on v >= 0, and its iterates from the upper function v = 0 rise
-to the solution and stay below the lower function's -alpha/t.  The iterates
-are polynomials in x = 2t, so the solve has no truncation and needs no
-linear solve.
+integral equation v = T_lam[v], T_lam is monotone on v >= 0, and its
+iterates from the upper function v = 0 rise to the solution and stay below
+the lower function's -alpha/t.  The iterates are polynomials in x = 2t, so
+the solve has no truncation and needs no linear solve, and the validator
+integrates the polynomial itself, from t = 0.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, EpibvpError
+from .integrator import _GL_THETA, Panels, ValidationReport, validate
 from .model import BoundaryKind, ProblemSpec, Trajectory, check_lam
 
 _FIXED_POINT_CAP = 384.0
@@ -56,6 +57,8 @@ _C0_MAX_ITER = 10 ** 6
 _PICARD_DEGREE = 64
 _PICARD_MAX_ITER = 1000
 _PICARD_TOL = 1e-14
+# uniform panels of [0, 1/2] on which the monotone solution is validated
+_MONOTONE_PANELS = 64
 
 
 class CertificateKind(Enum):
@@ -427,7 +430,7 @@ def _picard_solve(lam: float, kind: BoundaryKind) -> np.ndarray:
                       f"(lam={lam}, kind={kind.value})")
 
 
-def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
+def truncated_monotone_solve(spec: ProblemSpec) -> tuple[Trajectory, ValidationReport]:
     """Solve by monotone iteration from the upper function u = 0.
 
     v = -u/t solves the integral equation v = T_lam[v] (``_picard_step``).
@@ -436,7 +439,10 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
     -alpha/t for the lower function alpha of spec.kind.  They are carried as
     polynomials in x = 2t (``_picard_step``), so there is no truncation at
     eps: u = -t v and u' = -(v + t v') are sampled on spec.grid_n points of
-    [eps, 1/2], and ``a`` is the launch slope -v(0).
+    [eps, 1/2], and ``a`` is the launch slope -v(0).  The same polynomial
+    is validated on ``_MONOTONE_PANELS`` uniform panels of [0, 1/2], so the
+    report depends on neither eps nor the grid.  Returns the trajectory and
+    that report.
 
     Raises
     ------
@@ -455,14 +461,22 @@ def truncated_monotone_solve(spec: ProblemSpec) -> Trajectory:
         )
 
     p = _picard_solve(spec.lam, spec.kind)
+    dirichlet = spec.kind is BoundaryKind.DIRICHLET
+    c = _times_one_minus_x(p) if dirichlet else p  # the coefficients of v
+
+    def state(t):  # (u, u') at the times t
+        x = 2.0 * t
+        v = np.polyval(p[::-1], x)
+        if dirichlet:
+            # (1 - x) p(x) is exactly 0 at x = 1, where summed coefficients leave rounding
+            v *= 1.0 - x
+        # d(t v)/dt = d(x v)/dx; subtracting from 0.0 writes no -0.0
+        return 0.0 - t * v, 0.0 - np.polyval((np.arange(1, c.size + 1) * c)[::-1], x)
+
     t = np.linspace(spec.eps, 0.5, spec.grid_n)
-    x = 2.0 * t
-    v = np.polyval(p[::-1], x)
-    c = p  # the coefficients of v
-    if spec.kind is BoundaryKind.DIRICHLET:
-        # (1 - x) p(x) is exactly 0 at x = 1, where summed coefficients leave rounding
-        v *= 1.0 - x
-        c = _times_one_minus_x(p)
-    # d(t v)/dt = d(x v)/dx; subtracting from 0.0 writes no -0.0
-    du = 0.0 - np.polyval((np.arange(1, c.size + 1) * c)[::-1], x)
-    return Trajectory(lam=spec.lam, kind=spec.kind, t=t, u=0.0 - t * v, du=du, a=0.0 - c[0])
+    traj = Trajectory(spec.lam, spec.kind, t, *state(t), a=0.0 - c[0])
+    ends = np.linspace(0.0, 0.5, _MONOTONE_PANELS + 1)
+    nodes = ends[:-1] + np.multiply.outer(_GL_THETA, np.diff(ends))
+    panels = Panels(spec.lam, spec.kind, ends, *state(ends), state(nodes)[0], tail=0.0,
+                    diverged=False)
+    return traj, validate(panels)

@@ -20,7 +20,7 @@ import sys
 from .certificates import certificates_for, truncated_monotone_solve
 from .continuation import default_fold_bracket, default_fold_tol, locate_fold, sweep
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
-from .integrator import integrate
+from .integrator import shoot, validate
 from .model import BoundaryKind, ProblemSpec, reconstruct_phi
 from . import serialize, shooting
 
@@ -192,15 +192,16 @@ def _emit_solution(args, traj, report, suffix: str = "") -> None:
 def _cmd_solve(args) -> int:
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
-        _emit_solution(args, *shooting.judge(spec, truncated_monotone_solve))
+        _emit_solution(args, *truncated_monotone_solve(spec))
         return EXIT_OK
     if args.a is not None:
-        _emit_solution(args, *shooting.judge(spec, lambda s: integrate(s, args.a)))
+        shot = shoot(spec, args.a)
+        _emit_solution(args, shot.trajectory(spec.grid_n), validate(shot))
         return EXIT_OK
     roots = shooting.find_shooting_roots(spec)
     _write(args, "roots.json", serialize.rootset_to_json(roots))
     for i, root in enumerate(roots.roots):
-        _emit_solution(args, root.traj, root.report, suffix=f"_root{i}")
+        _emit_solution(args, root.shot.trajectory(spec.grid_n), root.report, suffix=f"_root{i}")
     return EXIT_OK
 
 

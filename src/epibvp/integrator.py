@@ -1,16 +1,16 @@
-"""Integration from the singular endpoint and residual validation.
+"""Integration from the singular endpoint and the solution validator.
 
 The initial value problem is launched at t = eps with the two-term series
 u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
 embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
 every shot.  Its stages are spelled out on Python floats, each sum in
-tableau order, so a shot costs little more than its arithmetic.  Dense
-output records the accepted steps and then fills every sample of the
-uniform grid in one vectorized pass from the pair's quartic interpolant, so
-step sizes are chosen by the error controller alone.  lam is a pure scale
-of the equation: if u(t) solves it, u(kt) solves it with k^2 lam and launch
-slope k a, so the event shot at one lam (:func:`shoot_event`) gives a
-solution at another lam for each slope.
+tableau order, so a shot costs little more than its arithmetic.  A
+recorded shot (:func:`shoot`) keeps its accepted steps and fills the
+samples of any uniform grid in one vectorized pass from the pair's quartic
+interpolant, so step sizes are chosen by the error controller alone.  lam
+is a pure scale of the equation: if u(t) solves it, u(kt) solves it with
+k^2 lam and launch slope k a, so the event shot at one lam
+(:func:`shoot_event`) gives a solution at another lam for each slope.
 
 Candidate solutions are validated against two exact identities that every
 genuine solution satisfies:
@@ -19,12 +19,13 @@ genuine solution satisfies:
 * integral representation:  u(t) = -[2 (1/2-t) I(t)
       + t int_t^{1/2} u^2/(4s^2) (1/2-s) ds + (lam/4) t (1/2-t) - 2 t u(1/2)]
 
-with the singular integral I(t) = int_0^t u^2/(8s) ds, which both share
-(:func:`_singular_integral`).  The integrals are evaluated by cumulative
-trapezoid quadrature on the sample grid; the s < eps tail of I comes
-analytically from the series launch.
-A fixed-step classical RK4 integrator is kept alongside as an independent
-reference so that the two schemes cross-check each other.
+with the singular integral I(t) = int_0^t u^2/(8s) ds, which both share.
+:func:`validate` checks both at the ends of a solution's panels.  A shot's
+panels are its accepted steps: a 6-node Gauss-Legendre rule integrates the
+step's quartic interpolant (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.6), and the s < eps tail of I comes analytically from the series
+launch.  The rule's error is far below the shot's own, so the residuals
+measure the solution, and no output grid enters them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from .errors import IntegrationError
-from .model import ProblemSpec, Trajectory, _cumtrapz
+from .model import BoundaryKind, ProblemSpec, Trajectory
 
 # Dormand-Prince 5(4) tableau, embedded error weights, and Shampine's
 # quartic dense-output matrix (order-4 interpolant over each step).
@@ -73,9 +74,15 @@ _MIN_STEP = 1e-16
 # |u| above which a shot is flagged as diverged
 BLOWUP = 1e6
 
-# the residual validators use trapezoid quadrature on the sample grid; their
-# acceptance thresholds below are calibrated at this output resolution
-VALIDATION_GRID_MIN = 16001
+# 6-node Gauss-Legendre rule on [-1, 1], exact to degree 11, and its nodes
+# theta in (0, 1) with their weights for the unit interval
+_GL_X = (-0.932469514203152, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.932469514203152)
+_GL_W = (0.17132449237917036, 0.3607615730481386, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481386, 0.17132449237917036)
+_GL_THETA = np.array([(1.0 + x) / 2.0 for x in _GL_X])
+_GL_HALF_W = [w / 2.0 for w in _GL_W]
+
 FI_TOL = 1e-6  # first-integral residual
 REP_TOL = 1e-5  # integral-representation residual
 SIGN_TOL = 1e-8  # max u (sign property)
@@ -84,11 +91,11 @@ BOUNDARY_TOL = 1e-8  # endpoint residual
 
 @dataclasses.dataclass
 class ValidationReport:
-    """Residuals of one trajectory against the exact solution identities.
+    """Residuals of one solution against the exact solution identities.
 
-    A trajectory is accepted iff every residual is below its threshold and
-    ``sign_violation``, which is max u over the samples and may be of
-    either sign, is at most ``SIGN_TOL``.  A diverged trajectory has
+    A solution is accepted iff every residual is below its threshold and
+    ``sign_violation``, which is max u over its panel ends and nodes and may
+    be of either sign, is at most ``SIGN_TOL``.  A diverged shot has
     infinite residuals, so it is never accepted.
     """
 
@@ -134,10 +141,11 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     The one step-size controller of the package: local error per step is
     bounded by ``spec.step_tol``, measured on (u, u').  Each accepted step
     calls ``on_step(t, h, u, du, k)`` with its start time, size, start state
-    and the seven stage derivatives ``k[s] = (u', u'')``, and stops there if
-    it returns true; :func:`integrate` records the steps to fill its output
-    samples and :func:`shoot_event` stops past a sign change.  Returns the
-    last state ``(u, u', diverged)``: the state at t = 1/2 or where it
+    and the seven stage derivatives (u', u'') as one flat tuple ``k``
+    (k[2 s] = u' and k[2 s + 1] = u'' of stage s), and stops there if
+    it returns true; :func:`shoot` records the steps and
+    :func:`shoot_event` stops past a sign change.  Returns the last state
+    ``(u, u', diverged)``: the state at t = 1/2 or where it
     stopped, or the last state reached when |u| exceeded ``BLOWUP`` or a
     stage went non-finite (both flagged as divergence).
 
@@ -145,7 +153,7 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     sum starts at 0.0 and adds its terms in tableau order, zero weights
     included, which fixes every rounding: the shot is bit for bit that of
     ``acc = 0.0; for j: acc += A[s][j] * k[j]`` over the tableau.  The
-    tuples ``k`` are built only for ``on_step``.
+    tuple ``k`` is built only for ``on_step``.
 
     The pair is first-same-as-last: the last stage sits at the 5th-order
     end state, so an accepted step hands its end state and the next
@@ -210,8 +218,8 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
         if not isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None and on_step(t, h, u, du, ((du, f0), (v1, f1), (v2, f2), (v3, f3),
-                                                             (v4, f4), (v5, f5), (v6, f6))):
+            if on_step is not None and on_step(t, h, u, du, (du, f0, v1, f1, v2, f2, v3, f3,
+                                                             v4, f4, v5, f5, v6, f6)):
                 return u, du, False
             t += h
             u, du, f0 = u6, v6, f6
@@ -225,51 +233,63 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
             raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
 
 
-def integrate(spec: ProblemSpec, a: float) -> Trajectory:
-    """Shoot from the series launch at t = eps to t = 1/2 with slope a.
+@dataclasses.dataclass(eq=False)
+class Panels:
+    """A candidate solution on consecutive panels of [t[0], 1/2], as
+    :func:`validate` reads it.
 
-    The :func:`_dp45` stepper, with output on ``spec.grid_n`` uniform t
-    samples (endpoint included).  The accepted steps are recorded, then
-    every sample after the launch is filled in one vectorized pass from the
-    quartic interpolant of its step: the first step whose end lies beyond
-    the sample, so a sample on a step end is deferred to the next step,
-    whose theta = 0 reproduces the stepped state bit for bit.  Samples at
-    or past the last step's end take the end state at t = 1/2 (they differ
-    from it only by fp drift).  If |u| exceeds ``BLOWUP`` the run stops and
-    the trajectory is truncated after its last filled sample, with
-    ``diverged`` set -- root scanning relies on probing such slopes, so
-    divergence is not an error.
-
-    Each sample is evaluated elementwise in a fixed order (acc += q_j
-    theta^(j+1) for j = 0..3, q_j summed over the stages in order), so its
-    bits depend neither on how many samples its step covers nor on the
-    grid.  Deterministic: identical spec and slope give bit-identical
-    samples.
-
-    Raises
-    ------
-    IntegrationError
-        On step-size underflow.
+    ``u`` and ``du`` are the solution at the panel ends ``t`` (t[-1] is 1/2
+    unless ``diverged``), ``nodes[k, i]`` is u at the Gauss-Legendre node
+    t[i] + theta_k (t[i+1] - t[i]) of panel i, and ``tail`` is
+    int_0^t[0] u^2/(8s) ds.
     """
-    steps = []
-    u, du, diverged = _dp45(spec, a, lambda *step: steps.append(step))
-    t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
-    us = np.empty(spec.grid_n)
-    dus = np.empty(spec.grid_n)
-    us[0], dus[0] = launch_state(a, spec.lam, spec.eps)
-    idx = 1
-    if steps:
-        t0, h, u0, du0 = np.array([step[:4] for step in steps]).T
-        k = np.array([step[4] for step in steps])
-        # q[:, c, j] = sum over stages s of k_s[c] P[s][j], added from 0.0 in stage order
-        q = np.zeros((len(steps), 2, 4))
-        for s, row in enumerate(_DP_P):
-            q += k[:, s, :, None] * row
+
+    lam: float
+    kind: BoundaryKind
+    t: np.ndarray
+    u: np.ndarray
+    du: np.ndarray
+    nodes: np.ndarray
+    tail: float
+    diverged: bool
+
+
+@dataclasses.dataclass(eq=False)
+class Shot(Panels):
+    """One :func:`_dp45` shot at slope ``a``, its accepted steps as panels.
+
+    Step i starts at t[i] with size ``h[i]``; ``q[i, c, j]`` are the
+    coefficients of its quartic interpolant of (u, u')[c]:
+    y(t[i] + theta h[i]) = y(t[i]) + h[i] sum_j q[i, c, j] theta^(j+1).
+    """
+
+    a: float
+    h: np.ndarray
+    q: np.ndarray
+
+    def trajectory(self, grid_n: int) -> Trajectory:
+        """The shot on ``grid_n`` uniform samples of [eps, 1/2], endpoint included.
+
+        Every sample after the launch is filled in one vectorized pass from
+        the quartic interpolant of its step: the first step whose end lies
+        beyond the sample, so a sample on a step end is deferred to the next
+        step, whose theta = 0 reproduces the stepped state bit for bit.
+        Samples at or past the last step's end take the end state at t = 1/2
+        (they differ from it only by fp drift); a diverged shot is truncated
+        after its last filled sample.  Each sample is evaluated elementwise
+        in a fixed order (acc += q_j theta^(j+1) for j = 0..3), so its bits
+        depend neither on how many samples its step covers nor on the grid.
+        """
+        t0, h, q = self.t[:-1], self.h, self.q
+        t_out = np.linspace(self.t[0], 0.5, grid_n)
+        us = np.empty(grid_n)
+        dus = np.empty(grid_n)
+        us[0], dus[0] = self.u[0], self.du[0]
         # step s fills the samples before its end that no earlier step took
         stops = np.searchsorted(t_out, t0 + h, "left")
-        np.maximum(stops, idx, out=stops)
-        counts = np.diff(stops, prepend=idx)
-        idx = int(stops[-1])
+        np.maximum(stops, 1, out=stops)
+        counts = np.diff(stops, prepend=1)
+        idx = int(stops[-1]) if h.size else 1
         theta = t_out[1:idx] - np.repeat(t0, counts)
         theta /= np.repeat(h, counts)
         poly = theta.copy()
@@ -282,23 +302,69 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
                 term *= poly
                 acc += term
             poly *= theta
-        for y0, acc in ((u0, acc_u), (du0, acc_v)):
+        for y0, acc in ((self.u[:-1], acc_u), (self.du[:-1], acc_v)):
             acc *= np.repeat(h, counts)
             acc += np.repeat(y0, counts)
-    if not diverged:
-        us[idx:], dus[idx:] = u, du
-        idx = spec.grid_n
-    return Trajectory(
-        lam=spec.lam, kind=spec.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx], a=a,
-        diverged=diverged,
+        if not self.diverged:
+            us[idx:], dus[idx:] = self.u[-1], self.du[-1]
+            idx = grid_n
+        return Trajectory(
+            lam=self.lam, kind=self.kind, t=t_out[:idx], u=us[:idx], du=dus[:idx], a=self.a,
+            diverged=self.diverged,
+        )
+
+
+def shoot(spec: ProblemSpec, a: float) -> Shot:
+    """The :func:`_dp45` shot at slope a with its accepted steps recorded.
+
+    If |u| exceeds ``BLOWUP`` the shot stops there with ``diverged`` set --
+    root scanning relies on probing such slopes, so divergence is not an
+    error.  Deterministic: identical spec and slope give bit-identical
+    shots.
+
+    Raises
+    ------
+    IntegrationError
+        On step-size underflow.
+    """
+    rows = []
+    u, du, diverged = _dp45(spec, a, lambda t, h, u, du, k: rows.extend((t, h, u, du, *k)))
+    steps = np.array(rows).reshape(-1, 18)
+    t0, h, u0, du0 = steps[:, :4].T
+    k = steps[:, 4:].reshape(-1, 7, 2)
+    # q[:, c, j] = sum over stages s of k_s[c] P[s][j], added from 0.0 in stage order
+    q = np.zeros((h.size, 2, 4))
+    for s, row in enumerate(_DP_P):
+        q += k[:, s, :, None] * row
+    # u at each step's Gauss-Legendre nodes, on the same interpolant
+    nodes = np.zeros((_GL_THETA.size, h.size))
+    poly = _GL_THETA
+    for j in range(4):
+        nodes += np.multiply.outer(poly, q[:, 0, j])
+        poly = poly * _GL_THETA
+    nodes *= h
+    nodes += u0
+    # the series u = a s + beta s^2 makes u^2/(8s) a polynomial below eps
+    eps, beta = spec.eps, _beta(a, spec.lam)
+    tail = (a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0
+            + beta * beta * eps ** 4 / 4.0) / 8.0
+    t_end = t0[-1] + h[-1] if h.size else eps
+    return Shot(
+        lam=spec.lam, kind=spec.kind, t=np.append(t0, t_end), u=np.append(u0, u),
+        du=np.append(du0, du), nodes=nodes, tail=tail, diverged=diverged, a=a, h=h, q=q,
     )
 
 
-def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
-    """Endpoint state (u(1/2), u'(1/2), diverged) without dense output.
+def integrate(spec: ProblemSpec, a: float) -> Trajectory:
+    """The shot at slope a (:func:`shoot`) on ``spec.grid_n`` samples."""
+    return shoot(spec, a).trajectory(spec.grid_n)
 
-    Same stepper and tolerances as :func:`integrate`; used by root
-    refinement where only the endpoint matters.
+
+def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
+    """Endpoint state (u(1/2), u'(1/2), diverged) without recording the steps.
+
+    Same stepper and tolerances as :func:`shoot`; used by root refinement
+    where only the endpoint matters.
     """
     return _dp45(spec, a)
 
@@ -333,7 +399,7 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
         return None
     # coefficients in theta = (t - t0)/h of u, u' and b on the step's interpolant
     pu, pv = ([y0] + [h * sum(map(mul, ks, col)) for col in zip(*_DP_P)] + [0.0]
-              for ks, y0 in zip(zip(*k), (u0, du0)))
+              for ks, y0 in zip((k[0::2], k[1::2]), (u0, du0)))
     pb = [x + c * (t0 * v + h * prev) for x, v, prev in zip(pu, pv, [0.0] + pv)]
 
     def horner(coeffs, theta):
@@ -356,40 +422,16 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     return t0 + theta * h, horner(pu, theta)[0], horner(pv, theta)[0]
 
 
-def _rk4_step(t0, t1, h, u, du, lam):
-    """One classical RK4 step of (u, u') from t0 to t1 = t0 + h.
-
-    Works on scalars and, elementwise, on arrays of states and of lams.  It
-    steps the reference integrator below, and :func:`_rk4_scan` repeats its
-    order of operations in place.
-    """
-    th = t0 + 0.5 * h
-    half_lam = lam / 2.0
-    k1u = du
-    k1v = u * u / (8.0 * t0 * t0) + half_lam
-    u2 = u + 0.5 * h * k1u
-    k2u = du + 0.5 * h * k1v
-    k2v = u2 * u2 / (8.0 * th * th) + half_lam
-    u3 = u + 0.5 * h * k2u
-    k3u = du + 0.5 * h * k2v
-    k3v = u3 * u3 / (8.0 * th * th) + half_lam
-    u4 = u + h * k3u
-    k4u = du + h * k3v
-    k4v = u4 * u4 / (8.0 * t1 * t1) + half_lam
-    return (
-        u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        du + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
-
-
 def _rk4_scan(grid, u, du, half_lam):
-    """``_rk4_step`` over the times ``grid`` on arrays, in place.
+    """Classical RK4 over the times ``grid`` on arrays, in place.
 
     Steps the states (u, u') of the launch arrays ``u`` and ``du``, each
     with its own ``half_lam`` = lam / 2, through preallocated buffers, and
     returns the final (u, u') and the running peak of |u|.  Every element
-    goes through the operations of ``_rk4_step`` in its order, so it is bit
-    for bit an ``_rk4_step`` march; NaN propagates through the peak.
+    goes through the operations of one scalar RK4 step in a fixed order
+    (the slopes u^2/(8 t^2) + lam/2 at t0, t0 + h/2 twice and t1, then
+    y += h/6 (((k1 + 2 k2) + 2 k3) + k4)), so it is bit for bit the scalar
+    reference step of the tests; NaN propagates through the peak.
     """
     n = half_lam.size
     # stage s's rows are its state u and its slope pair (u', u''); stage 0
@@ -422,80 +464,38 @@ def _rk4_scan(grid, u, du, half_lam):
     return y[0], y[1], peak
 
 
-def integrate_rk4(spec: ProblemSpec, a: float, n_steps: int) -> Trajectory:
-    """Fixed-step classical RK4 reference integrator (no adaptivity).
-
-    Independent of the embedded pair in :func:`integrate`; the two are
-    cross-checked in the test suite to guard against silent stepping bugs.
-    Samples every ``n_steps // (grid_n - 1)``-th node when that divides
-    evenly, otherwise returns all steps.
+def validate(sol: Panels) -> ValidationReport:
+    """All validator residuals of one solution: the defects of the two
+    identities (module docstring) at its panel ends, max u over the ends
+    and the nodes, and the endpoint residual.  The package's one residual
+    entry point.  Each panel's two integrals are Gauss-Legendre sums in
+    node order; I(t) is ``tail`` plus their running sum from t[0], and the
+    representation's right integral is summed from t = 1/2.
     """
-    lam = spec.lam
-    eps = spec.eps
-    u, du = launch_state(a, lam, eps)
-    h = (0.5 - eps) / n_steps
-    stride = max(1, n_steps // (spec.grid_n - 1))
-    ts = [eps]
-    us = [u]
-    dus = [du]
-    t = eps
-    diverged = False
-    for i in range(n_steps):
-        t1 = eps + (i + 1) * h
-        u, du = _rk4_step(t, t1, h, u, du, lam)
-        t = t1
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            ts.append(t)
-            us.append(u)
-            dus.append(du)
-        if abs(u) > BLOWUP:
-            diverged = True
-            break
-    return Trajectory(
-        lam=lam, kind=spec.kind, t=np.array(ts), u=np.array(us), du=np.array(dus), a=a,
-        diverged=diverged,
-    )
-
-
-def _singular_integral(traj: Trajectory) -> np.ndarray:
-    """int_0^t u^2/(8s) ds at every sample t.
-
-    Cumulative trapezoid on the sample grid plus the s < eps tail, where
-    the integrand of the series u = a s + beta s^2 is a polynomial in s, so
-    the tail (a^2 eps^2 / 16 to leading order) is exact to the launch order.
-    """
-    t, u = traj.t, traj.u
-    a, eps = traj.a, float(t[0])
-    beta = _beta(a, traj.lam)
-    tail = (
-        a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0 + beta * beta * eps ** 4 / 4.0
-    ) / 8.0
-    return _cumtrapz(u * u / (8.0 * t), t) + tail
-
-
-def validate(traj: Trajectory) -> ValidationReport:
-    """All validator residuals of one trajectory: the defects of the two
-    identities (module docstring) over the samples, max u and the endpoint
-    residual.  The package's one residual entry point."""
-    if traj.diverged:
+    if sol.diverged:
         return ValidationReport(
             first_integral_resid=math.inf,
             representation_resid=math.inf,
-            sign_violation=float(np.max(traj.u)) if traj.u.size else math.inf,
+            sign_violation=float(np.max(sol.u)),
             boundary_resid=math.inf,
         )
-    t, u, du, lam = traj.t, traj.u, traj.du, traj.lam
-    sing = _singular_integral(traj)  # one integral serves both residuals
+    t, u, du, lam = sol.t, sol.u, sol.du, sol.lam
+    h = np.diff(t)
+    sing = np.zeros(t.size)
+    right = np.zeros(t.size)
+    for theta, weight, un in zip(_GL_THETA, _GL_HALF_W, sol.nodes):
+        s = t[:-1] + theta * h
+        w2 = weight * h * un * un
+        sing[1:] += w2 / (8.0 * s)
+        right[:-1] += w2 * (0.5 - s) / (4.0 * s * s)
+    sing = sol.tail + np.cumsum(sing)
+    right = np.cumsum(right[::-1])[::-1]
     fi = float(np.max(np.abs(t * du - u - sing - lam / 4.0 * t * t)))
-    # int_0^t u^2/(4s) ds, doubled in place, so no second array of the trajectory's length
-    sing *= 2.0
-    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
-    right = cum[-1] - cum
     # the Navier case keeps the 2 t u(1/2) term, which drops for Dirichlet solutions
-    predicted = -((0.5 - t) * sing + t * right + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u[-1])
+    predicted = -(2.0 * (0.5 - t) * sing + t * right + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u[-1])
     return ValidationReport(
         first_integral_resid=fi,
         representation_resid=float(np.max(np.abs(u - predicted))),
-        sign_violation=float(np.max(u)),
-        boundary_resid=float(traj.kind.residual(u[-1], du[-1])),
+        sign_violation=float(max(np.max(u), np.max(sol.nodes))),
+        boundary_resid=float(sol.kind.residual(u[-1], du[-1])),
     )

@@ -9,8 +9,8 @@ with either a Dirichlet condition u(1/2) = 0 or a Navier condition
 u(1/2) = u'(1/2) at the right endpoint, together with u(t)/t bounded as
 t -> 0+.  Everything downstream (integration, shooting, continuation,
 certificates) works in the u-frame; this module holds the shared value
-types, the boundary rule, the reconstruction of the physical w(r) / height
-phi(r) profile, and the trapezoid helper the layers above share.
+types, the boundary rule, and the reconstruction of the physical w(r) /
+height phi(r) profile.
 
 A solution leaves the singular endpoint as u = a*t + beta*t^2, and the
 equation forces beta = a^2/16 + lam/4, so lam and the slope a fix it.
@@ -76,9 +76,9 @@ class ProblemSpec:
         Shooting-slope scan window, finite with slope_min <= slope_max <= 0.
     grid_n : int
         Number of output samples (uniform in t, endpoint included), at least
-        2 and few enough for numpy to size a float64 array of them.  A
-        solution on fewer than ``VALIDATION_GRID_MIN`` samples is judged on
-        that many (:func:`epibvp.shooting.judge`).
+        2 and few enough for numpy to size a float64 array of them.  Output
+        only: a solution is validated on its own steps or panels
+        (:func:`epibvp.integrator.validate`), so grid_n changes no verdict.
 
     ``scan_n``, the number of slopes of the coarse scan that locates the
     residual's extremum and guides the brackets, is the class constant 64.
@@ -152,11 +152,6 @@ class RadialProfile:
     phi: np.ndarray
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of y over x, starting at 0."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
-
-
 def reconstruct_phi(traj: Trajectory, report) -> RadialProfile:
     """Rebuild the physical profile w(r) = u(r^2/2) and the height phi(r).
 
@@ -170,10 +165,10 @@ def reconstruct_phi(traj: Trajectory, report) -> RadialProfile:
     traj : Trajectory
         A trajectory that reached t = 1/2.
     report : ValidationReport
-        The validation of ``traj`` (:func:`epibvp.shooting.judge` or
-        :func:`epibvp.integrator.validate`).  Reconstruction refuses
-        trajectories that fail it, which prevents building a profile from a
-        diverged shot.
+        The validation of the solution that ``traj`` samples
+        (:func:`epibvp.integrator.validate`).  Reconstruction refuses
+        trajectories whose report fails, which prevents building a profile
+        from a diverged shot.
 
     Raises
     ------
@@ -185,7 +180,8 @@ def reconstruct_phi(traj: Trajectory, report) -> RadialProfile:
             f"refusing to reconstruct from an unvalidated trajectory: {report}"
         )
     r = np.sqrt(2.0 * traj.t)
-    cum = _cumtrapz(traj.u / r, r)
+    y = traj.u / r
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(r))])
     # phi(r) = -int_r^1 w/s ds, exactly 0 at the last sample (r = 1); w is
     # u itself, not a copy, as w(r) = u(t) at t = r^2/2
     phi = cum - cum[-1]

@@ -12,34 +12,34 @@ the root's branch; and the final validation gate.  The scan only guides:
 every sign that decides a count is an adaptive (DP5) residual.
 
 The scan steps the slopes of one or several lams at once with
-``_rk4_scan``, in place and in the order of operations of ``_rk4_step``, so a
-sweep scans all its lams in one call and each row is bit for bit a
-single-lam scan.  From the scan on, slopes and residuals are Python floats.
-Diverged shots report +inf residual and count as the tail side of the
-extremum.  Every root returned carries its trajectory on the caller's grid,
-whose launch slope is the root's slope, and the report that accepted it;
-every candidate the gate turned down is kept with its report.  A root set
-refines its roots to a slope bracket of _ROOT_TOL, since it lists them and
-merges a double root's two secants; the lone root of :func:`root_in_bracket`
-is only gated, so it stops at the first slope with |R| <= BOUNDARY_TOL / 2.
-:func:`judge` takes every report at the validators' calibrated resolution,
-for the gate and for the CLI's single-slope and monotone solves alike.
+``_rk4_scan``, in place and in one fixed order of operations, so a sweep
+scans all its lams in one call and each row is bit for bit a single-lam
+scan.  From the scan on, slopes and residuals are Python floats.  Diverged
+shots report +inf residual and count as the tail side of the extremum.
+The gate shoots each candidate once with its steps recorded and validates
+it on those steps, so no output grid enters a verdict.  Every root returned
+carries that shot, whose launch slope is the root's slope, and the report
+that accepted it; every candidate the gate turned down is kept with its
+report.  A root set refines its roots to a slope bracket of _ROOT_TOL, since
+it lists them and merges a double root's two secants; the lone root of
+:func:`root_in_bracket` is only gated, so it stops at the first slope with
+|R| <= BOUNDARY_TOL / 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, VALIDATION_GRID_MIN, ValidationReport, _rk4_scan, integrate,
-    launch_state, shoot_endpoint, validate,
+    BLOWUP, BOUNDARY_TOL, Shot, ValidationReport, _rk4_scan, launch_state, shoot, shoot_endpoint,
+    validate,
 )
-from .model import BoundaryKind, ProblemSpec, Trajectory
+from .model import BoundaryKind, ProblemSpec
 
 # graded scan grid of 125 RK4 steps, geometric out of eps, uniform after the
 # switch; its residuals are off by up to 1e-3 of the window's largest |R|, and
@@ -63,15 +63,15 @@ _CLUSTER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ShootingRoot:
-    """An accepted trajectory on the spec's grid and the report that accepted it."""
+    """An accepted shot and the report that accepted it."""
 
-    traj: Trajectory
+    shot: Shot
     report: ValidationReport
 
     @property
     def a(self) -> float:
         """The root's launch slope."""
-        return self.traj.a
+        return self.shot.a
 
 
 @dataclass
@@ -96,23 +96,6 @@ class RootSet:
         return [r.a for r in self.roots if r.a != 0.0]
 
 
-def judge(
-    spec: ProblemSpec, sample: Callable[[ProblemSpec], Trajectory]
-) -> tuple[Trajectory, ValidationReport]:
-    """The trajectory ``sample(spec)`` and its report at the calibrated resolution.
-
-    A coarse output grid raises the trapezoid error of the residual
-    validators past their thresholds, so when spec.grid_n is below
-    ``VALIDATION_GRID_MIN`` the report is taken on ``sample`` run again at
-    that many points; a diverged trajectory is rejected as it stands.
-    """
-    traj = sample(spec)
-    judged = traj
-    if spec.grid_n < VALIDATION_GRID_MIN and not traj.diverged:
-        judged = sample(replace(spec, grid_n=VALIDATION_GRID_MIN))
-    return traj, validate(judged)
-
-
 def _scan_grid(spec: ProblemSpec) -> np.ndarray:
     """The ``spec.scan_n`` slopes of the bracketing scan over the window."""
     return np.linspace(spec.slope_min, spec.slope_max, spec.scan_n)
@@ -132,10 +115,10 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
 
     Fixed-grid RK4 (``_rk4_scan``, in place) on one flattened state of
     ``len(lams) * scan_n`` slopes, each with its own lam.  Every element
-    goes through the operations of ``_rk4_step`` in its order, so a row is
-    bit for bit a single-lam ``_rk4_step`` scan, whatever lams are scanned
-    with it.  Guidance only: every residual that decides a root comes from
-    the adaptive integrator.  Diverged entries come back +inf.
+    goes through the same operations in the same order, so a row is bit for
+    bit a single-lam scan, whatever lams are scanned with it.  Guidance
+    only: every residual that decides a root comes from the adaptive
+    integrator.  Diverged entries come back +inf.
     """
     a_grid = _scan_grid(spec)
     a = np.tile(a_grid, len(lams))
@@ -257,15 +240,16 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
 
 
 def _gated_root(spec: ProblemSpec, a: float, rejected: list) -> Optional[ShootingRoot]:
-    """The root at slope a if its full trajectory validates, else None.
+    """The root at slope a if its shot validates, else None.
 
-    The final gate of every reported root: the trajectory on the spec's
-    grid, judged by :func:`judge`.  A rejected slope is appended to
+    The final gate of every reported root: one recorded shot (:func:`shoot`),
+    validated on its own steps.  A rejected slope is appended to
     ``rejected`` with its report.
     """
-    traj, report = judge(spec, lambda s: integrate(s, a))
+    shot = shoot(spec, a)
+    report = validate(shot)
     if report.accepted():
-        return ShootingRoot(traj=traj, report=report)
+        return ShootingRoot(shot=shot, report=report)
     rejected.append((a, report))
     return None
 
@@ -300,9 +284,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     the one extremum of s R (:func:`_dig`); refines at most one root on each
     side of the dug point by safeguarded secant, or takes the dug point as
     the fold's double root when its residual is within BOUNDARY_TOL of 0.
-    Each root that validates at the calibrated resolution is kept, with its
-    trajectory on ``spec.grid_n`` points and its report; each that does not
-    goes to ``rejected`` with its slope and report.
+    Each root whose shot validates is kept, with that shot and its report;
+    each that does not goes to ``rejected`` with its slope and report.
 
     Raises
     ------

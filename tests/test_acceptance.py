@@ -28,7 +28,7 @@ from epibvp.certificates import (
     truncated_monotone_solve,
 )
 from epibvp.continuation import default_fold_bracket, locate_fold
-from epibvp.integrator import integrate, validate
+from epibvp.integrator import integrate, shoot, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
 
 
@@ -154,11 +154,14 @@ def test_criterion_7_solution_validation(root_cache):
             spec = ProblemSpec(lam=lam, kind=kind)
             for root in root_cache(lam, kind).roots:
                 traj = integrate(spec, root.a)
-                report = validate(traj)
+                report = validate(shoot(spec, root.a))
                 fi, rep = report.first_integral_resid, report.representation_resid
                 prof = reconstruct_phi(traj, report)
                 assert fi < 1e-6, (kind, lam, root.a, fi)
                 assert rep < 1e-5, (kind, lam, root.a, rep)
+                # on the shot's own steps the identities hold to the
+                # integrator's accuracy, far inside the thresholds
+                assert fi <= 1e-9 and rep <= 1e-9, (kind, lam, root.a, fi, rep)
                 assert np.max(traj.u) <= 1e-8
                 assert np.max(prof.w) <= 1e-8
                 assert abs(prof.w[0]) < 1e-4
@@ -192,7 +195,7 @@ def test_criterion_9_cross_solver_agreement(root_cache):
         (9.0, BoundaryKind.NAVIER, alpha_navier),
     ]:
         spec = ProblemSpec(lam=lam, kind=kind)
-        fd = truncated_monotone_solve(spec)
+        fd, _ = truncated_monotone_solve(spec)
         # the strip solution is maximal: it corresponds to the best-matching
         # (upper-branch) shooting root
         best = math.inf
@@ -215,7 +218,7 @@ def test_criterion_9_monotone_solver_within_1e9(root_cache):
     criterion 9's bound: its polynomial has no truncation or grid error."""
     for lam, kind in [(144.0, BoundaryKind.DIRICHLET), (9.0, BoundaryKind.NAVIER)]:
         spec = ProblemSpec(lam=lam, kind=kind)
-        mono = truncated_monotone_solve(spec)
+        mono, _ = truncated_monotone_solve(spec)
         upper = root_cache(lam, kind).roots[-1]
         assert np.max(np.abs(mono.u - integrate(spec, upper.a).u)) <= 1e-9, kind
         assert abs(mono.a - upper.a) <= 1e-8, kind
@@ -228,7 +231,7 @@ def test_criterion_10_convergence_order(root_cache):
         spec = ProblemSpec(
             lam=100.0, kind=BoundaryKind.DIRICHLET, step_tol=4e-4 * 0.5 ** k
         )
-        fis.append(validate(integrate(spec, a_lower)).first_integral_resid)
+        fis.append(validate(shoot(spec, a_lower)).first_integral_resid)
     assert all(fis[i + 1] < fis[i] for i in range(4)), fis
     print(f"PASS criterion 10: first-integral residual decreases monotonically "
           f"across 4 step_tol halvings: {', '.join(f'{v:.3e}' for v in fis)}")

@@ -1,6 +1,7 @@
 """Certificate verdicts, the slack identities, the fixed point, and the
 monotone solver."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -394,37 +395,53 @@ def _check_polynomial(traj):
 @pytest.mark.parametrize("grid_n", [5, 11, 2001])
 def test_monotone_solver_dirichlet_strip(grid_n, eps):
     spec = ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n, eps=eps)
-    traj = truncated_monotone_solve(spec)
+    traj, report = truncated_monotone_solve(spec)
     assert traj.t[0] == eps and traj.t.size == grid_n
     assert abs(traj.u[-1]) <= 1e-15
     alpha = alpha_dirichlet(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
     _check_polynomial(traj)
-    if (grid_n, eps) == (2001, 1e-8):
-        # coarser grids, and the validators' series tail at eps = 1e-2, miss
-        # their tolerances
-        report = validate(traj)
-        assert report.accepted(), report
+    # the polynomial is validated on its own panels from t = 0, whatever
+    # the grid and eps
+    assert report.accepted(), report
+    assert report.first_integral_resid <= 1e-13 and report.representation_resid <= 1e-13
+
+
+def test_monotone_panel_check_sees_a_shifted_lam(monkeypatch):
+    """The monotone solve's panels, checked against the identities at
+    lam + 1e-3, fail the first integral by the missing (1e-3 / 4) t^2."""
+    seen = []
+    monkeypatch.setattr(certificates, "validate",
+                        lambda panels: seen.append(panels) or validate(panels))
+    truncated_monotone_solve(ProblemSpec(lam=144.0, kind=BoundaryKind.DIRICHLET))
+    [panels] = seen
+    assert panels.t[0] == 0.0 and panels.tail == 0.0
+    report = validate(dataclasses.replace(panels, lam=144.0 + 1e-3))
+    assert report.first_integral_resid == pytest.approx(1e-3 / 16.0, rel=1e-4)
+    assert not report.accepted()
 
 
 def test_monotone_solver_zero_at_lam0():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET)
-    traj = truncated_monotone_solve(spec)
+    traj, report = truncated_monotone_solve(spec)
     assert np.all(traj.u == 0.0)
+    assert report.first_integral_resid == report.representation_resid == 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-2])
 @pytest.mark.parametrize("grid_n", [5, 11, 2001])
 def test_monotone_solver_navier_endpoint(grid_n, eps):
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=grid_n, eps=eps)
-    traj = truncated_monotone_solve(spec)
+    traj, report = truncated_monotone_solve(spec)
     assert traj.t[0] == eps and traj.t.size == grid_n
     alpha = alpha_navier(traj.t)
     assert np.all(traj.u >= alpha - 1e-12)
     assert np.all(traj.u <= 0.0)
     assert abs(traj.u[-1] - traj.du[-1]) < 1e-8
     _check_polynomial(traj)
+    assert report.accepted(), report
+    assert report.first_integral_resid <= 1e-13 and report.representation_resid <= 1e-13
 
 
 @pytest.mark.parametrize("lam, kind, alpha", [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epibvp import cli, continuation, shooting
+from epibvp import certificates, cli, continuation, integrator, shooting
 from epibvp.cli import main
 
 
@@ -203,6 +203,18 @@ def test_import_loads_no_scipy_solvers(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["mono_dirichlet", "mono_navier"]
 
 
+def test_import_loads_no_numpy_polynomial():
+    """``import epibvp.cli`` loads no numpy.polynomial: the Gauss-Legendre
+    rule of the validator is literal constants, and numpy.polynomial would
+    add about 4 ms and 1.7 MB to every start-up."""
+    code = ("import sys, epibvp.cli\n"
+            "print(sorted(m for m in sys.modules if 'numpy.polynomial' in m))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_start_builds_no_csv_table():
     """``main([])``, the start-up that the benchmark times as ``setup_s``,
     builds none of the CSV kernel's tables; a process's first CSV does."""
@@ -245,8 +257,8 @@ def test_monotone_solve_cli(tmp_path):
 @pytest.mark.parametrize("bc, lam", [("dirichlet", "144"), ("navier", "9")],
                          ids=["dirichlet-144", "navier-9"])
 def test_monotone_solve_is_judged_like_the_default_grid(tmp_path, bc, lam, grid):
-    """A monotone solve on any output grid is judged at the calibrated
-    resolution: it succeeds, and its validation.json is the default grid's."""
+    """A monotone solve on any output grid succeeds, and its validation.json
+    is the default grid's: the polynomial is validated on its own panels."""
     argv = ["solve", "--bc", bc, "--lambda", lam, "--monotone"]
     code, out = run(tmp_path / "coarse", *argv, "--grid", grid)
     assert code == 0
@@ -258,13 +270,42 @@ def test_monotone_solve_is_judged_like_the_default_grid(tmp_path, bc, lam, grid)
         assert coarse.read() == calibrated.read()
 
 
+@pytest.mark.parametrize("bc, lam, a", [
+    ("navier", "9", "-4.742307280271374"), ("dirichlet", "100", "-108.52567289833944"),
+], ids=["navier-9", "dirichlet-100-lower"])
+def test_single_slope_report_does_not_depend_on_the_grid(tmp_path, bc, lam, a):
+    """``solve --a`` writes byte-equal validation.json at --grid 2, 2001 and
+    64001: the shot is validated on its own steps, not on the samples."""
+    reports = set()
+    for grid in ("2", "2001", "64001"):
+        code, out = run(tmp_path / grid, "solve", "--bc", bc, "--lambda", lam, "--a", a,
+                        "--grid", grid)
+        assert code == 0
+        with open(os.path.join(out, "validation.json"), "rb") as handle:
+            reports.add(handle.read())
+    assert len(reports) == 1
+
+
+def test_monotone_solve_runs_the_picard_iteration_once(tmp_path, monkeypatch):
+    """A monotone solve on a coarse grid samples and validates one Picard
+    solution."""
+    calls = []
+    real = certificates._picard_solve
+    monkeypatch.setattr(certificates, "_picard_solve",
+                        lambda lam, kind: calls.append(lam) or real(lam, kind))
+    code, _ = run(tmp_path, "solve", "--bc", "dirichlet", "--lambda", "144", "--monotone",
+                  "--grid", "101")
+    assert code == 0
+    assert calls == [144.0]
+
+
 def test_out_of_memory_is_a_precondition_error(tmp_path, capsys, monkeypatch):
     """A MemoryError, e.g. from a --grid the host cannot hold, exits 2 with
-    one line; the stand-in integrate allocates nothing."""
-    def no_memory(spec, a):
-        raise MemoryError(f"Unable to allocate {8 * spec.grid_n} bytes")
+    one line; the stand-in sampler allocates nothing."""
+    def no_memory(shot, grid_n):
+        raise MemoryError(f"Unable to allocate {8 * grid_n} bytes")
 
-    monkeypatch.setattr(cli, "integrate", no_memory)
+    monkeypatch.setattr(integrator.Shot, "trajectory", no_memory)
     code, out = run(tmp_path, "solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0",
                     "--grid", "100000000000")
     err = capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Series launch, adaptive integration, RK4 cross-check, and the validators."""
+"""Series launch, adaptive integration, RK4 cross-check, and the step validator."""
 
 import dataclasses
 import math
@@ -14,15 +14,18 @@ from epibvp.integrator import (
     REP_TOL,
     SIGN_TOL,
     ValidationReport,
+    _GL_THETA,
+    Panels,
     _beta,
     integrate,
-    integrate_rk4,
     launch_state,
+    shoot,
     shoot_endpoint,
     shoot_event,
     validate,
 )
-from epibvp.model import BoundaryKind, ProblemSpec, _cumtrapz
+from epibvp.model import BoundaryKind, ProblemSpec
+from rk4_reference import integrate_rk4
 
 
 def test_launch_zero():
@@ -57,7 +60,7 @@ def test_zero_solution_exact():
     traj = integrate(spec, 0.0)
     assert np.all(traj.u == 0.0)
     assert np.all(traj.du == 0.0)
-    report = validate(traj)
+    report = validate(shoot(spec, 0.0))
     assert report.boundary_resid == 0.0
     assert report.first_integral_resid == 0.0
 
@@ -92,7 +95,7 @@ def test_divergence_flag_and_truncation():
     assert traj.diverged
     assert traj.t[-1] < 0.5
     assert np.abs(traj.u[-1]) > 1e5  # ended on its way past the blow-up bound
-    report = validate(traj)
+    report = validate(shoot(spec, -2000.0))
     assert math.isinf(report.boundary_resid)
 
 
@@ -197,7 +200,7 @@ def _dp45_loop(spec, a, on_step=None):
         if not math.isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None and on_step(t, h, u, du, tuple(k)):
+            if on_step is not None and on_step(t, h, u, du, tuple(x for stage in k for x in stage)):
                 return u, du, False
             t += h
             u, du = uu, vv
@@ -228,7 +231,7 @@ def _shot_record(stepper, spec, a, stop=None):
     def record(t, h, u, du, k):
         if len(steps) == stop:
             return True
-        steps.append((t, h, u, du, *(x for stage in k for x in stage)))
+        steps.append((t, h, u, du, *k))
 
     return _end(lambda: stepper(spec, a, record)), np.array(steps).tobytes()
 
@@ -292,7 +295,7 @@ def test_scaling_identity_on_dense_trajectories(kind, lam, a):
 def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
     """Sample-by-sample reference for the dense fill of one accepted step:
     the samples before the step's end, from the first not yet filled."""
-    q = [[sum(k[s][c] * integrator._DP_P[s][j] for s in range(7)) for j in range(4)]
+    q = [[sum(k[2 * s + c] * integrator._DP_P[s][j] for s in range(7)) for j in range(4)]
          for c in range(2)]
     while idx < len(t_out) and t_out[idx] < t0 + h:
         theta = (t_out[idx] - t0) / h
@@ -358,9 +361,29 @@ def test_determinism():
 
 def test_first_integral_zero_case():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=1001)
-    report = validate(integrate(spec, 0.0))
+    report = validate(shoot(spec, 0.0))
     assert report.first_integral_resid == 0.0
     assert report.representation_resid == 0.0
+
+
+def _on_steps(shot, theta):
+    """(u, u') at the points theta in [0, 1] of every step of shot, from its
+    quartic interpolant: one row a step, one column a theta."""
+    powers = np.asarray(theta, dtype=float)[None, :] ** np.arange(1, 5)[:, None]
+    return [y[:, None] + shot.h[:, None] * (shot.q[:, c, :] @ powers)
+            for c, y in enumerate((shot.u[:-1], shot.du[:-1]))]
+
+
+def _refined(shot, m):
+    """The shot as Panels with each step split into m equal panels, every
+    end and node read off the step's interpolant."""
+    sub = np.arange(m) / m
+    u, du = _on_steps(shot, sub)
+    t = (shot.t[:-1, None] + shot.h[:, None] * sub).ravel()
+    nodes = np.array([_on_steps(shot, sub + theta / m)[0].ravel() for theta in _GL_THETA])
+    return Panels(lam=shot.lam, kind=shot.kind, t=np.append(t, shot.t[-1]),
+                  u=np.append(u.ravel(), shot.u[-1]), du=np.append(du.ravel(), shot.du[-1]),
+                  nodes=nodes, tail=shot.tail, diverged=False)
 
 
 @pytest.mark.parametrize("kind, lam, a", [
@@ -368,23 +391,59 @@ def test_first_integral_zero_case():
     (BoundaryKind.NAVIER, 5.0, -3.0),
     (BoundaryKind.NAVIER, 9.0, -4.742307280271374),
 ], ids=["dirichlet-100", "navier-5", "navier-9"])
-def test_validate_shares_one_singular_integral(monkeypatch, kind, lam, a):
-    """validate builds the singular integral once for both residuals, and
-    its residuals are bit for bit the two identities' defects computed each
-    from its own copy of the integral."""
-    traj = integrate(ProblemSpec(lam=lam, kind=kind, grid_n=16001), a)
-    calls = []
-    real = integrator._singular_integral
-    monkeypatch.setattr(integrator, "_singular_integral", lambda t: calls.append(t) or real(t))
-    report = validate(traj)
-    assert len(calls) == 1
-    t, u, du = traj.t, traj.u, traj.du
-    fi = np.max(np.abs(t * du - u - real(traj) - lam / 4.0 * t * t))
-    cum = _cumtrapz(u * u * (0.5 - t) / (4.0 * t * t), t)
-    predicted = -((0.5 - t) * (2.0 * real(traj)) + t * (cum[-1] - cum)
-                  + lam / 4.0 * t * (0.5 - t) - 2.0 * t * u[-1])
-    assert report.first_integral_resid == fi
-    assert report.representation_resid == np.max(np.abs(u - predicted))
+def test_validate_shares_one_singular_integral(kind, lam, a):
+    """validate's residuals are the two identities' defects at the step ends,
+    both from one singular integral I: recomputed with scipy's adaptive quad
+    on each step's interpolant, and quad for the series tail below eps, they
+    agree to rounding."""
+    from scipy.integrate import quad
+
+    shot = shoot(ProblemSpec(lam=lam, kind=kind), a)
+    report = validate(shot)
+    t, u, du, h = shot.t, shot.u, shot.du, shot.h
+
+    def step_integral(f, i):
+        def u_at(s):
+            theta = (s - t[i]) / h[i]
+            return u[i] + h[i] * sum(shot.q[i, 0, j] * theta ** (j + 1) for j in range(4))
+        return quad(lambda s: f(u_at(s), s), t[i], t[i + 1], epsabs=0.0, epsrel=1e-13)[0]
+
+    beta = _beta(a, lam)
+    tail = quad(lambda s: (a * s + beta * s * s) ** 2 / (8.0 * s), 0.0, t[0],
+                epsabs=0.0, epsrel=1e-13)[0]
+    sing = tail + np.cumsum([0.0] + [step_integral(lambda v, s: v * v / (8.0 * s), i)
+                                     for i in range(h.size)])
+    right = np.cumsum([0.0] + [step_integral(lambda v, s: v * v * (0.5 - s) / (4.0 * s * s), i)
+                               for i in reversed(range(h.size))])[::-1]
+    fi = np.max(np.abs(t * du - u - sing - lam / 4.0 * t * t))
+    predicted = -(2.0 * (0.5 - t) * sing + t * right + lam / 4.0 * t * (0.5 - t)
+                  - 2.0 * t * u[-1])
+    assert abs(report.first_integral_resid - fi) <= 1e-13
+    assert abs(report.representation_resid - np.max(np.abs(u - predicted))) <= 1e-13
+    assert report.first_integral_resid <= 1e-10 and report.representation_resid <= 1e-10
+
+
+def test_gauss_legendre_constants_are_the_six_node_rule():
+    """The literal nodes and weights are numpy's 6-node Gauss-Legendre rule
+    mapped to [0, 1], and integrate theta^k exactly up to degree 11."""
+    x, w = np.polynomial.legendre.leggauss(6)
+    assert np.allclose(integrator._GL_X, x, rtol=0.0, atol=1e-15)
+    assert np.allclose(integrator._GL_W, w, rtol=0.0, atol=1e-15)
+    for k in range(12):
+        moment = sum(wk * th ** k for wk, th in zip(integrator._GL_HALF_W, _GL_THETA))
+        assert moment == pytest.approx(1.0 / (k + 1), rel=1e-14), k
+
+
+def test_identities_at_a_shifted_lam_are_rejected(root_cache):
+    """A root checked against the identities at lam + 1e-3 fails the first
+    integral by the missing (1e-3 / 4) t^2, 6.25e-5 at t = 1/2, and is
+    rejected."""
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
+    shot = shoot(spec, root_cache(100.0, BoundaryKind.DIRICHLET).roots[0].a)
+    assert validate(shot).accepted()
+    report = validate(dataclasses.replace(shot, lam=100.0 + 1e-3))
+    assert report.first_integral_resid == pytest.approx(1e-3 / 16.0, rel=1e-4)
+    assert not report.accepted()
 
 
 def test_acceptance_thresholds_at_their_edges():
@@ -403,15 +462,14 @@ def test_acceptance_thresholds_at_their_edges():
         ("sign_violation", math.nextafter(SIGN_TOL, math.inf)),
     ]:
         assert not ValidationReport(**{**clean, field: value}).accepted(), (field, value)
-    diverged = integrate(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=2001), -2000.0)
+    diverged = shoot(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), -2000.0)
     assert diverged.diverged and not validate(diverged).accepted()
 
 
 def test_residuals_small_on_roots(root_cache):
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
-        traj = integrate(spec, root.a)
-        report = validate(traj)
+        report = validate(shoot(spec, root.a))
         fi, rep = report.first_integral_resid, report.representation_resid
         assert fi < FI_TOL
         # the two exact identities agree on accepted Dirichlet solutions
@@ -422,22 +480,23 @@ def test_corruption_sensitivity(root_cache):
     """Scaling u by 1.01 must blow the residual up by far more than 10x."""
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
-    traj = integrate(spec, rs.roots[0].a)
-    clean = validate(traj).first_integral_resid
-    corrupted = dataclasses.replace(traj, u=traj.u * 1.01)
+    shot = shoot(spec, rs.roots[0].a)
+    clean = validate(shot).first_integral_resid
+    corrupted = dataclasses.replace(shot, u=shot.u * 1.01, nodes=shot.nodes * 1.01)
     assert validate(corrupted).first_integral_resid > 10.0 * clean
 
 
 def test_representation_resampling_stability(root_cache):
-    """Doubling the sample density only tightens the quadrature."""
-    rs = root_cache(100.0, BoundaryKind.DIRICHLET)
-    a = rs.roots[0].a
-    spec1 = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=16001)
-    spec2 = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=32001)
-    r1 = validate(integrate(spec1, a)).representation_resid
-    r2 = validate(integrate(spec2, a)).representation_resid
-    assert r2 < r1
-    assert r1 < REP_TOL
+    """Halving every step's panel moves the representation residual by far
+    less than the residual itself sits below REP_TOL: the Gauss-Legendre
+    rule has converged, so the residual measures the solution."""
+    a = root_cache(100.0, BoundaryKind.DIRICHLET).roots[0].a
+    shot = shoot(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), a)
+    r1 = validate(shot).representation_resid
+    r2 = validate(_refined(shot, 2)).representation_resid
+    assert validate(_refined(shot, 1)).representation_resid == pytest.approx(r1, abs=1e-14)
+    assert abs(r2 - r1) < 1e-9
+    assert r1 < 1e-9 < REP_TOL
 
 
 def test_convergence_under_step_tol_halving(root_cache):
@@ -453,7 +512,7 @@ def test_convergence_under_step_tol_halving(root_cache):
         spec = ProblemSpec(
             lam=100.0, kind=BoundaryKind.DIRICHLET, step_tol=4e-4 * 0.5 ** k
         )
-        fis.append(validate(integrate(spec, a)).first_integral_resid)
+        fis.append(validate(shoot(spec, a)).first_integral_resid)
     assert all(fis[i + 1] < fis[i] for i in range(4)), fis
     assert fis[0] / fis[4] > 4.0
 
@@ -485,16 +544,13 @@ def test_launch_consistency_at_eps(root_cache):
 
 
 def test_quadrature_independence_on_subgrid(root_cache):
-    """Residuals on the full grid and every-other-sample subgrid agree in order."""
+    """Residuals on the steps and on every step halved agree in order; the
+    halved panels add checks at the step midpoints, where the interpolant
+    is a little less accurate than the stepped states."""
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
-    traj = integrate(spec, rs.roots[0].a)
-    sub = dataclasses.replace(
-        traj, t=traj.t[::2], u=traj.u[::2], du=traj.du[::2]
-    )
-    fi_full = validate(traj).first_integral_resid
-    fi_sub = validate(sub).first_integral_resid
-    # trapezoid is second order: the coarse grid may lose at most ~4x,
-    # plus a safety factor for the changed sample set
+    shot = shoot(spec, rs.roots[0].a)
+    fi_full = validate(shot).first_integral_resid
+    fi_sub = validate(_refined(shot, 2)).first_integral_resid
     assert fi_sub <= 8.0 * fi_full
     assert fi_full <= 1.5 * fi_sub

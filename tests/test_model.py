@@ -5,7 +5,9 @@ import pytest
 
 from epibvp.certificates import alpha_dirichlet_dd
 from epibvp.errors import DomainError, UnvalidatedTrajectoryError
-from epibvp.integrator import BOUNDARY_TOL, SIGN_TOL, _beta, integrate, launch_state, validate
+from epibvp.integrator import (
+    BOUNDARY_TOL, SIGN_TOL, _beta, integrate, launch_state, shoot, validate,
+)
 from epibvp.model import BoundaryKind, ProblemSpec, Trajectory, reconstruct_phi
 from epibvp.shooting import find_shooting_roots
 
@@ -69,7 +71,7 @@ def test_trajectory_requires_increasing_t():
 def test_reconstruct_zero_solution():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=2001)
     traj = integrate(spec, 0.0)
-    prof = reconstruct_phi(traj, validate(traj))
+    prof = reconstruct_phi(traj, validate(shoot(spec, 0.0)))
     assert np.all(prof.w == 0.0)
     assert np.all(prof.phi == 0.0)
     assert prof.r[-1] == 1.0
@@ -78,7 +80,7 @@ def test_reconstruct_zero_solution():
 def test_reconstruct_anchor_and_sign(dirichlet_spec, root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     traj = integrate(dirichlet_spec, rs.roots[0].a)
-    prof = reconstruct_phi(traj, validate(traj))
+    prof = reconstruct_phi(traj, validate(shoot(dirichlet_spec, rs.roots[0].a)))
     assert prof.phi[-1] == 0.0  # anchored at r = 1 by construction
     assert np.max(prof.w) <= SIGN_TOL
     assert np.min(prof.phi) >= 0.0  # w <= 0 forces phi >= 0
@@ -89,8 +91,9 @@ def test_reconstruct_anchor_and_sign(dirichlet_spec, root_cache):
 def test_reconstruct_takes_w_as_u(dirichlet_spec, root_cache):
     """w(r) = u(r^2/2) is u itself, bit for bit, with no copy: the one-pass
     CSV writer formats u once for both files."""
-    traj = integrate(dirichlet_spec, root_cache(100.0, BoundaryKind.DIRICHLET).roots[0].a)
-    prof = reconstruct_phi(traj, validate(traj))
+    root = root_cache(100.0, BoundaryKind.DIRICHLET).roots[0]
+    traj = integrate(dirichlet_spec, root.a)
+    prof = reconstruct_phi(traj, root.report)
     assert prof.w is traj.u
     assert np.array_equal(prof.w.view(np.uint64), traj.u.view(np.uint64))
 
@@ -105,7 +108,7 @@ def test_reconstruct_derivative_identity(dirichlet_spec, root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     for root in rs.roots:
         traj = integrate(dirichlet_spec, root.a)
-        prof = reconstruct_phi(traj, validate(traj))
+        prof = reconstruct_phi(traj, validate(shoot(dirichlet_spec, root.a)))
         r, w, phi = prof.r, prof.w, prof.phi
         h1 = r[1:-1] - r[:-2]
         h2 = r[2:] - r[1:-1]
@@ -121,19 +124,19 @@ def test_reconstruct_refuses_diverged():
     traj = integrate(spec, -2000.0)
     assert traj.diverged
     with pytest.raises(UnvalidatedTrajectoryError):
-        reconstruct_phi(traj, validate(traj))
+        reconstruct_phi(traj, validate(shoot(spec, -2000.0)))
 
 
 def test_reconstruct_refuses_non_root():
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=2001)
     traj = integrate(spec, -5.0)  # not a boundary root
     with pytest.raises(UnvalidatedTrajectoryError):
-        reconstruct_phi(traj, validate(traj))
+        reconstruct_phi(traj, validate(shoot(spec, -5.0)))
 
 
 def test_reconstruct_accepts_precomputed_report(dirichlet_spec, root_cache):
     rs = root_cache(100.0, BoundaryKind.DIRICHLET)
     traj = integrate(dirichlet_spec, rs.roots[1].a)
-    report = validate(traj)
+    report = validate(shoot(dirichlet_spec, rs.roots[1].a))
     prof = reconstruct_phi(traj, report)
     assert prof.r.shape == traj.t.shape

@@ -22,13 +22,18 @@ from epibvp import serialize
 from epibvp.certificates import certificates_for
 from epibvp.cli import main
 from epibvp.continuation import sweep
-from epibvp.integrator import integrate, validate
+from epibvp.integrator import integrate, shoot, validate
 from epibvp.model import BoundaryKind, ProblemSpec, RadialProfile, Trajectory, reconstruct_phi
 
 
 def _traj():
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=401)
     return integrate(spec, -4.742307280271374)
+
+
+def _report():
+    """The report of the shot that ``_traj`` samples."""
+    return validate(shoot(ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER), -4.742307280271374))
 
 
 def _csv(header, columns):
@@ -171,8 +176,9 @@ def test_kernel_takes_almost_every_solution_cell(root_cache):
     """At most 1% of the cells of a default-grid solution go to the format
     fallback, so the kernel, not format, writes the artifacts."""
     upper = max(root_cache(100.0, BoundaryKind.DIRICHLET).slopes())
-    traj = integrate(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), upper)
-    prof = reconstruct_phi(traj, validate(traj))
+    shot = shoot(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET), upper)
+    traj = shot.trajectory(16001)
+    prof = reconstruct_phi(traj, validate(shot))
     for columns in ([traj.t, traj.u, traj.du], [prof.r, prof.w, prof.phi]):
         _, ok = serialize._cells(np.column_stack(columns))
         assert np.count_nonzero(~ok) <= 0.01 * len(ok)
@@ -181,11 +187,11 @@ def test_kernel_takes_almost_every_solution_cell(root_cache):
 # sha256 of trajectory.csv, profile.csv and validation.json from
 # `solve --bc navier --lambda 9 --a -4.742307280271374 --grid 2001`; the CSVs
 # were written by one %.17g format per block of rows, and validation.json
-# holds the residuals of the 16001-sample re-integration
+# holds the residuals of the step validator on the same shot
 NAVIER_SOLVE_CSV_SHA256 = {
     "trajectory.csv": "40988b5cad6980f6804300b81fbd980045435999cb3fc0047698e80682083afd",
     "profile.csv": "0abb03573b036295ba98258724c0225c2297852652ee89e5221ccc22951f7b3f",
-    "validation.json": "db935cff9f174518863904d811bf792b8d8840e9a1fc2d091448d830cec3a69b",
+    "validation.json": "498e4f7d7edc7db1ea6a2b09b574763c69a624e0eee30f5725772d15b2b09b15",
 }
 
 
@@ -221,7 +227,7 @@ def test_trajectory_and_profile_json_match_list_form():
     """tolist() gives the text of list(ndarray): the same doubles, each
     written by float.__repr__."""
     traj = _traj()
-    prof = reconstruct_phi(traj, validate(traj))
+    prof = reconstruct_phi(traj, _report())
     dump = lambda payload: json.dumps(payload, indent=2, allow_nan=False) + "\n"
     want = dump({"t": list(traj.t), "u": list(traj.u), "du": list(traj.du)})
     assert serialize.trajectory_to_json(traj) == want
@@ -247,7 +253,7 @@ def _solution_csvs(tmp_path, traj, prof):
 
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = _traj()
-    text, _ = _solution_csvs(tmp_path, traj, reconstruct_phi(traj, validate(traj)))
+    text, _ = _solution_csvs(tmp_path, traj, reconstruct_phi(traj, _report()))
     assert text.startswith("t,u,du\n")
     assert "\r" not in text
     t, u, du = _columns(text)
@@ -258,7 +264,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_profile_csv_roundtrip(tmp_path):
     traj = _traj()
-    prof = reconstruct_phi(traj, validate(traj))
+    prof = reconstruct_phi(traj, _report())
     _, text = _solution_csvs(tmp_path, traj, prof)
     assert text.startswith("r,w,phi\n")
     assert "\r" not in text
@@ -334,12 +340,12 @@ def test_solution_csvs_leave_nothing_when_the_disk_fills(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fdopen", Full)
     traj = _traj()
     with pytest.raises(OSError, match="No space left"):
-        _solution_csvs(tmp_path, traj, reconstruct_phi(traj, validate(traj)))
+        _solution_csvs(tmp_path, traj, reconstruct_phi(traj, _report()))
     assert os.listdir(tmp_path) == []
 
 
 def test_validation_json_roundtrip():
-    report = validate(_traj())
+    report = _report()
     back = json.loads(serialize.validation_to_json(report))
     assert back == report.to_dict()
 

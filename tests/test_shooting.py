@@ -9,9 +9,10 @@ import pytest
 from epibvp import serialize, shooting
 from epibvp.errors import WindowTooSmallError
 from epibvp.integrator import (
-    BLOWUP, BOUNDARY_TOL, SIGN_TOL, _rk4_step, integrate, launch_state, validate,
+    BLOWUP, BOUNDARY_TOL, SIGN_TOL, integrate, launch_state, shoot, validate,
 )
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
+from rk4_reference import _rk4_step
 from epibvp.shooting import (
     _CLUSTER_TOL,
     _ROOT_TOL,
@@ -41,37 +42,39 @@ def test_boundary_residual_navier_arithmetic():
     # endpoint (u, u') = (-3, -3) meets the Navier condition: the lower-function
     # candidate -6t(2 - sqrt(2t)) ends exactly there
     spec = ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER, grid_n=501)
-    traj = integrate(spec, -4.742307280271374)
-    r = BoundaryKind.NAVIER.residual(traj.u[-1], traj.du[-1])
+    shot = shoot(spec, -4.742307280271374)
+    r = BoundaryKind.NAVIER.residual(shot.u[-1], shot.du[-1])
     assert abs(r) < 1e-7
-    traj.u[-1], traj.du[-1] = -1.0, 0.0
-    assert BoundaryKind.NAVIER.residual(traj.u[-1], traj.du[-1]) == -1.0
-    assert validate(traj).boundary_resid == -1.0
+    shot.u[-1], shot.du[-1] = -1.0, 0.0
+    assert BoundaryKind.NAVIER.residual(shot.u[-1], shot.du[-1]) == -1.0
+    assert validate(shot).boundary_resid == -1.0
 
 
 def test_boundary_residual_diverged_sentinel():
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=501)
-    traj = integrate(spec, -2000.0)
-    assert traj.diverged
-    assert validate(traj).boundary_resid == math.inf
+    shot = shoot(spec, -2000.0)
+    assert shot.diverged
+    assert validate(shot).boundary_resid == math.inf
     assert _residual_at(spec, -2000.0) == math.inf
 
 
 @pytest.mark.parametrize("grid_n", [16001, 4001])
 def test_roots_carry_gate_trajectory_and_report(grid_n):
-    """Each root holds its trajectory on the spec's grid and its calibrated report."""
+    """Each root holds the shot the gate validated, which samples the
+    trajectory on any grid, and that shot's report."""
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == 2
     for root in rs.roots:
         assert type(root.a) is float
         traj = integrate(spec, root.a)
-        assert root.traj.t.size == grid_n
-        assert np.array_equal(root.traj.t, traj.t)
-        assert np.array_equal(root.traj.u, traj.u)
-        assert np.array_equal(root.traj.du, traj.du)
-        assert root.traj.a == traj.a and not root.traj.diverged
-        assert root.report == validate(integrate(replace(spec, grid_n=16001), root.a))
+        sampled = root.shot.trajectory(grid_n)
+        assert sampled.t.size == grid_n
+        assert np.array_equal(sampled.t, traj.t)
+        assert np.array_equal(sampled.u, traj.u)
+        assert np.array_equal(sampled.du, traj.du)
+        assert sampled.a == traj.a and not sampled.diverged
+        assert root.report == validate(shoot(spec, root.a))
         assert root.report.accepted()
 
 
@@ -127,8 +130,7 @@ def test_every_root_validates(root_cache):
     spec = ProblemSpec(lam=50.0, kind=BoundaryKind.DIRICHLET)
     rs = root_cache(50.0, BoundaryKind.DIRICHLET)
     for root in rs.roots:
-        traj = integrate(spec, root.a)
-        report = validate(traj)
+        report = validate(shoot(spec, root.a))
         assert report.accepted(), report
         assert abs(report.boundary_resid) < BOUNDARY_TOL
         assert report.sign_violation <= SIGN_TOL
@@ -138,8 +140,7 @@ def test_reconstructed_w_sign_property(root_cache):
     """Each Dirichlet root's physical profile obeys w <= 0 with w -> 0 at 0."""
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     for root in root_cache(100.0, BoundaryKind.DIRICHLET).roots:
-        traj = integrate(spec, root.a)
-        prof = reconstruct_phi(traj, validate(traj))
+        prof = reconstruct_phi(integrate(spec, root.a), root.report)
         assert np.max(prof.w) <= SIGN_TOL
         assert abs(prof.w[0]) < 1e-4
 
@@ -462,7 +463,7 @@ def test_root_in_bracket_matches_root_set(root_cache):
     root = root_in_bracket(spec, upper.a - 1.0, upper.a + 1.0)
     assert root.a == pytest.approx(upper.a, abs=1e-8)
     assert root.report.accepted()
-    assert np.array_equal(root.traj.u, integrate(spec, root.a).u)
+    assert np.array_equal(root.shot.trajectory(spec.grid_n).u, integrate(spec, root.a).u)
     assert root_in_bracket(spec, upper.a + 1.0, upper.a + 2.0) is None
     narrow = replace(spec, slope_min=upper.a + 0.5)
     assert root_in_bracket(narrow, upper.a - 1.0, upper.a + 1.0) is None
@@ -475,15 +476,15 @@ def test_root_in_bracket_matches_root_set(root_cache):
 ], ids=["dirichlet-100-lower", "dirichlet-100-upper", "navier-9"])
 def test_root_in_bracket_stops_at_the_gates_residual(monkeypatch, lam, kind, a):
     """The bracket's secant stops at a slope with |R| <= BOUNDARY_TOL / 2,
-    and the gate's report, at 16001 samples, holds the same bound; a slope
-    the gate turns down goes to ``rejected`` with its report."""
+    and the gate's report holds the same bound; a slope the gate turns down
+    goes to ``rejected`` with its report."""
     spec = ProblemSpec(lam=lam, kind=kind)
     root = root_in_bracket(spec, a - 1.0, a + 1.0)
     assert abs(_residual_at(spec, root.a)) <= 0.5 * BOUNDARY_TOL
     assert abs(root.report.boundary_resid) <= 0.5 * BOUNDARY_TOL
     real = shooting.validate
     monkeypatch.setattr(shooting, "validate",
-                        lambda traj: replace(real(traj), first_integral_resid=math.inf))
+                        lambda shot: replace(real(shot), first_integral_resid=math.inf))
     rejected = []
     assert root_in_bracket(spec, a - 1.0, a + 1.0, rejected) is None
     assert rejected == [(root.a, replace(root.report, first_integral_resid=math.inf))]
@@ -503,9 +504,9 @@ def test_rootset_keeps_the_candidates_the_gate_rejects(root_cache, monkeypatch):
     lower, upper = root_cache(100.0, BoundaryKind.DIRICHLET).roots
     real = shooting.validate
 
-    def reject_upper(traj):
-        report = real(traj)
-        return replace(report, first_integral_resid=math.inf) if traj.a == upper.a else report
+    def reject_upper(shot):
+        report = real(shot)
+        return replace(report, first_integral_resid=math.inf) if shot.a == upper.a else report
 
     monkeypatch.setattr(shooting, "validate", reject_upper)
     rs = find_shooting_roots(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET))
@@ -517,18 +518,23 @@ def test_rootset_keeps_the_candidates_the_gate_rejects(root_cache, monkeypatch):
     assert not report.accepted()
 
 
-@pytest.mark.parametrize("grid_n, diverged, grids", [
-    (16001, False, [16001]), (101, False, [101, 16001]), (101, True, [101]),
-], ids=["calibrated", "coarse", "coarse-diverged"])
-def test_judge_validates_at_the_calibrated_resolution(grid_n, diverged, grids):
-    """judge returns the trajectory on the spec's grid; below the calibrated
-    grid it judges the sampler's output on that grid instead, unless the
-    trajectory diverged."""
-    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+@pytest.mark.parametrize("diverged", [False, True], ids=["root", "diverged"])
+def test_gate_shoots_each_candidate_once_and_reads_no_grid(monkeypatch, diverged):
+    """The gate records one shot per candidate and integrates no output
+    grid, so its report is the same whatever spec.grid_n says; a diverged
+    shot is rejected with infinite residuals."""
     a = -2000.0 if diverged else LAM100_DIRICHLET[1]
-    seen = []
-    traj, report = shooting.judge(spec, lambda s: seen.append(s.grid_n) or integrate(s, a))
-    assert seen == grids
-    assert np.array_equal(traj.u, integrate(spec, a).u)
-    assert report == validate(integrate(replace(spec, grid_n=grids[-1]), a))
-    assert report.accepted() is not diverged
+    shots = []
+    real = shooting.shoot
+    monkeypatch.setattr(shooting, "shoot", lambda spec, a: shots.append(a) or real(spec, a))
+    reports = []
+    for grid_n in (2, 101, 16001):
+        rejected = []
+        spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+        root = shooting._gated_root(spec, a, rejected)
+        reports.append(rejected[0][1] if diverged else root.report)
+        assert (root is None) is diverged
+    assert shots == [a, a, a]
+    assert reports[0] == reports[1] == reports[2] == validate(real(spec, a))
+    assert reports[0].accepted() is not diverged
+    assert math.isinf(reports[0].first_integral_resid) is diverged
