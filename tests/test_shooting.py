@@ -518,23 +518,24 @@ def test_rootset_keeps_the_candidates_the_gate_rejects(root_cache, monkeypatch):
     assert not report.accepted()
 
 
-@pytest.mark.parametrize("diverged", [False, True], ids=["root", "diverged"])
-def test_gate_shoots_each_candidate_once_and_reads_no_grid(monkeypatch, diverged):
+@pytest.mark.parametrize("grid_n, diverged", [
+    (16001, False), (101, False), (101, True),
+], ids=["calibrated", "coarse", "diverged"])
+def test_gate_shoots_each_candidate_once_and_reads_no_grid(monkeypatch, grid_n, diverged):
     """The gate records one shot per candidate and integrates no output
-    grid, so its report is the same whatever spec.grid_n says; a diverged
-    shot is rejected with infinite residuals."""
+    grid, so its report at the calibrated or a coarse spec.grid_n equals the
+    report of a shot made on a two-point grid; a diverged shot is rejected
+    with infinite residuals."""
     a = -2000.0 if diverged else LAM100_DIRICHLET[1]
     shots = []
     real = shooting.shoot
     monkeypatch.setattr(shooting, "shoot", lambda spec, a: shots.append(a) or real(spec, a))
-    reports = []
-    for grid_n in (2, 101, 16001):
-        rejected = []
-        spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
-        root = shooting._gated_root(spec, a, rejected)
-        reports.append(rejected[0][1] if diverged else root.report)
-        assert (root is None) is diverged
-    assert shots == [a, a, a]
-    assert reports[0] == reports[1] == reports[2] == validate(real(spec, a))
-    assert reports[0].accepted() is not diverged
-    assert math.isinf(reports[0].first_integral_resid) is diverged
+    rejected = []
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET, grid_n=grid_n)
+    root = shooting._gated_root(spec, a, rejected)
+    assert shots == [a]
+    assert (root is None) is diverged
+    report = rejected[0][1] if diverged else root.report
+    assert report == validate(real(replace(spec, grid_n=2), a))
+    assert report.accepted() is not diverged
+    assert math.isinf(report.first_integral_resid) is diverged
