@@ -8,9 +8,9 @@ solvability for the given deposition rate:
   are lower functions whenever their slack
       alpha'' - alpha^2/(8 t^2) - lam/2
   is nonnegative on (0, 1/2]; together with the zero upper function this
-  certifies existence.  The slack factors exactly (see ``slack_dirichlet`` /
-  ``slack_navier``) into a term that is >= 0 and vanishes at t = 1/8
-  (Dirichlet) or t = 1/2 (Navier), plus the constant 72 - lam/2 or
+  certifies existence.  The slack factors exactly (``lower_function_*``
+  state the factorizations) into a term that is >= 0 and vanishes at
+  t = 1/8 (Dirichlet) or t = 1/2 (Navier), plus the constant 72 - lam/2 or
   9/2 - lam/2.  The minimum slack is that constant, so the verdict is
   exact: existence for lam <= 144 (Dirichlet) or lam <= 9 (Navier).
 * nonexistence certificates: any solution forces v(t) = -u(t)/t to majorize
@@ -98,22 +98,8 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# explicit lower-function candidates and their slack factorizations
+# explicit lower-function candidates
 # ---------------------------------------------------------------------------
-
-def alpha_dirichlet(t):
-    """Dirichlet lower-function candidate -48 t (1 - sqrt(2t))."""
-    t = np.asarray(t, dtype=float)
-    out = -48.0 * t * (1.0 - np.sqrt(2.0 * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def alpha_dirichlet_dd(t):
-    """Second derivative 36 sqrt(2) / sqrt(t) of the Dirichlet candidate."""
-    t = np.asarray(t, dtype=float)
-    out = 36.0 * math.sqrt(2.0) / np.sqrt(t)
-    return float(out) if out.ndim == 0 else out
-
 
 def alpha_navier(t):
     """Navier lower-function candidate -6 t (2 - sqrt(2t))."""
@@ -122,47 +108,17 @@ def alpha_navier(t):
     return float(out) if out.ndim == 0 else out
 
 
-def alpha_navier_dd(t):
-    """Second derivative 9 / sqrt(2t) of the Navier candidate."""
-    t = np.asarray(t, dtype=float)
-    out = 9.0 / np.sqrt(2.0 * t)
-    return float(out) if out.ndim == 0 else out
-
-
-def slack_dirichlet(t, lam: float):
-    """Factorized slack of the Dirichlet candidate.
-
-    alpha'' - alpha^2/(8 t^2) - lam/2
-        = 72/sqrt(2t) * (1 - sqrt(2t)) * (1 - 2 sqrt(2t))^2 + (72 - lam/2).
-
-    The grid-free factor vanishes at t = 1/8 and t = 1/2, so the constant
-    72 - lam/2 decides the verdict: nonnegative up to lam = 144.
-    """
-    t = np.asarray(t, dtype=float)
-    q = np.sqrt(2.0 * t)
-    out = 72.0 / q * (1.0 - q) * (1.0 - 2.0 * q) ** 2 + (72.0 - lam / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def slack_navier(t, lam: float):
-    """Factorized slack of the Navier candidate.
-
-    alpha'' - alpha^2/(8 t^2) - lam/2
-        = 9/(2 sqrt(2t)) * (2 - sqrt(2t)) * (1 - sqrt(2t))^2 + (9/2 - lam/2),
-
-    with the grid-free factor vanishing at t = 1/2 only.
-    """
-    t = np.asarray(t, dtype=float)
-    q = np.sqrt(2.0 * t)
-    out = 9.0 / (2.0 * q) * (2.0 - q) * (1.0 - q) ** 2 + (4.5 - lam / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def lower_function_dirichlet(lam: float) -> Certificate:
     """Existence certificate from the Dirichlet lower-function candidate.
 
-    The minimum slack over (0, 1/2] is exactly 72 - lam/2, attained at
-    t = 1/8 (see ``slack_dirichlet``), so existence holds iff lam <= 144.
+    The slack of the candidate alpha = -48 t (1 - sqrt(2t)) factors as
+
+        alpha'' - alpha^2/(8 t^2) - lam/2
+            = 72/sqrt(2t) * (1 - sqrt(2t)) * (1 - 2 sqrt(2t))^2 + (72 - lam/2),
+
+    whose grid-free factor is >= 0 and vanishes at t = 1/8 and t = 1/2, so
+    the minimum slack over (0, 1/2] is exactly 72 - lam/2, attained at
+    t = 1/8, and existence holds iff lam <= 144.
     """
     check_lam(lam)
     min_slack = 72.0 - lam / 2.0
@@ -177,11 +133,16 @@ def lower_function_dirichlet(lam: float) -> Certificate:
 def lower_function_navier(lam: float) -> Certificate:
     """Existence certificate from the Navier lower-function candidate.
 
-    The minimum slack over (0, 1/2] is exactly 9/2 - lam/2, attained at
-    t = 1/2 (see ``slack_navier``), so the slack condition holds iff
-    lam <= 9.  Also checks the endpoint inequality alpha(1/2) >= alpha'(1/2),
-    which the candidate meets with equality (both sides are -3, exactly in
-    floating point too).
+    The slack of the candidate alpha = -6 t (2 - sqrt(2t)) factors as
+
+        alpha'' - alpha^2/(8 t^2) - lam/2
+            = 9/(2 sqrt(2t)) * (2 - sqrt(2t)) * (1 - sqrt(2t))^2 + (9/2 - lam/2),
+
+    whose grid-free factor is >= 0 and vanishes at t = 1/2 only, so the
+    minimum slack over (0, 1/2] is exactly 9/2 - lam/2, attained at t = 1/2,
+    and the slack condition holds iff lam <= 9.  Also checks the endpoint
+    inequality alpha(1/2) >= alpha'(1/2), which the candidate meets with
+    equality (both sides are -3, exactly in floating point too).
     """
     check_lam(lam)
     min_slack = 4.5 - lam / 2.0

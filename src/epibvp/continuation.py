@@ -9,8 +9,9 @@ lam_ref, stretched, is a solution at 4 t*^2 lam_ref
 (:func:`~epibvp.integrator.shoot_event`), and the fold is the maximum of
 that one scalar function of the slope, found by Brent's derivative-free
 search (Brent, Algorithms for Minimization without Derivatives, 1973).
-The nontrivial-root count, sound by the monotonicity, then certifies a
-bracket around lam0.
+One turning-point Newton step moves that maximum to the fold of the problem
+launched at eps, which the certificate shoots, and the nontrivial-root
+count, sound by the monotonicity, then certifies a bracket around lam0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Optional, Sequence
 from .errors import BracketError, DomainError, EpibvpError, WindowTooSmallError
 from .integrator import BOUNDARY_TOL, shoot_event
 from .model import BoundaryKind, ProblemSpec
-from .shooting import _CGOLD, _dig, _scan_residuals, find_shooting_roots, root_in_bracket
+from .shooting import (
+    _CGOLD, _DIP_SIGN, _dig, _gated_root, _residual_at, _scan_residuals, find_shooting_roots,
+)
 
 
 class Branch(Enum):
@@ -75,7 +78,8 @@ def sweep(
 
 
 def _fold_point(spec: ProblemSpec) -> tuple[float, float, float, float]:
-    """The fold (a*, lam0), with R_lam and R_aa there.
+    """The fold (a*, lam0) of the problem launched at ``spec.eps``, with R_lam
+    and R_aa there.
 
     An event shot at lam_ref, the kind's proven nonexistence bound, with
     slope x, stretched by 2 t*, is the solution at lam(x) = 4 t*^2 lam_ref
@@ -83,10 +87,18 @@ def _fold_point(spec: ProblemSpec) -> tuple[float, float, float, float]:
     g = lam_ref - lam(x) to its minimum over the class-default window, so no
     shot depends on the caller's bracket or window.  R_lam is read off the
     event state by the scaling identity t u' = a u_a + 2 lam u_lam at t = 1/2
-    and its t-derivative, with R_a = 0.  R_aa comes from one more event shot,
-    at x* + dx, as R_lam (lam - lam0) + R_aa (a - a*)^2 / 2 = 0 along the
-    family, where a - a* = 2 t* dx: at a coarse eps, (a*, lam0) is no double
-    root of the problem launched at eps.
+    and its t-derivative, with R_a = 0.  The stretched solution launches at
+    eps sqrt(lam_ref / lam), so one turning-point Newton step on R = R_a = 0
+    (Keller, Lectures on Numerical Methods in Bifurcation Problems, 1987)
+    moves (a, lam) to the fold of the problem launched at eps, from three
+    endpoint shots at a and a +- h whose central differences give R_a and
+    R_aa: a* = a - R_a / R_aa, and lam0 = lam - (R - R_a^2 / (2 R_aa)) / R_lam.
+
+    Raises
+    ------
+    EpibvpError
+        When an event shot keeps its launch sign, or R_aa is not finite
+        (a diverged shot among them) or not of the residual extremum's sign.
     """
     lam_ref = default_fold_bracket(spec.kind)[1]
     ref = replace(spec, lam=lam_ref)
@@ -101,15 +113,23 @@ def _fold_point(spec: ProblemSpec) -> tuple[float, float, float, float]:
 
     lo, hi = ProblemSpec.slope_min, ProblemSpec.slope_max
     x = lo + _CGOLD * (hi - lo)
-    x, gx = _dig(g, lo, hi, x, g(x))
+    x, _ = _dig(g, lo, hi, x, g(x))
     t_star, u, du = events[x]
-    lam0 = 4.0 * t_star ** 2 * lam_ref
-    # the stretched solution at t = 1/2, where the equation gives u'' = (u^2 + lam0)/2
+    lam = 4.0 * t_star ** 2 * lam_ref
+    a = 2.0 * t_star * x
+    # the stretched solution at t = 1/2, where the equation gives u'' = (u^2 + lam)/2
     du *= 2.0 * t_star
-    r_lam = spec.kind.residual(du, 2.0 * du + 0.5 * (u * u + lam0)) / (4.0 * lam0)
-    dx = 1e-3 * abs(x)
-    r_aa = 2.0 * r_lam * (g(x + dx) - gx) / (2.0 * t_star * dx) ** 2
-    return 2.0 * t_star * x, lam0, r_lam, r_aa
+    r_lam = spec.kind.residual(du, 2.0 * du + 0.5 * (u * u + lam)) / (4.0 * lam)
+
+    at = replace(spec, lam=lam)
+    h = 1e-4 * abs(a)
+    r_lo, r, r_hi = (_residual_at(at, a + k * h) for k in (-1.0, 0.0, 1.0))
+    r_a = (r_hi - r_lo) / (2.0 * h)
+    r_aa = (r_hi - 2.0 * r + r_lo) / (h * h)
+    if not (math.isfinite(r_aa) and _DIP_SIGN[spec.kind] * r_aa > 0.0):
+        raise EpibvpError(f"the fold's Newton step at lam = {lam!r}, a = {a!r} reads "
+                          f"R_aa = {r_aa!r}, not a finite value of the residual extremum's sign")
+    return a - r_a / r_aa, lam - (r - 0.5 * r_a * r_a / r_aa) / r_lam, r_lam, r_aa
 
 
 def locate_fold(
@@ -124,13 +144,13 @@ def locate_fold(
     both checked before any shot.  The bracket and the slope window only
     bound lam0 +- d and a*, not where the fold is found.
 
-    The bracket [lam0 - d, lam0 + d] is then certified by the count
-    predicate, which monotone solvability makes sound: one validated root
-    at lam0 - d, found in the slope bracket [a*, a* + 2 delta] that the
-    quadratic turning point predicts, and no nontrivial root at lam0 + d.
-    d starts at 4 BOUNDARY_TOL / |R_lam|, so the residual's minimum at
-    lam0 + d clears the root gate's tangency threshold, and doubles while a
-    check fails.
+    The bracket [lam0 - d, lam0 + d], d = 4 BOUNDARY_TOL / |R_lam|, is then
+    certified by the count predicate, which monotone solvability makes
+    sound.  At lam0 - d the quadratic turning point names a root outright,
+    a* + delta with delta = sqrt(2 |R_lam| d / |R_aa|), and one recorded
+    shot there must pass the validation gate.  At lam0 + d, where the
+    residual's extremum clears the gate's tangency threshold, a full root
+    set must hold no nontrivial root.
 
     Returns (lam_lo, lam_hi, lam0, a_star) with lam_hi - lam_lo <= fold_tol;
     no claim is made about solvability exactly at the fold.
@@ -144,14 +164,13 @@ def locate_fold(
     DomainError
         When fold_tol is not finite and > 0.
     WindowTooSmallError
-        Naming the scan-window edge that the fold slope a* lies beyond,
-        before any certificate root set.
+        Naming the scan-window edge that a* or the lower shot's slope
+        a* + delta lies beyond, before that shot.
     EpibvpError
-        When an event shot finds no sign change, or no bracket of width <=
-        fold_tol certifies (among them a fold_tol below 2 d at the first d);
-        the message then names the check that failed at the last d: a lower
-        root the gate turned down, with its lam and report, a slope bracket
-        with no lower root, or a nontrivial root at lam0 + d.
+        When :func:`_fold_point` fails, or the bracket does not certify; the
+        message names lam0 and the check that failed: 2 d above fold_tol,
+        the gate turning down the lower shot (with its slope, lam and
+        report), or a nontrivial root at lam0 + d.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
@@ -165,41 +184,31 @@ def locate_fold(
     spec = replace(spec_defaults, kind=kind)
 
     a_star, lam0, r_lam, r_aa = _fold_point(spec)
-    # the certificate's root sets scan only the window, so a fold slope
-    # outside it could never be certified
-    if not spec.slope_min <= a_star <= spec.slope_max:
-        edge = "slope_min" if a_star < spec.slope_min else "slope_max"
-        raise WindowTooSmallError(edge, a_star)
-
     d = 4.0 * BOUNDARY_TOL / abs(r_lam)
-    # why the latest d failed, for the message when no d is left
-    failure = f"the first bracket is already 2 d = {2.0 * d:.3g} wide"
-    while 2.0 * d <= fold_tol:
-        if lam0 - d < lo:
-            raise BracketError("lo", f"the fold lam0 = {lam0!r} is not above lo = {lo} by {d:.3g}")
-        if lam0 + d > hi:
-            raise BracketError("hi", f"the fold lam0 = {lam0!r} is not below hi = {hi} by {d:.3g}")
-        delta = math.sqrt(2.0 * abs(r_lam) * d / abs(r_aa))
-        lower = (a_star, a_star + 2.0 * delta)
-        rejected: list = []
-        if root_in_bracket(replace(spec, lam=lam0 - d), *lower, rejected) is None:
-            if rejected:
-                a, report = rejected[0]
-                fields = ", ".join(f"{k} = {v!r}" for k, v in report.to_dict().items())
-                failure = (f"the gate rejected the lower root a = {a!r} at lam = {lam0 - d!r} "
-                           f"({fields})")
-            else:
-                failure = f"the slope bracket {lower!r} holds no lower root at lam = {lam0 - d!r}"
-        else:
-            upper = find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial()
-            if not upper:
-                return lam0 - d, lam0 + d, lam0, a_star
-            failure = f"the upper root a = {upper[0]!r} remains at lam = {lam0 + d!r}"
-        d *= 2.0
-    raise EpibvpError(
-        f"no bracket of width <= fold_tol = {fold_tol} certifies the fold lam0 = {lam0!r}; "
-        f"last, {failure}"
-    )
+    # the root at lam0 - d that the quadratic turning point names
+    a_lower = a_star + math.sqrt(2.0 * abs(r_lam) * d / abs(r_aa))
+    # the certificate's shots lie in the window, so a fold slope outside it
+    # could never be certified
+    for a in (a_star, a_lower):
+        if not spec.slope_min <= a <= spec.slope_max:
+            raise WindowTooSmallError("slope_min" if a < spec.slope_min else "slope_max", a)
+    failed = f"the fold lam0 = {lam0!r} does not certify: "
+    if 2.0 * d > fold_tol:
+        raise EpibvpError(failed + f"its bracket 2 d = {2.0 * d:.3g} is wider than "
+                          f"fold_tol = {fold_tol}")
+    if lam0 - d < lo:
+        raise BracketError("lo", f"the fold lam0 = {lam0!r} is not above lo = {lo} by {d:.3g}")
+    if lam0 + d > hi:
+        raise BracketError("hi", f"the fold lam0 = {lam0!r} is not below hi = {hi} by {d:.3g}")
+    rejected: list = []
+    if _gated_root(replace(spec, lam=lam0 - d), a_lower, rejected) is None:
+        fields = ", ".join(f"{k} = {v!r}" for k, v in rejected[0][1].to_dict().items())
+        raise EpibvpError(failed + f"the gate rejected the lower root a = {a_lower!r} at "
+                          f"lam = {lam0 - d!r} ({fields})")
+    upper = find_shooting_roots(replace(spec, lam=lam0 + d)).nontrivial()
+    if upper:
+        raise EpibvpError(failed + f"the upper root a = {upper[0]!r} remains at lam = {lam0 + d!r}")
+    return lam0 - d, lam0 + d, lam0, a_star
 
 
 def default_fold_bracket(kind: BoundaryKind) -> tuple[float, float]:

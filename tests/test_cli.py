@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,27 @@ def test_fold_without_a_sign_change_is_numerical_failure(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ") and "keeps the launch sign" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("residual", [
+    lambda real, spec, a: math.inf,
+    lambda real, spec, a: -real(spec, a),
+], ids=["diverged", "wrong-sign"])
+def test_fold_newton_step_without_a_usable_r_aa_is_numerical_failure(
+        tmp_path, capsys, monkeypatch, residual):
+    """The fold's Newton step needs a finite R_aa of the residual
+    extremum's sign; diverged shots, or a residual of the wrong curvature,
+    end the run with one line and no artifact."""
+    real = continuation._residual_at
+    monkeypatch.setattr(continuation, "_residual_at",
+                        lambda spec, a: residual(real, spec, a))
+    code, out = run(tmp_path, "fold", "--bc", "dirichlet")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: the fold's Newton step at lam = ")
+    assert "R_aa = " in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not os.path.exists(out) or not os.listdir(out)
 
@@ -387,17 +409,44 @@ def test_precondition_error_bad_bracket(tmp_path):
 def test_coarse_eps_fold_is_numerical_failure(tmp_path, capsys, bc, eps):
     """At a coarse eps the shot at lam_ref from the window's golden-section
     slope changes sign before its launch at eps and keeps its launch sign up
-    to t = 1/2 (0.1, 0.3), or no bracket certifies, as the roots near the
-    fold fail validation (0.01): exit 3.  A certificate that fails at the
-    gate names the last rejected root's report on the same line."""
+    to t = 1/2 (0.1, 0.3), or the bracket does not certify, as the root at
+    lam0 - d fails validation (0.01): exit 3.  A certificate that fails at
+    the gate names the rejected root's report on the same line."""
     code, out = run(tmp_path, "fold", "--bc", bc, "--eps", eps)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert ("; last, the gate rejected the lower root a = " in err) == (eps == "0.01")
+    assert (" does not certify: the gate rejected the lower root a = " in err) == (eps == "0.01")
     assert ("first_integral_resid = " in err) == (eps == "0.01")
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.fixture(scope="module")
+def default_fold_widths():
+    """hi - lo of each kind's default fold."""
+    widths = {}
+    for bc in ("dirichlet", "navier"):
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fold", "--bc", bc, "--out", out]) == 0
+            fold = json.load(open(os.path.join(out, "fold.json")))
+        widths[bc] = fold["hi"] - fold["lo"]
+    return widths
+
+
+@pytest.mark.parametrize("bc, eps", [
+    ("dirichlet", "1e-3"), ("navier", "5e-3"), ("dirichlet", "1.5e-154"), ("navier", "1.5e-154"),
+], ids=["dirichlet-1e-3", "navier-5e-3", "dirichlet-1.5e-154", "navier-1.5e-154"])
+def test_coarse_and_fine_eps_fold_certifies_at_the_default_width(
+        tmp_path, capsys, default_fold_widths, bc, eps):
+    """The fold is that of the problem the certificate shoots, launched at
+    --eps, so a coarse eps certifies at the first d, as wide as the
+    default's to 1%, and so does the finest eps whose square is normal."""
+    code, out = run(tmp_path, "fold", "--bc", bc, "--eps", eps)
+    assert code == 0, capsys.readouterr().err
+    fold = json.load(open(os.path.join(out, "fold.json")))
+    assert fold["hi"] - fold["lo"] == pytest.approx(default_fold_widths[bc], rel=1e-2)
+    assert fold["lo"] < fold["lam0"] < fold["hi"]
 
 
 @pytest.mark.parametrize("argv", [

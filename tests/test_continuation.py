@@ -112,9 +112,9 @@ DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e6
 # a scan that picks the same cells leaves every endpoint shot and byte alone
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "77b094f02a6cb4424c892ed64bedebe9f4f8ec03ead2a3f8464089c899f86beb"),
+     "eb5ba4a1900d190ee11d31a348fbe03c2b83e6c3896cfa326f834c3f791d203a"),
     (["fold", "--bc", "navier"], "fold.json",
-     "6426d9bd5f2a836b45107d6580358d43a5d5ac10c6721a7e5676441f52fa5771"),
+     "6ed2be6de78d8954e65296724a97b6e584c535a9df1fd5191955f3b7f4c4c0cb"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
      "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
 ]
@@ -172,13 +172,14 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
 
 
 @pytest.mark.parametrize("kind, endpoint, event", [
-    (BoundaryKind.DIRICHLET, 17, 16), (BoundaryKind.NAVIER, 20, 21),
+    (BoundaryKind.DIRICHLET, 15, 15), (BoundaryKind.NAVIER, 16, 20),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, event):
     """A default fold's shots and calls, pinned: the Brent search's event
-    shots plus the one for R_aa, then one root in its slope bracket at
-    lam0 - d and one full root set at lam0 + d, which take every endpoint shot."""
-    calls = {"endpoint": 0, "event": 0, "root_sets": 0, "roots_in_bracket": 0}
+    shots, the Newton step's three endpoint shots, one recorded shot at
+    lam0 - d and one full root set at lam0 + d, which takes the other
+    endpoint shots."""
+    calls = {"endpoint": 0, "event": 0, "recorded": 0, "root_sets": 0}
 
     def counted(name, real):
         def call(*args):
@@ -190,13 +191,26 @@ def test_default_fold_shot_counts(monkeypatch, kind, endpoint, event):
                         counted("endpoint", shooting.shoot_endpoint))
     monkeypatch.setattr(continuation, "shoot_event",
                         counted("event", continuation.shoot_event))
+    monkeypatch.setattr(shooting, "shoot", counted("recorded", shooting.shoot))
     monkeypatch.setattr(continuation, "find_shooting_roots",
                         counted("root_sets", continuation.find_shooting_roots))
-    monkeypatch.setattr(continuation, "root_in_bracket",
-                        counted("roots_in_bracket", continuation.root_in_bracket))
     locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
-    assert calls == {"endpoint": endpoint, "event": event,
-                     "root_sets": 1, "roots_in_bracket": 1}
+    assert calls == {"endpoint": endpoint, "event": event, "recorded": 1, "root_sets": 1}
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+def test_default_fold_lower_shot_is_a_root(monkeypatch, kind):
+    """The quadratic turning point names the root at lam0 - d outright: its
+    one shot, at a* + delta, meets the boundary condition to 1e-10, far
+    inside the gate's BOUNDARY_TOL."""
+    roots = []
+    real = continuation._gated_root
+    monkeypatch.setattr(continuation, "_gated_root",
+                        lambda *args: roots.append(real(*args)) or roots[-1])
+    lo, _, _, a_star = locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
+    (root,) = roots
+    assert root.shot.lam == lo and root.a > a_star
+    assert abs(root.report.boundary_resid) <= 1e-10
 
 
 def test_sweep_lists_the_fold_root_once():
@@ -226,8 +240,9 @@ def test_locate_fold_bracket_independence():
 @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
 def test_fold_derivatives_match_differences(kind):
     """R_lam, read off the event state, matches a central difference of
-    shoot_endpoint at (a*, lam0) to 1e-6; R_aa, from the search's extra
-    event shot, matches a second central difference to 2e-3."""
+    shoot_endpoint at (a*, lam0) to 1e-6; R_aa, the Newton step's second
+    difference next to the searched slope, matches one at (a*, lam0) to
+    2e-3."""
     a, lam0, r_lam, r_aa = continuation._fold_point(ProblemSpec(lam=0.0, kind=kind))
 
     def resid(lam, a):
@@ -260,7 +275,7 @@ def test_locate_fold_within_d_of_lo():
     with pytest.raises(BracketError) as err:
         locate_fold(BoundaryKind.NAVIER, (11.3408094, 11.5), 0.05)
     assert err.value.end == "lo"
-    assert "11.3408094212" in str(err.value)
+    assert "11.3408094213" in str(err.value)
 
 
 def test_locate_fold_scan_without_a_finite_residual():
@@ -310,38 +325,39 @@ def test_locate_fold_rejects_bad_tol():
             locate_fold(BoundaryKind.NAVIER, (12.0, 13.0), fold_tol)
 
 
-@pytest.mark.parametrize("check, fold_tol, last", [
-    ("none", 1e-9, "the first bracket is already 2 d = "),
-    ("lower", 1e-5, "the slope bracket ("),
+@pytest.mark.parametrize("check, fold_tol, failed", [
+    ("none", 1e-9, "its bracket 2 d = "),
+    ("lower", 1e-5, "the gate rejected the lower root a = "),
     ("upper", 1e-5, "the upper root a = "),
 ], ids=["tol-below-first-bracket", "lower-check", "upper-check"])
-def test_uncertified_fold_names_the_last_failed_check(monkeypatch, check, fold_tol, last):
-    """With no d left, the message says why the last d failed, and only
-    that: the gate's rejection at the first d is not carried over to a later
-    d whose lower bracket holds no root, or whose upper root set still has
-    a nontrivial root."""
-    real_lower, real_upper = continuation.root_in_bracket, continuation.find_shooting_roots
+def test_uncertified_fold_names_the_last_failed_check(monkeypatch, check, fold_tol, failed):
+    """The bracket is certified at one d, and a check that fails there ends
+    the run: the message names lam0 and that check, and no later check
+    runs."""
+    real_gate, real_upper = continuation._gated_root, continuation.find_shooting_roots
     calls = []
 
-    def lower(spec, lo, hi, rejected):
-        calls.append(spec.lam)
-        if len(calls) == 1:
-            rejected.append((lo, ValidationReport(1.0, 1.0, 0.0, 0.0)))
+    def gate(spec, a, rejected):
+        calls.append("lower")
+        if check == "lower":
+            rejected.append((a, ValidationReport(1.0, 1.0, 0.0, 0.0)))
             return None
-        return real_lower(spec, lo, hi, rejected) if check == "upper" else None
+        return real_gate(spec, a, rejected)
 
-    monkeypatch.setattr(continuation, "root_in_bracket", lower)
-    # below the fold, the root set still holds both roots
-    monkeypatch.setattr(continuation, "find_shooting_roots",
-                        lambda spec: real_upper(replace(spec, lam=spec.lam - 1.0)))
+    def upper(spec):
+        calls.append("upper")
+        # below the fold, the root set still holds both roots
+        return real_upper(replace(spec, lam=spec.lam - 1.0))
+
+    monkeypatch.setattr(continuation, "_gated_root", gate)
+    monkeypatch.setattr(continuation, "find_shooting_roots", upper)
     with pytest.raises(EpibvpError) as err:
         locate_fold(BoundaryKind.NAVIER, default_fold_bracket(BoundaryKind.NAVIER), fold_tol)
     message = str(err.value)
-    assert message.startswith(f"no bracket of width <= fold_tol = {fold_tol} certifies")
-    assert f"; last, {last}" in message
-    assert ("holds no lower root at lam = " in message) == (check == "lower")
-    assert "gate" not in message
-    assert len(calls) >= (0 if check == "none" else 2)
+    lam0 = continuation._fold_point(ProblemSpec(lam=0.0, kind=BoundaryKind.NAVIER))[1]
+    assert message.startswith(f"the fold lam0 = {lam0!r} does not certify: {failed}")
+    assert ("first_integral_resid = 1.0" in message) == (check == "lower")
+    assert calls == {"none": [], "lower": ["lower"], "upper": ["lower", "upper"]}[check]
 
 
 def test_locate_fold_rejects_fold_slope_outside_window():

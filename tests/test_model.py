@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from epibvp.certificates import alpha_dirichlet_dd
 from epibvp.errors import DomainError, UnvalidatedTrajectoryError
 from epibvp.integrator import (
     BOUNDARY_TOL, SIGN_TOL, _beta, integrate, launch_state, shoot, validate,
 )
 from epibvp.model import BoundaryKind, ProblemSpec, Trajectory, reconstruct_phi
 from epibvp.shooting import find_shooting_roots
+from lower_function_reference import alpha_dirichlet_dd
 
 
 def test_rhs_lower_function_touch():

@@ -23,7 +23,6 @@ from epibvp.shooting import (
     _scan_residuals,
     _scan_times,
     find_shooting_roots,
-    root_in_bracket,
 )
 
 # production root values, frozen from refined runs at default tolerances
@@ -453,41 +452,6 @@ def test_root_near_window_edge_is_rejected(edge):
         find_shooting_roots(spec)
     assert err.value.edge == edge
     assert err.value.a == pytest.approx(a, abs=1e-9)
-
-
-def test_root_in_bracket_matches_root_set(root_cache):
-    """A sign-change bracket around one root gives that root through the same
-    gate; a bracket without a sign change or outside the window gives None."""
-    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
-    upper = root_cache(100.0, BoundaryKind.DIRICHLET).roots[1]
-    root = root_in_bracket(spec, upper.a - 1.0, upper.a + 1.0)
-    assert root.a == pytest.approx(upper.a, abs=1e-8)
-    assert root.report.accepted()
-    assert np.array_equal(root.shot.trajectory(spec.grid_n).u, integrate(spec, root.a).u)
-    assert root_in_bracket(spec, upper.a + 1.0, upper.a + 2.0) is None
-    narrow = replace(spec, slope_min=upper.a + 0.5)
-    assert root_in_bracket(narrow, upper.a - 1.0, upper.a + 1.0) is None
-
-
-@pytest.mark.parametrize("lam, kind, a", [
-    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[0]),
-    (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1]),
-    (9.0, BoundaryKind.NAVIER, -4.742307280271374),
-], ids=["dirichlet-100-lower", "dirichlet-100-upper", "navier-9"])
-def test_root_in_bracket_stops_at_the_gates_residual(monkeypatch, lam, kind, a):
-    """The bracket's secant stops at a slope with |R| <= BOUNDARY_TOL / 2,
-    and the gate's report holds the same bound; a slope the gate turns down
-    goes to ``rejected`` with its report."""
-    spec = ProblemSpec(lam=lam, kind=kind)
-    root = root_in_bracket(spec, a - 1.0, a + 1.0)
-    assert abs(_residual_at(spec, root.a)) <= 0.5 * BOUNDARY_TOL
-    assert abs(root.report.boundary_resid) <= 0.5 * BOUNDARY_TOL
-    real = shooting.validate
-    monkeypatch.setattr(shooting, "validate",
-                        lambda shot: replace(real(shot), first_integral_resid=math.inf))
-    rejected = []
-    assert root_in_bracket(spec, a - 1.0, a + 1.0, rejected) is None
-    assert rejected == [(root.a, replace(root.report, first_integral_resid=math.inf))]
 
 
 def test_rootset_fields(root_cache):
