@@ -7,9 +7,10 @@ scan, checked to be unimodal; Brent's minimization of s R around the scan's
 lowest point (the extremum dig), which stops at the first value of the other
 sign, or once it has placed the minimum to sqrt(eps_mach) |a|, which moves
 the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default folds);
-at most one secant-refined root on each side of the dug point, which is also
-the root's branch; and the final validation gate.  The scan only guides:
-every sign that decides a count is an adaptive (DP5) residual.
+at most one root on each side of the dug point, which is also the root's
+branch, refined on [dug point, window edge] by a secant from the scan's
+cubic; and the final validation gate.  The scan only guides: every sign
+that decides a count is an adaptive (DP5) residual.
 
 The scan steps the slopes of one or several lams at once with
 ``_rk4_scan``, in place and in one fixed order of operations, so a sweep
@@ -21,7 +22,7 @@ it on those steps, so no output grid enters a verdict.  Every root returned
 carries that shot, whose launch slope is the root's slope, and the report
 that accepted it; every candidate the gate turned down is kept with its
 report.  A root set refines its roots to a slope bracket of _ROOT_TOL, since
-it lists them and merges a double root's two secants.  The same gate
+it lists them, and lists a double root as the dug point.  The same gate
 (:func:`_gated_root`) judges the one shot at the lower end of the fold's
 certified bracket, whose slope the fold's turning point names outright.
 """
@@ -140,37 +141,61 @@ def _residual_at(spec: ProblemSpec, a: float) -> float:
     return spec.kind.residual(u, du)
 
 
-def _refine_bracket(spec: ProblemSpec, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bracket-safeguarded secant inside a sign-change bracket.
+def _scan_guess(pts: list, vals: list, k: int) -> tuple[float, float]:
+    """Root and slope, in the cell [pts[k-1], pts[k]] where vals change sign,
+    of the cubic through the four points around it: divided differences and
+    Newton steps from the chord, in plain floats so that no BLAS sets the
+    bits.  A diverged point leaves the guess on the chord, with a NaN slope."""
+    i = max(0, min(k - 2, len(pts) - 4))
+    xs, c = pts[i:i + 4], vals[i:i + 4]
+    for j in range(1, len(xs)):
+        for m in range(len(xs) - 1, j - 1, -1):
+            c[m] = (c[m] - c[m - 1]) / (xs[m] - xs[m - j])
+    a0, a1 = pts[k - 1], pts[k]
+    t, dv = a0 - vals[k - 1] * (a1 - a0) / (vals[k] - vals[k - 1]), math.nan
+    for _ in range(8):
+        v, dv = c[-1], 0.0
+        for xm, cm in zip(xs[-2::-1], c[-2::-1]):
+            v, dv = v * (t - xm) + cm, dv * (t - xm) + v
+        step = t - v / dv if dv != 0.0 else math.nan
+        if not min(a0, a1) <= step <= max(a0, a1):
+            break
+        t = step
+    return t, dv
 
-    Starts on the bracket it is given; a step that leaves the bracket, or
-    whose secant denominator is 0 or not finite, is replaced by the
-    midpoint.  Returns the slope of smallest |residual| once the bracket is
-    no wider than _ROOT_TOL and that residual is within BOUNDARY_TOL / 2,
-    or once the bracket is 4 ulp wide, or after 60 steps.
-    """
-    x0, f0, x1, f1 = lo, flo, hi, fhi
-    best_x, best_f = (x0, f0) if abs(f0) < abs(f1) else (x1, f1)
+
+def _refine_bracket(g, lo: float, hi: float, x: float, slope: float) -> float:
+    """Bracket-safeguarded secant for a root of g on [lo, hi], from x along
+    ``slope``; g keeps the values it has shot, those at lo and hi included.
+
+    A step within _ROOT_TOL / 2 of the best point (first the bracket end of
+    smaller |g|) goes _ROOT_TOL / 2 from it toward the sign change, Brent's
+    minimum step (1973, ch. 4), so that one shot can close the bracket; a
+    step out of the bracket, or not finite, goes to the midpoint.  Returns
+    the slope of smallest |g| once the bracket is no wider than _ROOT_TOL
+    and that |g| is within BOUNDARY_TOL / 2, or 4 ulp wide, or after 60 steps."""
+    glo = g(lo)
+    best_x, best_g = (lo, glo) if abs(glo) < abs(g(hi)) else (hi, g(hi))
+    x_prev = g_prev = None
     for _ in range(60):
-        if hi - lo <= _ROOT_TOL and abs(best_f) <= 0.5 * BOUNDARY_TOL:
+        if hi - lo <= 4.0 * abs(np.spacing(lo)) or (
+                hi - lo <= _ROOT_TOL and abs(best_g) <= 0.5 * BOUNDARY_TOL):
             break
-        denom = f1 - f0
-        if denom == 0.0 or not math.isfinite(denom):
-            x2 = 0.5 * (lo + hi)
+        if abs(x - best_x) < 0.5 * _ROOT_TOL:
+            x = best_x + math.copysign(0.5 * _ROOT_TOL, lo + hi - 2.0 * best_x)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        gx = g(x)
+        if abs(gx) < abs(best_g):
+            best_x, best_g = x, gx
+        if glo * gx <= 0.0:
+            hi = x
         else:
-            x2 = x1 - f1 * (x1 - x0) / denom
-            if not lo < x2 < hi:
-                x2 = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * abs(np.spacing(lo)):
-            break
-        f2 = _residual_at(spec, x2)
-        if abs(f2) < abs(best_f):
-            best_x, best_f = x2, f2
-        if flo * f2 <= 0.0:
-            hi = x2
-        else:
-            lo, flo = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
+            lo, glo = x, gx
+        if x_prev is not None:
+            slope = (gx - g_prev) / (x - x_prev)
+        x_prev, g_prev = x, gx
+        x = x - gx / slope if slope != 0.0 else math.nan
     return best_x
 
 
@@ -305,22 +330,23 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         x, gx = _dig(g, lo, hi, start, g(start))
         extremum = (x, exact[x])
         if gx < 0.0:
-            for side in (
-                [(a, c) for a, c in zip(a_grid[::-1], coarse[::-1]) if a < x],
-                [(a, c) for a, c in zip(a_grid, coarse) if a > x],
-            ):
-                # from the dug point out to the window edge, where g must
-                # turn positive; the coarse scan guesses the cell and
-                # adaptive values move it until they confirm it
-                pts = [x] + [a for a, _ in side]
-                if len(pts) == 1 or g(pts[-1]) <= 0.0:
+            # the scan line through x, each slope once, with x's DP5 value
+            line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
+            i = line.index((x, gx))
+            for side, j in ((line[::-1], len(line) - 1 - i), (line, i)):
+                # x and the window edge, where g must turn positive, bracket the
+                # side's one root; the scan's cubic, with the edge's DP5 g, guesses it
+                pts, vals = (list(v) for v in zip(*side))
+                if j == len(pts) - 1 or g(pts[-1]) <= 0.0:
                     continue
-                k = next((k for k, (_, c) in enumerate(side, 1) if c > 0.0), len(side))
-                while g(pts[k]) <= 0.0 or g(pts[k - 1]) > 0.0:
-                    k += 1 if g(pts[k]) <= 0.0 else -1
-                lo, hi = sorted(pts[k - 1:k + 1])
-                if math.isfinite(g(lo) + g(hi)):
-                    candidates.append(_refine_bracket(spec, lo, hi, exact[lo], exact[hi]))
+                k = next((k for k in range(j + 1, len(vals)) if vals[k] > 0.0), len(vals) - 1)
+                vals[-1] = g(pts[-1])
+                lo, hi = sorted((x, pts[-1]))
+                candidates.append(_refine_bracket(g, lo, hi, *_scan_guess(pts, vals, k)))
+            # a double root: both sides stop on the dug point's noise level
+            if (len(candidates) == 2 and max(abs(a - x) for a in candidates) <= _ROOT_TOL
+                    and -gx <= 0.5 * BOUNDARY_TOL):
+                candidates = [x]
         elif gx <= BOUNDARY_TOL:
             # tangency: double root at the fold
             candidates.append(x)
@@ -336,8 +362,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
             if spec.slope_max - a < _CLUSTER_TOL and spec.slope_max < 0.0:
                 raise WindowTooSmallError("slope_max", a)
 
-    # final gate: every reported root's trajectory must validate, each root once;
-    # a double root's two secants may stop apart, so slopes within _ROOT_TOL are one
+    # final gate: each root's trajectory must validate; slopes within _ROOT_TOL are one root
     candidates.sort()
     rejected: list[tuple[float, ValidationReport]] = []
     gated = (_gated_root(spec, a, rejected) for i, a in enumerate(candidates)

@@ -105,18 +105,19 @@ def test_single_root_labels():
 
 
 # sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`,
-# whose slopes are within 2e-13 of those of a 2000-slope scan per lam
-DIRICHLET_SWEEP_CSV_SHA256 = "3e3fa9e2df5c879eb6ee4668a23ad5465b94d99641f53bd4e623f5b6b6770a1d"
+# whose slopes are within 1.2e-11 of those of a 2000-slope scan per lam
+DIRICHLET_SWEEP_CSV_SHA256 = "d6abd61feb61303c913dd53778d270543801ce457170353349d07f0ed41c9d1d"
 
 # sha256 of the default folds' fold.json and of a Navier sweep's diagram.csv;
-# a scan that picks the same cells leaves every endpoint shot and byte alone
+# a scan that picks the same cells leaves the folds' bytes alone, while the
+# sweep's slopes also follow the scan values, whose cubic starts each secant
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
      "eb5ba4a1900d190ee11d31a348fbe03c2b83e6c3896cfa326f834c3f791d203a"),
     (["fold", "--bc", "navier"], "fold.json",
      "6ed2be6de78d8954e65296724a97b6e584c535a9df1fd5191955f3b7f4c4c0cb"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
-     "ee11e32dc7c3d870a0f9c4e5cbf578d76296382d76412ea0221332d9d5600594"),
+     "8b75d571a87072ca243010176c432b433305aae6986c31c732ecd9b060c52ac0"),
 ]
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epibvp import serialize, shooting
+from epibvp import continuation, serialize, shooting
 from epibvp.errors import WindowTooSmallError
 from epibvp.integrator import (
     BLOWUP, BOUNDARY_TOL, SIGN_TOL, integrate, launch_state, shoot, validate,
@@ -332,17 +332,57 @@ def _count_shots(monkeypatch) -> list:
     return shots
 
 
-@pytest.mark.parametrize("lam, kind", [
-    (100.0, BoundaryKind.DIRICHLET), (5.0, BoundaryKind.NAVIER),
-], ids=["dirichlet-100", "navier-5"])
-def test_root_set_shot_budget(monkeypatch, lam, kind):
-    """The secant starts on the scan cell itself: a two-root set costs a few
-    endpoint shots per root (an 18-step bisection prelude alone would spend
-    36), the edge checks and the trivial-root check included."""
+@pytest.mark.parametrize("lam, kind, count", [
+    (100.0, BoundaryKind.DIRICHLET, 12), (5.0, BoundaryKind.NAVIER, 14),
+    (0.5, BoundaryKind.NAVIER, 14),
+], ids=["dirichlet-100", "navier-5", "navier-0.5"])
+def test_root_set_shot_budget(monkeypatch, lam, kind, count):
+    """Endpoint shots of a two-root set, pinned: the two edge checks, the
+    dig, and for each root a secant on [dug point, window edge] that starts
+    at the root of the scan's cubic, steps along the cubic's slope, and
+    closes its bracket with one _ROOT_TOL / 2 step.  At Navier 0.5 the upper
+    root, -0.19, lies in the scan cell that touches a = 0."""
     shots = _count_shots(monkeypatch)
     rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
     assert len(rs.roots) == 2
-    assert len(shots) <= 20
+    assert len(shots) == count
+
+
+def _root_brackets(spec: ProblemSpec, slopes) -> None:
+    """Each nontrivial slope meets the boundary condition to BOUNDARY_TOL / 2
+    and lies inside a DP5 sign change _ROOT_TOL wide."""
+    for a in (a for a in slopes if a != 0.0):
+        assert abs(_residual_at(spec, a)) <= 0.5 * BOUNDARY_TOL, (spec.lam, a)
+        below, above = (_residual_at(spec, a + d) for d in (-_ROOT_TOL, _ROOT_TOL))
+        assert below * above < 0.0, (spec.lam, a)
+
+
+def test_every_root_closes_its_bracket():
+    """The refinement stops on a closed bracket, at Dirichlet 100, Navier 9
+    and on each lam of a Navier sweep, whatever root its secant ends on."""
+    for lam, kind in ((100.0, BoundaryKind.DIRICHLET), (9.0, BoundaryKind.NAVIER)):
+        spec = ProblemSpec(lam=lam, kind=kind)
+        _root_brackets(spec, find_shooting_roots(spec).slopes())
+    points = continuation.sweep(BoundaryKind.NAVIER, [0.0, 5.0, 11.2])
+    assert len(points) == 6
+    for lam in (0.0, 5.0, 11.2):
+        spec = ProblemSpec(lam=lam, kind=BoundaryKind.NAVIER)
+        _root_brackets(spec, [p.a for p in points if p.lam == lam])
+
+
+@pytest.mark.parametrize("lam, kind, slope_min", [
+    (9.0, BoundaryKind.NAVIER, -3000.0), (100.0, BoundaryKind.DIRICHLET, -2000.0),
+], ids=["navier-9", "dirichlet-100"])
+def test_diverged_window_edge_keeps_both_roots(lam, kind, slope_min):
+    """An edge shot that diverges counts as the tail side of the extremum:
+    its side's bracket still runs from the dug point to that edge, and both
+    roots come out as in the default window."""
+    wide = ProblemSpec(lam=lam, kind=kind, slope_min=slope_min)
+    assert _residual_at(wide, slope_min) == math.inf
+    want = find_shooting_roots(ProblemSpec(lam=lam, kind=kind)).slopes()
+    got = find_shooting_roots(wide).slopes()
+    assert len(got) == 2
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 # lams about d above the default folds (near fold.json's upper end), where
@@ -393,26 +433,32 @@ _NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_FOLD), ids=lambda k: k.value)
-def test_near_fold_root_counts(kind):
-    """The dig's coarser stop changes no root count around the fold."""
+def test_near_fold_root_counts(monkeypatch, kind):
+    """The dig's coarser stop changes no root count around the fold, and a
+    root set there, where the scan's cubic guesses poorly, stays within 100
+    endpoint shots."""
     lam0, counts = _NEAR_FOLD[kind]
     spec = ProblemSpec(lam=lam0, kind=kind)
-    got = [len(find_shooting_roots(replace(spec, lam=lam0 * (1.0 + r))).roots)
-           for r in _NEAR_FOLD_R]
+    shots = _count_shots(monkeypatch)
+    got = []
+    for r in _NEAR_FOLD_R:
+        shots.clear()
+        got.append(len(find_shooting_roots(replace(spec, lam=lam0 * (1.0 + r))).roots))
+        assert len(shots) <= 100, r
     assert got == counts
 
 
 def test_root_at_the_fold_is_listed_once():
-    """At the Navier fold lam the residual's minimum is 2e-15 past zero and
-    both sides' secants return the dug point; at the Dirichlet fold lam they
-    stop 2.6e-12 apart on either side of it, closer than _ROOT_TOL.  Either
-    way: one root, not the same root twice."""
-    for kind, lam, slope, dug in [
-        (BoundaryKind.NAVIER, 11.340809421307341, -8.872504445680562, -8.872504445680562),
-        (BoundaryKind.DIRICHLET, 168.76943127403896, -52.354610711419326, -52.35461071141806),
+    """At both fold lams the residual's minimum lies within BOUNDARY_TOL / 2
+    past zero, and both sides' secants stop within _ROOT_TOL of the dug
+    point: the double root is that point, one root, not the same root twice,
+    whichever side's noise-level residual comes out smaller."""
+    for kind, lam, dug in [
+        (BoundaryKind.NAVIER, 11.340809421307341, -8.872504445680562),
+        (BoundaryKind.DIRICHLET, 168.76943127403896, -52.35461071141806),
     ]:
         rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
-        assert rs.slopes() == [slope], kind
+        assert rs.slopes() == [dug], kind
         assert rs.extremum[0] == dug, kind
 
 
