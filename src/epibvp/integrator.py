@@ -4,9 +4,10 @@ The initial value problem is launched at t = eps with the two-term series
 u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
 embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
 every shot.  Its stages are spelled out on Python floats, each sum in
-tableau order, so a shot costs little more than its arithmetic.  A
-recorded shot (:func:`shoot`) keeps its accepted steps and fills the
-samples of any uniform grid in one vectorized pass from the pair's quartic
+tableau order, so a shot costs little more than its arithmetic.  A shot
+can record its accepted steps as their start (t, h, u, u') alone: a
+:class:`Shot` rebuilds their stages bit for bit in one vectorized pass, and
+fills the samples of any uniform grid in another from the pair's quartic
 interpolant, so step sizes are chosen by the error controller alone.  lam
 is a pure scale of the equation: if u(t) solves it, u(kt) solves it with
 k^2 lam and launch slope k a, so the event shot at one lam
@@ -135,25 +136,27 @@ def launch_state(a: float, lam: float, eps: float) -> tuple[float, float]:
     return a * eps + beta * eps * eps, a + 2.0 * beta * eps
 
 
-def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool]:
+def _dp45(spec: ProblemSpec, a: float, steps: list | None = None, stop=None) -> tuple:
     """Adaptive Dormand-Prince 5(4) run from the series launch to t = 1/2.
 
     The one step-size controller of the package: local error per step is
-    bounded by ``spec.step_tol``, measured on (u, u').  Each accepted step
-    calls ``on_step(t, h, u, du, k)`` with its start time, size, start state
-    and the seven stage derivatives (u', u'') as one flat tuple ``k``
-    (k[2 s] = u' and k[2 s + 1] = u'' of stage s), and stops there if
-    it returns true; :func:`shoot` records the steps and
-    :func:`shoot_event` stops past a sign change.  Returns the last state
-    ``(u, u', diverged)``: the state at t = 1/2 or where it
-    stopped, or the last state reached when |u| exceeded ``BLOWUP`` or a
-    stage went non-finite (both flagged as divergence).
+    bounded by ``spec.step_tol``, measured on (u, u').  Returns the last
+    state ``(u, u', diverged)``: the state at t = 1/2, or the last state
+    reached when |u| exceeded ``BLOWUP`` or a stage went non-finite (both
+    flagged as divergence).  Each accepted step appends its start
+    (t, h, u, u') to ``steps`` when given, and :func:`_stages` rebuilds its
+    stages from that record.  If ``stop(t, u, u')`` holds at an accepted
+    step's end, the shot stops there and returns ``(u, u', False, t0, h,
+    u0, u0', k)``: that end, then the step's start and its seven stages
+    (u', u'') as one flat tuple, k[2 s] = u' and k[2 s + 1] = u'' of stage s.
 
-    The stages are spelled out on local floats.  Each stage sum and error
-    sum starts at 0.0 and adds its terms in tableau order, zero weights
-    included, which fixes every rounding: the shot is bit for bit that of
-    ``acc = 0.0; for j: acc += A[s][j] * k[j]`` over the tableau.  The
-    tuple ``k`` is built only for ``on_step``.
+    The stages are spelled out on local floats, each sum in tableau order
+    from its first nonzero term.  For every finite stage that is bit for bit
+    ``acc = 0.0; for j: acc += A[s][j] * k[j]`` over the tableau: u and u'
+    are never -0.0, so a sum's sign of zero is lost once they are added, and
+    a zero weight adds 0 x = 0.  A non-finite stage still reaches u6 or u'6,
+    as every stage weighs the one before it by a nonzero A[s][s-1].  As
+    c5 = c6 = 1, stages 5 and 6 share t + h.
 
     The pair is first-same-as-last: the last stage sits at the 5th-order
     end state, so an accepted step hands its end state and the next
@@ -164,10 +167,10 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
     IntegrationError
         On step-size underflow.
     """
-    c1, c2, c3, c4, c5, c6 = _DP_C
+    c1, c2, c3, c4 = _DP_C[:4]
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _DP_A
-    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+     (a50, a51, a52, a53, a54), (a60, _, a62, a63, a64, a65)) = _DP_A
+    e0, _, e2, e3, e4, e5, e6 = _DP_E
     isfinite = math.isfinite
     lam = spec.lam
     half_lam = lam / 2.0
@@ -182,46 +185,46 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
         if final:
             h = 0.5 - t
         ts = t + c1 * h
-        u1 = u + h * (0.0 + a10 * du)
-        v1 = du + h * (0.0 + a10 * f0)
+        u1 = u + h * (a10 * du)
+        v1 = du + h * (a10 * f0)
         f1 = u1 * u1 / (8.0 * ts * ts) + half_lam
         ts = t + c2 * h
-        u2 = u + h * (0.0 + a20 * du + a21 * v1)
-        v2 = du + h * (0.0 + a20 * f0 + a21 * f1)
+        u2 = u + h * (a20 * du + a21 * v1)
+        v2 = du + h * (a20 * f0 + a21 * f1)
         f2 = u2 * u2 / (8.0 * ts * ts) + half_lam
         ts = t + c3 * h
-        u3 = u + h * (0.0 + a30 * du + a31 * v1 + a32 * v2)
-        v3 = du + h * (0.0 + a30 * f0 + a31 * f1 + a32 * f2)
+        u3 = u + h * (a30 * du + a31 * v1 + a32 * v2)
+        v3 = du + h * (a30 * f0 + a31 * f1 + a32 * f2)
         f3 = u3 * u3 / (8.0 * ts * ts) + half_lam
         ts = t + c4 * h
-        u4 = u + h * (0.0 + a40 * du + a41 * v1 + a42 * v2 + a43 * v3)
-        v4 = du + h * (0.0 + a40 * f0 + a41 * f1 + a42 * f2 + a43 * f3)
+        u4 = u + h * (a40 * du + a41 * v1 + a42 * v2 + a43 * v3)
+        v4 = du + h * (a40 * f0 + a41 * f1 + a42 * f2 + a43 * f3)
         f4 = u4 * u4 / (8.0 * ts * ts) + half_lam
-        ts = t + c5 * h
-        u5 = u + h * (0.0 + a50 * du + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
-        v5 = du + h * (0.0 + a50 * f0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
-        f5 = u5 * u5 / (8.0 * ts * ts) + half_lam
-        ts = t + c6 * h
-        u6 = u + h * (0.0 + a60 * du + a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-        v6 = du + h * (0.0 + a60 * f0 + a61 * f1 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
-        # every stage weighs the one before it by a nonzero A[s][s-1], so a
-        # non-finite stage makes every later one non-finite: checking the
-        # last stage catches the state exploding anywhere inside the step
+        ts = t + h
+        w = 8.0 * ts * ts
+        u5 = u + h * (a50 * du + a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+        v5 = du + h * (a50 * f0 + a51 * f1 + a52 * f2 + a53 * f3 + a54 * f4)
+        f5 = u5 * u5 / w + half_lam
+        u6 = u + h * (a60 * du + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+        v6 = du + h * (a60 * f0 + a62 * f2 + a63 * f3 + a64 * f4 + a65 * f5)
+        # a non-finite stage anywhere in the step reaches u6 or v6
         if not (isfinite(u6) and isfinite(v6)):
             return u, du, True
-        f6 = u6 * u6 / (8.0 * ts * ts) + half_lam
-        err_u = 0.0 + e0 * du + e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6
-        err_v = 0.0 + e0 * f0 + e1 * f1 + e2 * f2 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6
+        f6 = u6 * u6 / w + half_lam
+        err_u = e0 * du + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6
+        err_v = e0 * f0 + e2 * f2 + e3 * f3 + e4 * f4 + e5 * f5 + e6 * f6
         err_u = abs(h * err_u) / (tol * (1.0 + abs(u)))
         err_v = abs(h * err_v) / (tol * (1.0 + abs(du)))
         err = err_v if err_v > err_u else err_u
         if not isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None and on_step(t, h, u, du, (du, f0, v1, f1, v2, f2, v3, f3,
-                                                             v4, f4, v5, f5, v6, f6)):
-                return u, du, False
-            t += h
+            if steps is not None:
+                steps += (t, h, u, du)
+            if stop is not None and stop(ts, u6, v6):
+                return u6, v6, False, t, h, u, du, (du, f0, v1, f1, v2, f2, v3, f3, v4, f4,
+                                                     v5, f5, v6, f6)
+            t = ts
             u, du, f0 = u6, v6, f6
             if abs(u) > BLOWUP:
                 return u, du, True
@@ -231,6 +234,29 @@ def _dp45(spec: ProblemSpec, a: float, on_step=None) -> tuple[float, float, bool
         h *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor
         if h < _MIN_STEP:
             raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
+
+
+def _stages(lam: float, t: np.ndarray, h: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Stages k[i, s] = (u', u'') of recorded :func:`_dp45` steps, step i from
+    t[i] with size h[i] and state (u[i], du[i]); t, u and du end with the
+    state after the last step, which is stage 6 (first-same-as-last).
+    Stages 1-5 take the stepper's operations in its order, on all steps at
+    once, so each is bit for bit the stepper's."""
+    half_lam = lam / 2.0
+    # a diverged shot's end state may overflow here, as it did unseen in the stepper
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = u * u / (8.0 * t * t) + half_lam
+    y = np.stack((u[:-1], du[:-1]), axis=-1)
+    k = np.empty((h.size, 7, 2))
+    k[:, 0, 0], k[:, 0, 1], k[:, 6, 0], k[:, 6, 1] = du[:-1], f[:-1], du[1:], f[1:]
+    for s, (c, row) in enumerate(zip(_DP_C, _DP_A[:5]), 1):
+        acc = row[0] * k[:, 0]
+        for j in range(1, s):
+            acc = acc + row[j] * k[:, j]
+        us, k[:, s, 0] = (y + h[:, None] * acc).T
+        ts = t[:-1] + c * h
+        k[:, s, 1] = us * us / (8.0 * ts * ts) + half_lam
+    return k
 
 
 @dataclasses.dataclass(eq=False)
@@ -261,6 +287,7 @@ class Shot(Panels):
     Step i starts at t[i] with size ``h[i]``; ``q[i, c, j]`` are the
     coefficients of its quartic interpolant of (u, u')[c]:
     y(t[i] + theta h[i]) = y(t[i]) + h[i] sum_j q[i, c, j] theta^(j+1).
+    Built by :func:`shot_from_steps` from the stepper's record of its steps.
     """
 
     a: float
@@ -327,11 +354,20 @@ def shoot(spec: ProblemSpec, a: float) -> Shot:
     IntegrationError
         On step-size underflow.
     """
-    rows = []
-    u, du, diverged = _dp45(spec, a, lambda t, h, u, du, k: rows.extend((t, h, u, du, *k)))
-    steps = np.array(rows).reshape(-1, 18)
-    t0, h, u0, du0 = steps[:, :4].T
-    k = steps[:, 4:].reshape(-1, 7, 2)
+    steps: list = []
+    return shot_from_steps(spec, a, steps, _dp45(spec, a, steps))
+
+
+def shot_from_steps(spec: ProblemSpec, a: float, steps: list, end: tuple) -> Shot:
+    """The :class:`Shot` of a :func:`_dp45` run at slope a from its record:
+    ``steps``, the flat (t, h, u, u') of its accepted steps, and ``end``, the
+    (u, u', diverged) it returned.  Its stages are rebuilt (:func:`_stages`),
+    so it is bit for bit the shot of :func:`shoot`.
+    """
+    t0, h, u0, du0 = np.array(steps, dtype=float).reshape(-1, 4).T
+    t = np.append(t0, t0[-1] + h[-1] if h.size else spec.eps)
+    u, du = np.append(u0, end[0]), np.append(du0, end[1])
+    k = _stages(spec.lam, t, h, u, du)
     # q[:, c, j] = sum over stages s of k_s[c] P[s][j], added from 0.0 in stage order
     q = np.zeros((h.size, 2, 4))
     for s, row in enumerate(_DP_P):
@@ -348,11 +384,8 @@ def shoot(spec: ProblemSpec, a: float) -> Shot:
     eps, beta = spec.eps, _beta(a, spec.lam)
     tail = (a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0
             + beta * beta * eps ** 4 / 4.0) / 8.0
-    t_end = t0[-1] + h[-1] if h.size else eps
-    return Shot(
-        lam=spec.lam, kind=spec.kind, t=np.append(t0, t_end), u=np.append(u0, u),
-        du=np.append(du0, du), nodes=nodes, tail=tail, diverged=diverged, a=a, h=h, q=q,
-    )
+    return Shot(lam=spec.lam, kind=spec.kind, t=t, u=u, du=du, nodes=nodes, tail=tail,
+                diverged=end[2], a=a, h=h, q=q)
 
 
 def integrate(spec: ProblemSpec, a: float) -> Trajectory:
@@ -360,13 +393,12 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     return shoot(spec, a).trajectory(spec.grid_n)
 
 
-def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple[float, float, bool]:
-    """Endpoint state (u(1/2), u'(1/2), diverged) without recording the steps.
-
-    Same stepper and tolerances as :func:`shoot`; used by root refinement
-    where only the endpoint matters.
+def shoot_endpoint(spec: ProblemSpec, a: float, steps: list | None = None) -> tuple:
+    """Endpoint state (u(1/2), u'(1/2), diverged) of the :func:`_dp45` shot,
+    its accepted steps appended to ``steps`` when given, for
+    :func:`shot_from_steps` to rebuild the shot without integrating it again.
     """
-    return _dp45(spec, a)
+    return _dp45(spec, a, steps)
 
 
 def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | None:
@@ -374,29 +406,27 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     launch sign, or None if b keeps it up to t = 1/2 or to divergence.
 
     b is u (Dirichlet) or u - 2 t u' (Navier), so u(2 t* t) is the solution
-    at 4 t*^2 lam with slope 2 t* a.  The :func:`_dp45` shot stops at the
-    first step start past the sign change, and Newton, kept inside the sign
-    change, places t* on the quartic interpolant of the step before it.
+    at 4 t*^2 lam with slope 2 t* a.  The :func:`_dp45` shot tests b at the
+    end of each accepted step and stops at the first that has left the
+    sign, with that step's stages in hand; Newton, kept inside the sign
+    change, places t* on the step's quartic interpolant.  A launch on b = 0
+    has no sign to leave, and gives None.
     """
     # the residual is linear, so b = residual(u, 2 t u') = u + c t u'
     c = 2.0 * spec.kind.residual(0.0, 1.0)
     u, du = launch_state(a, spec.lam, spec.eps)
     sign = math.copysign(1.0, u + c * spec.eps * du)
-    last = None
 
-    def on_step(t, h, u, du, k):
-        nonlocal last
-        if sign * (u + c * t * du) <= 0.0:
-            return True
-        last = (t, h, u, du, k)
+    def crossed(t, u, du):
+        return sign * (u + c * t * du) <= 0.0
 
-    u, du, _ = _dp45(spec, a, on_step)
-    if last is None:
+    if crossed(spec.eps, u, du):
         return None
-    t0, h, u0, du0, k = last
+    end = _dp45(spec, a, stop=crossed)
+    if len(end) == 3:  # b kept its sign to t = 1/2 or to divergence
+        return None
+    u, du, _, t0, h, u0, du0, k = end
     b1 = u + c * (t0 + h) * du
-    if sign * b1 > 0.0:
-        return None
     # coefficients in theta = (t - t0)/h of u, u' and b on the step's interpolant
     pu, pv = ([y0] + [h * sum(map(mul, ks, col)) for col in zip(*_DP_P)] + [0.0]
               for ks, y0 in zip((k[0::2], k[1::2]), (u0, du0)))

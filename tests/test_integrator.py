@@ -223,9 +223,10 @@ def _end(call):
         return str(exc)
 
 
-def _shot_record(stepper, spec, a, stop=None):
-    """The end of a shot and the bytes of every accepted step's (t, h, u, u')
-    and stages; ``on_step`` stops the shot at the start of step ``stop``."""
+def _shot_record(spec, a, stop=None):
+    """The end of a _dp45_loop shot and the bytes of every accepted step's
+    (t, h, u, u') and stages; ``on_step`` stops the shot at the start of
+    step ``stop``."""
     steps = []
 
     def record(t, h, u, du, k):
@@ -233,7 +234,34 @@ def _shot_record(stepper, spec, a, stop=None):
             return True
         steps.append((t, h, u, du, *k))
 
-    return _end(lambda: stepper(spec, a, record)), np.array(steps).tobytes()
+    return _end(lambda: _dp45_loop(spec, a, record)), np.array(steps).tobytes()
+
+
+def _rebuilt_record(spec, a, stop=None):
+    """:func:`_shot_record` of the unrolled _dp45: the steps it records,
+    with their stages rebuilt from that record and the end state after the
+    last step, as ``stop`` sees it.  ``stop`` ends the shot at the end of
+    step ``stop - 1``, and the step the shot hands back there is the last
+    one recorded, stages included."""
+    steps, ends, stopped = [], [(spec.eps, *launch_state(a, spec.lam, spec.eps))], []
+
+    def at_end(t, u, du):
+        ends.append((t, u, du))
+        return len(ends) - 1 == stop
+
+    def shot():
+        end = integrator._dp45(spec, a, steps, at_end)
+        stopped.extend(end[3:])
+        return end[:3]
+
+    end = _end(shot)
+    t0, h, u0, du0 = np.array(steps).reshape(-1, 4).T
+    t, u, du = (np.append(x0, x) for x0, x in zip((t0, u0, du0), ends[-1]))
+    k = integrator._stages(spec.lam, t, h, u, du).reshape(-1, 14)
+    record = np.column_stack((t0, h, u0, du0, k))
+    if stopped:
+        assert np.array([*stopped[:4], *stopped[4]]).tobytes() == record[-1].tobytes()
+    return end, record.tobytes()
 
 
 _SHOT_CASES = [
@@ -247,15 +275,16 @@ _SHOT_CASES = [
 
 def test_unrolled_stepper_matches_tableau_loops():
     """The unrolled _dp45 reproduces the loop stepper bit for bit: end
-    states, divergence flags, every accepted step with its stages, the
-    step-underflow message, and the state where on_step stops the shot."""
+    states, divergence flags, every accepted step with its stages rebuilt
+    from the step record, the step-underflow message, and the state where
+    the shot stops early."""
     outcomes = set()
     for kind, lam, eps, a in _SHOT_CASES:
         spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
-        want = _shot_record(_dp45_loop, spec, a)
-        assert _shot_record(integrator._dp45, spec, a) == want, (kind, lam, eps, a)
-        stopped = _shot_record(_dp45_loop, spec, a, stop=3)
-        assert _shot_record(integrator._dp45, spec, a, stop=3) == stopped, (kind, lam, eps, a)
+        want = _shot_record(spec, a)
+        assert _rebuilt_record(spec, a) == want, (kind, lam, eps, a)
+        stopped = _shot_record(spec, a, stop=3)
+        assert _rebuilt_record(spec, a, stop=3) == stopped, (kind, lam, eps, a)
         assert _end(lambda: shoot_endpoint(spec, a)) == want[0]
         if want[0].startswith("step size underflow"):
             outcomes.add("underflow")
@@ -263,6 +292,27 @@ def test_unrolled_stepper_matches_tableau_loops():
             outcomes.add("diverged" if want[0].endswith("True)") else "landed")
     # diverged covers both a blow-up and a non-finite stage
     assert outcomes == {"landed", "diverged", "underflow"}
+
+
+@pytest.mark.parametrize("a", [-1e30, -1e154], ids=["no-steps", "overflowing-end"])
+def test_shot_without_accepted_steps(a):
+    """A shot whose first step goes non-finite has no accepted step: it is
+    the diverged launch state on one panel end, with no panels, and its
+    rebuild stays silent when that state's u'' overflows, as the stepper's
+    did (RuntimeWarnings are errors here)."""
+    spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
+    u, du = launch_state(a, spec.lam, spec.eps)
+    assert math.isinf(u * u / (8.0 * spec.eps ** 2)) is (a == -1e154)
+    shot = shoot(spec, a)
+    assert shot.diverged and shot.a == a
+    assert shot.t.tolist() == [spec.eps] and (shot.u.tolist(), shot.du.tolist()) == ([u], [du])
+    assert (shot.h.shape, shot.q.shape, shot.nodes.shape) == ((0,), (0, 2, 4), (6, 0))
+    steps = []
+    end = shoot_endpoint(spec, a, steps)
+    assert steps == [] and end == (u, du, True)
+    rebuilt = integrator.shot_from_steps(spec, a, steps, end)
+    for field in dataclasses.fields(shot):
+        assert repr(getattr(rebuilt, field.name)) == repr(getattr(shot, field.name)), field.name
 
 
 @pytest.mark.parametrize("kind, lam, a", [
@@ -313,8 +363,9 @@ def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
 
 
 def _integrate_by_sample(spec, a):
-    """Reference dense output: each accepted step of _dp45 fills its samples
-    one at a time; samples past the last step take the end state at 1/2."""
+    """Reference dense output: each accepted step of the loop stepper fills
+    its samples one at a time, from the stages that stepper computed;
+    samples past the last step take the end state at 1/2."""
     t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
     us = np.empty(spec.grid_n)
     dus = np.empty(spec.grid_n)
@@ -325,7 +376,7 @@ def _integrate_by_sample(spec, a):
         nonlocal idx
         idx = _dense_fill_by_sample(t, h, (u, du), k, t_out, us, dus, idx)
 
-    u, du, diverged = integrator._dp45(spec, a, fill)
+    u, du, diverged = _dp45_loop(spec, a, fill)
     if not diverged:
         us[idx:], dus[idx:] = u, du
         idx = spec.grid_n

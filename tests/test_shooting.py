@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epibvp import continuation, serialize, shooting
+from epibvp import continuation, integrator, serialize, shooting
 from epibvp.errors import WindowTooSmallError
 from epibvp.integrator import (
     BLOWUP, BOUNDARY_TOL, SIGN_TOL, integrate, launch_state, shoot, validate,
@@ -324,9 +324,9 @@ def _count_shots(monkeypatch) -> list:
     shots = []
     real = shooting.shoot_endpoint
 
-    def counted(spec, a):
+    def counted(spec, a, steps=None):
         shots.append(a)
-        return real(spec, a)
+        return real(spec, a, steps)
 
     monkeypatch.setattr(shooting, "shoot_endpoint", counted)
     return shots
@@ -346,6 +346,30 @@ def test_root_set_shot_budget(monkeypatch, lam, kind, count):
     rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
     assert len(rs.roots) == 2
     assert len(shots) == count
+
+
+def test_root_set_shoots_each_slope_once(monkeypatch):
+    """A root set integrates each slope once: the gate validates the shot
+    that its refinement recorded, so no root set calls ``shoot``, at
+    Dirichlet 100, Navier 9 and on each lam of a Navier sweep."""
+    shot_slopes = []
+    real = integrator._dp45
+
+    def counted(spec, a, *args):
+        shot_slopes.append((spec.lam, a))
+        return real(spec, a, *args)
+
+    def no_shot(spec, a):
+        raise AssertionError(f"root set shot a = {a!r} afresh")
+
+    monkeypatch.setattr(integrator, "_dp45", counted)
+    monkeypatch.setattr(shooting, "shoot", no_shot)
+    roots = [find_shooting_roots(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)).roots,
+             find_shooting_roots(ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER)).roots]
+    points = continuation.sweep(BoundaryKind.NAVIER, [0.0, 5.0, 11.2])
+    assert [len(r) for r in roots] == [2, 2] and len(points) == 6
+    assert len(set(shot_slopes)) == len(shot_slopes)
+    assert {(root.shot.lam, root.a) for root in roots[0] + roots[1]} <= set(shot_slopes)
 
 
 def _root_brackets(spec: ProblemSpec, slopes) -> None:
