@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -195,6 +196,8 @@ def _cmd_solve(args) -> int:
         _emit_solution(args, *truncated_monotone_solve(spec))
         return EXIT_OK
     if args.a is not None:
+        if not math.isfinite(args.a):
+            raise DomainError(f"the shooting slope --a must be finite, got {args.a}")
         shot = shoot(spec, args.a)
         _emit_solution(args, shot.trajectory(spec.grid_n), validate(shot))
         return EXIT_OK

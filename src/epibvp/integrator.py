@@ -5,12 +5,12 @@ u = a*t + beta*t^2 (beta = a^2/16 + lam/4) and advanced to t = 1/2 with an
 embedded Dormand-Prince 5(4) pair, whose one step-size controller serves
 every shot.  Its stages are spelled out on Python floats, each sum in
 tableau order, so a shot costs little more than its arithmetic.  A shot
-can record its accepted steps as their start (t, h, u, u') alone: a
-:class:`Shot` rebuilds their stages bit for bit in one vectorized pass, and
-fills the samples of any uniform grid in another from the pair's quartic
-interpolant, so step sizes are chosen by the error controller alone.  lam
-is a pure scale of the equation: if u(t) solves it, u(kt) solves it with
-k^2 lam and launch slope k a, so the event shot at one lam
+can record each accepted step as its start (t, h, u, u') and the stages it
+has already computed: a :class:`Shot` is built from that record and fills
+the samples of any uniform grid in one vectorized pass from the pair's
+quartic interpolant, so step sizes are chosen by the error controller
+alone.  lam is a pure scale of the equation: if u(t) solves it, u(kt)
+solves it with k^2 lam and launch slope k a, so the event shot at one lam
 (:func:`shoot_event`) gives a solution at another lam for each slope.
 
 Candidate solutions are validated against two exact identities that every
@@ -143,12 +143,12 @@ def _dp45(spec: ProblemSpec, a: float, steps: list | None = None, stop=None) -> 
     bounded by ``spec.step_tol``, measured on (u, u').  Returns the last
     state ``(u, u', diverged)``: the state at t = 1/2, or the last state
     reached when |u| exceeded ``BLOWUP`` or a stage went non-finite (both
-    flagged as divergence).  Each accepted step appends its start
-    (t, h, u, u') to ``steps`` when given, and :func:`_stages` rebuilds its
-    stages from that record.  If ``stop(t, u, u')`` holds at an accepted
-    step's end, the shot stops there and returns ``(u, u', False, t0, h,
-    u0, u0', k)``: that end, then the step's start and its seven stages
-    (u', u'') as one flat tuple, k[2 s] = u' and k[2 s + 1] = u'' of stage s.
+    flagged as divergence).  Each accepted step appends its record to
+    ``steps`` when given: 18 floats, its start (t, h, u, u') and then its
+    seven stages (u', u''), u' of stage s at 4 + 2 s and u'' at 5 + 2 s.
+    If ``stop(t, u, u')`` holds at an accepted step's end, the shot stops
+    there and returns ``(u, u', False, step)``: that end and the step's
+    record.
 
     The stages are spelled out on local floats, each sum in tableau order
     from its first nonzero term.  For every finite stage that is bit for bit
@@ -219,11 +219,12 @@ def _dp45(spec: ProblemSpec, a: float, steps: list | None = None, stop=None) -> 
         if not isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if steps is not None:
-                steps += (t, h, u, du)
-            if stop is not None and stop(ts, u6, v6):
-                return u6, v6, False, t, h, u, du, (du, f0, v1, f1, v2, f2, v3, f3, v4, f4,
-                                                     v5, f5, v6, f6)
+            stopped = stop is not None and stop(ts, u6, v6)
+            if stopped or steps is not None:
+                step = (t, h, u, du, du, f0, v1, f1, v2, f2, v3, f3, v4, f4, v5, f5, v6, f6)
+                if stopped:
+                    return u6, v6, False, step
+                steps += step
             t = ts
             u, du, f0 = u6, v6, f6
             if abs(u) > BLOWUP:
@@ -234,29 +235,6 @@ def _dp45(spec: ProblemSpec, a: float, steps: list | None = None, stop=None) -> 
         h *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor
         if h < _MIN_STEP:
             raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
-
-
-def _stages(lam: float, t: np.ndarray, h: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """Stages k[i, s] = (u', u'') of recorded :func:`_dp45` steps, step i from
-    t[i] with size h[i] and state (u[i], du[i]); t, u and du end with the
-    state after the last step, which is stage 6 (first-same-as-last).
-    Stages 1-5 take the stepper's operations in its order, on all steps at
-    once, so each is bit for bit the stepper's."""
-    half_lam = lam / 2.0
-    # a diverged shot's end state may overflow here, as it did unseen in the stepper
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = u * u / (8.0 * t * t) + half_lam
-    y = np.stack((u[:-1], du[:-1]), axis=-1)
-    k = np.empty((h.size, 7, 2))
-    k[:, 0, 0], k[:, 0, 1], k[:, 6, 0], k[:, 6, 1] = du[:-1], f[:-1], du[1:], f[1:]
-    for s, (c, row) in enumerate(zip(_DP_C, _DP_A[:5]), 1):
-        acc = row[0] * k[:, 0]
-        for j in range(1, s):
-            acc = acc + row[j] * k[:, j]
-        us, k[:, s, 0] = (y + h[:, None] * acc).T
-        ts = t[:-1] + c * h
-        k[:, s, 1] = us * us / (8.0 * ts * ts) + half_lam
-    return k
 
 
 @dataclasses.dataclass(eq=False)
@@ -287,7 +265,7 @@ class Shot(Panels):
     Step i starts at t[i] with size ``h[i]``; ``q[i, c, j]`` are the
     coefficients of its quartic interpolant of (u, u')[c]:
     y(t[i] + theta h[i]) = y(t[i]) + h[i] sum_j q[i, c, j] theta^(j+1).
-    Built by :func:`shot_from_steps` from the stepper's record of its steps.
+    Built by :func:`shoot` from the stepper's record of its steps.
     """
 
     a: float
@@ -342,12 +320,14 @@ class Shot(Panels):
 
 
 def shoot(spec: ProblemSpec, a: float) -> Shot:
-    """The :func:`_dp45` shot at slope a with its accepted steps recorded.
+    """The :func:`_dp45` shot at slope a, built from the steps it records.
 
-    If |u| exceeds ``BLOWUP`` the shot stops there with ``diverged`` set --
-    root scanning relies on probing such slopes, so divergence is not an
-    error.  Deterministic: identical spec and slope give bit-identical
-    shots.
+    Each accepted step's stages come from the stepper itself, so the
+    interpolant coefficients ``q`` and the Gauss-Legendre nodes follow from
+    the record alone.  If |u| exceeds ``BLOWUP`` the shot stops there with
+    ``diverged`` set -- root scanning relies on probing such slopes, so
+    divergence is not an error.  Deterministic: identical spec and slope
+    give bit-identical shots.
 
     Raises
     ------
@@ -355,19 +335,13 @@ def shoot(spec: ProblemSpec, a: float) -> Shot:
         On step-size underflow.
     """
     steps: list = []
-    return shot_from_steps(spec, a, steps, _dp45(spec, a, steps))
-
-
-def shot_from_steps(spec: ProblemSpec, a: float, steps: list, end: tuple) -> Shot:
-    """The :class:`Shot` of a :func:`_dp45` run at slope a from its record:
-    ``steps``, the flat (t, h, u, u') of its accepted steps, and ``end``, the
-    (u, u', diverged) it returned.  Its stages are rebuilt (:func:`_stages`),
-    so it is bit for bit the shot of :func:`shoot`.
-    """
-    t0, h, u0, du0 = np.array(steps, dtype=float).reshape(-1, 4).T
+    u_end, du_end, diverged = _dp45(spec, a, steps)
+    # one row per accepted step: t, h, u, u', then its seven stages (u', u'')
+    rec = np.array(steps, dtype=float).reshape(-1, 18)
+    t0, h, u0, du0 = rec[:, :4].T
+    k = rec[:, 4:].reshape(-1, 7, 2)
     t = np.append(t0, t0[-1] + h[-1] if h.size else spec.eps)
-    u, du = np.append(u0, end[0]), np.append(du0, end[1])
-    k = _stages(spec.lam, t, h, u, du)
+    u, du = np.append(u0, u_end), np.append(du0, du_end)
     # q[:, c, j] = sum over stages s of k_s[c] P[s][j], added from 0.0 in stage order
     q = np.zeros((h.size, 2, 4))
     for s, row in enumerate(_DP_P):
@@ -385,7 +359,7 @@ def shot_from_steps(spec: ProblemSpec, a: float, steps: list, end: tuple) -> Sho
     tail = (a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0
             + beta * beta * eps ** 4 / 4.0) / 8.0
     return Shot(lam=spec.lam, kind=spec.kind, t=t, u=u, du=du, nodes=nodes, tail=tail,
-                diverged=end[2], a=a, h=h, q=q)
+                diverged=diverged, a=a, h=h, q=q)
 
 
 def integrate(spec: ProblemSpec, a: float) -> Trajectory:
@@ -393,12 +367,10 @@ def integrate(spec: ProblemSpec, a: float) -> Trajectory:
     return shoot(spec, a).trajectory(spec.grid_n)
 
 
-def shoot_endpoint(spec: ProblemSpec, a: float, steps: list | None = None) -> tuple:
+def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple:
     """Endpoint state (u(1/2), u'(1/2), diverged) of the :func:`_dp45` shot,
-    its accepted steps appended to ``steps`` when given, for
-    :func:`shot_from_steps` to rebuild the shot without integrating it again.
-    """
-    return _dp45(spec, a, steps)
+    which records nothing."""
+    return _dp45(spec, a)
 
 
 def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | None:
@@ -425,7 +397,7 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     end = _dp45(spec, a, stop=crossed)
     if len(end) == 3:  # b kept its sign to t = 1/2 or to divergence
         return None
-    u, du, _, t0, h, u0, du0, k = end
+    u, du, _, (t0, h, u0, du0, *k) = end
     b1 = u + c * (t0 + h) * du
     # coefficients in theta = (t - t0)/h of u, u' and b on the step's interpolant
     pu, pv = ([y0] + [h * sum(map(mul, ks, col)) for col in zip(*_DP_P)] + [0.0]

@@ -17,15 +17,15 @@ The scan steps the slopes of one or several lams at once with
 scans all its lams in one call and each row is bit for bit a single-lam
 scan.  From the scan on, slopes and residuals are Python floats.  Diverged
 shots report +inf residual and count as the tail side of the extremum.
-Every DP5 shot of a root set records its steps, and the gate validates a
-candidate on the shot rebuilt from that record, so each slope is integrated
-once and no output grid enters a verdict.  Every root returned
-carries that shot, whose launch slope is the root's slope, and the report
-that accepted it; every candidate the gate turned down is kept with its
-report.  A root set refines its roots to a slope bracket of _ROOT_TOL, since
-it lists them, and lists a double root as the dug point.  The same gate
-(:func:`_gated_root`) judges the one fresh shot at the lower end of the
-fold's certified bracket, whose slope the fold's turning point names.
+A root set endpoint-shoots each slope once and keeps only its residual; the
+gate shoots each candidate once more, recording its steps (:func:`shoot`),
+and validates it on those steps, so no output grid enters a verdict.  Every
+root returned carries that shot, whose launch slope is the root's slope,
+and the report that accepted it; every candidate the gate turned down is
+kept with its report.  A root set refines its roots to a slope bracket of
+_ROOT_TOL, since it lists them, and lists a double root as the dug point.
+The same gate (:func:`_gated_root`) judges the one shot at the lower end of
+the fold's certified bracket, whose slope the fold's turning point names.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
     BLOWUP, BOUNDARY_TOL, Shot, ValidationReport, _rk4_scan, launch_state, shoot, shoot_endpoint,
-    shot_from_steps, validate,
+    validate,
 )
 from .model import BoundaryKind, ProblemSpec
 
@@ -136,6 +136,7 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
+    """Endpoint residual R(a) of the DP5 shot at a, +inf if it diverged."""
     u, du, diverged = shoot_endpoint(spec, a)
     if diverged:
         return math.inf
@@ -263,16 +264,14 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
     return x, gx
 
 
-def _gated_root(spec: ProblemSpec, a: float, rejected: list, record=None) -> Optional[ShootingRoot]:
+def _gated_root(spec: ProblemSpec, a: float, rejected: list) -> Optional[ShootingRoot]:
     """The root at slope a if its shot validates, else None.
 
-    The final gate of every reported root: the shot at a, validated on its
-    own steps.  It is rebuilt from ``record``, the (steps, end) of an
-    endpoint shot at a that recorded its steps, or else shot afresh
-    (:func:`shoot`).  A rejected slope is appended to ``rejected`` with its
-    report.
+    The final gate of every reported root: the shot at a (:func:`shoot`),
+    validated on its own steps.  A rejected slope is appended to
+    ``rejected`` with its report.
     """
-    shot = shoot(spec, a) if record is None else shot_from_steps(spec, a, *record)
+    shot = shoot(spec, a)
     report = validate(shot)
     if report.accepted():
         return ShootingRoot(shot=shot, report=report)
@@ -299,16 +298,14 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     EpibvpError
         If the scan shows more than one extremum of the residual.
     """
-    # (R, steps, end) of each slope's DP5 shot, R = +inf if it diverged: the
-    # gate rebuilds a candidate's shot from its record; all freed on return
-    shots: dict[float, tuple] = {}
+    # R of each slope's DP5 endpoint shot, +inf if it diverged, so that no
+    # slope is shot twice before the gate
+    residuals: dict[float, float] = {}
 
     def residual(a: float) -> float:
-        if a not in shots:
-            steps: list = []
-            u, du, diverged = end = shoot_endpoint(spec, a, steps)
-            shots[a] = math.inf if diverged else spec.kind.residual(u, du), steps, end
-        return shots[a][0]
+        if a not in residuals:
+            residuals[a] = _residual_at(spec, a)
+        return residuals[a]
 
     # window adequacy, before any bracket: no root may sit at a true edge,
     # and a window of one slope is judged by its edge alone
@@ -337,7 +334,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     if cells is not None:
         lo, start, hi = (a_grid[i] for i in cells)
         x, gx = _dig(g, lo, hi, start, g(start))
-        extremum = (x, shots[x][0])
+        extremum = (x, residuals[x])
         if gx < 0.0:
             # the scan line through x, each slope once, with x's DP5 value
             line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
@@ -374,7 +371,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     # final gate: each root's trajectory must validate; slopes within _ROOT_TOL are one root
     candidates.sort()
     rejected: list[tuple[float, ValidationReport]] = []
-    gated = (_gated_root(spec, a, rejected, shots[a][1:]) for i, a in enumerate(candidates)
+    gated = (_gated_root(spec, a, rejected) for i, a in enumerate(candidates)
              if i == 0 or a - candidates[i - 1] >= _ROOT_TOL)
     roots = [root for root in gated if root is not None]
     return RootSet(

@@ -529,6 +529,17 @@ def test_negative_values_in_exponent_form(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("precondition error: ")
 
 
+@pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
+def test_solve_non_finite_slope_is_a_precondition_error(tmp_path, capsys, a):
+    """A non-finite --a is refused before any shot, in one line that names
+    the slope, and writes no artifact."""
+    code, out = run(tmp_path, "solve", "--bc", "dirichlet", "--lambda", "100", "--a", a)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"precondition error: the shooting slope --a must be finite, got {a}\n"
+    assert not os.path.exists(out)
+
+
 def test_numerical_error_unvalidated_solve(tmp_path):
     # a = -5 is not a boundary root at lam = 100: reconstruction refuses
     code, _ = run(

@@ -237,31 +237,24 @@ def _shot_record(spec, a, stop=None):
     return _end(lambda: _dp45_loop(spec, a, record)), np.array(steps).tobytes()
 
 
-def _rebuilt_record(spec, a, stop=None):
-    """:func:`_shot_record` of the unrolled _dp45: the steps it records,
-    with their stages rebuilt from that record and the end state after the
-    last step, as ``stop`` sees it.  ``stop`` ends the shot at the end of
-    step ``stop - 1``, and the step the shot hands back there is the last
-    one recorded, stages included."""
-    steps, ends, stopped = [], [(spec.eps, *launch_state(a, spec.lam, spec.eps))], []
+def _stepper_record(spec, a, stop=None):
+    """:func:`_shot_record` of the unrolled _dp45, read off its own record
+    of each accepted step, stages included, and its end state.  ``stop``
+    ends the shot at the end of step ``stop - 1``, which the shot hands
+    back in the record's layout instead of recording it."""
+    steps, ends = [], []
 
     def at_end(t, u, du):
-        ends.append((t, u, du))
-        return len(ends) - 1 == stop
+        ends.append(t)
+        return len(ends) == stop
 
     def shot():
         end = integrator._dp45(spec, a, steps, at_end)
-        stopped.extend(end[3:])
+        if len(end) == 4:
+            steps.extend(end[3])
         return end[:3]
 
-    end = _end(shot)
-    t0, h, u0, du0 = np.array(steps).reshape(-1, 4).T
-    t, u, du = (np.append(x0, x) for x0, x in zip((t0, u0, du0), ends[-1]))
-    k = integrator._stages(spec.lam, t, h, u, du).reshape(-1, 14)
-    record = np.column_stack((t0, h, u0, du0, k))
-    if stopped:
-        assert np.array([*stopped[:4], *stopped[4]]).tobytes() == record[-1].tobytes()
-    return end, record.tobytes()
+    return _end(shot), np.array(steps).tobytes()
 
 
 _SHOT_CASES = [
@@ -275,16 +268,16 @@ _SHOT_CASES = [
 
 def test_unrolled_stepper_matches_tableau_loops():
     """The unrolled _dp45 reproduces the loop stepper bit for bit: end
-    states, divergence flags, every accepted step with its stages rebuilt
-    from the step record, the step-underflow message, and the state where
-    the shot stops early."""
+    states, divergence flags, every accepted step with the stages it
+    records, the step-underflow message, and the state and step where the
+    shot stops early."""
     outcomes = set()
     for kind, lam, eps, a in _SHOT_CASES:
         spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
         want = _shot_record(spec, a)
-        assert _rebuilt_record(spec, a) == want, (kind, lam, eps, a)
+        assert _stepper_record(spec, a) == want, (kind, lam, eps, a)
         stopped = _shot_record(spec, a, stop=3)
-        assert _rebuilt_record(spec, a, stop=3) == stopped, (kind, lam, eps, a)
+        assert _stepper_record(spec, a, stop=3) == stopped, (kind, lam, eps, a)
         assert _end(lambda: shoot_endpoint(spec, a)) == want[0]
         if want[0].startswith("step size underflow"):
             outcomes.add("underflow")
@@ -297,9 +290,9 @@ def test_unrolled_stepper_matches_tableau_loops():
 @pytest.mark.parametrize("a", [-1e30, -1e154], ids=["no-steps", "overflowing-end"])
 def test_shot_without_accepted_steps(a):
     """A shot whose first step goes non-finite has no accepted step: it is
-    the diverged launch state on one panel end, with no panels, and its
-    rebuild stays silent when that state's u'' overflows, as the stepper's
-    did (RuntimeWarnings are errors here)."""
+    the diverged launch state on one panel end, with no panels, built from
+    an empty record, and it stays silent when that state's u'' overflows
+    (RuntimeWarnings are errors here)."""
     spec = ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)
     u, du = launch_state(a, spec.lam, spec.eps)
     assert math.isinf(u * u / (8.0 * spec.eps ** 2)) is (a == -1e154)
@@ -308,11 +301,8 @@ def test_shot_without_accepted_steps(a):
     assert shot.t.tolist() == [spec.eps] and (shot.u.tolist(), shot.du.tolist()) == ([u], [du])
     assert (shot.h.shape, shot.q.shape, shot.nodes.shape) == ((0,), (0, 2, 4), (6, 0))
     steps = []
-    end = shoot_endpoint(spec, a, steps)
-    assert steps == [] and end == (u, du, True)
-    rebuilt = integrator.shot_from_steps(spec, a, steps, end)
-    for field in dataclasses.fields(shot):
-        assert repr(getattr(rebuilt, field.name)) == repr(getattr(shot, field.name)), field.name
+    assert integrator._dp45(spec, a, steps) == (u, du, True) and steps == []
+    assert shoot_endpoint(spec, a) == (u, du, True)
 
 
 @pytest.mark.parametrize("kind, lam, a", [

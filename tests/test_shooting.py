@@ -324,9 +324,9 @@ def _count_shots(monkeypatch) -> list:
     shots = []
     real = shooting.shoot_endpoint
 
-    def counted(spec, a, steps=None):
+    def counted(spec, a):
         shots.append(a)
-        return real(spec, a, steps)
+        return real(spec, a)
 
     monkeypatch.setattr(shooting, "shoot_endpoint", counted)
     return shots
@@ -348,28 +348,54 @@ def test_root_set_shot_budget(monkeypatch, lam, kind, count):
     assert len(shots) == count
 
 
-def test_root_set_shoots_each_slope_once(monkeypatch):
-    """A root set integrates each slope once: the gate validates the shot
-    that its refinement recorded, so no root set calls ``shoot``, at
-    Dirichlet 100, Navier 9 and on each lam of a Navier sweep."""
-    shot_slopes = []
-    real = integrator._dp45
+def _fields(shot) -> dict:
+    """Every field of a shot as exact bytes or repr."""
+    return {f: v.tobytes() + repr(v.shape).encode() if isinstance(v, np.ndarray) else repr(v)
+            for f, v in vars(shot).items()}
 
-    def counted(spec, a, *args):
-        shot_slopes.append((spec.lam, a))
-        return real(spec, a, *args)
 
-    def no_shot(spec, a):
-        raise AssertionError(f"root set shot a = {a!r} afresh")
+def test_root_set_endpoint_shoots_each_slope_once_and_gates_fresh_shots(monkeypatch):
+    """Within a root set no slope is endpoint-shot twice, and ``shoot`` is
+    called once per gated candidate, at its slope, from the gate alone: each
+    root carries a fresh shot at its slope, field by field, at Dirichlet
+    100, Navier 9 and on each lam of a Navier sweep."""
+    endpoint, shots, gated = [], [], []
+    real_endpoint, real_shoot, real_gate = (
+        shooting.shoot_endpoint, shooting.shoot, shooting._gated_root)
 
-    monkeypatch.setattr(integrator, "_dp45", counted)
-    monkeypatch.setattr(shooting, "shoot", no_shot)
+    def counted_endpoint(spec, a):
+        endpoint.append((spec.kind, spec.lam, a))
+        return real_endpoint(spec, a)
+
+    def counted_shoot(spec, a):
+        shots.append((spec.kind, spec.lam, a))
+        return real_shoot(spec, a)
+
+    def gate(spec, a, rejected):
+        before = len(shots)
+        root = real_gate(spec, a, rejected)
+        assert shots[before:] == [(spec.kind, spec.lam, a)]
+        gated.append((spec, a, root))
+        return root
+
+    monkeypatch.setattr(shooting, "shoot_endpoint", counted_endpoint)
+    monkeypatch.setattr(shooting, "shoot", counted_shoot)
+    monkeypatch.setattr(shooting, "_gated_root", gate)
     roots = [find_shooting_roots(ProblemSpec(lam=100.0, kind=BoundaryKind.DIRICHLET)).roots,
              find_shooting_roots(ProblemSpec(lam=9.0, kind=BoundaryKind.NAVIER)).roots]
     points = continuation.sweep(BoundaryKind.NAVIER, [0.0, 5.0, 11.2])
     assert [len(r) for r in roots] == [2, 2] and len(points) == 6
-    assert len(set(shot_slopes)) == len(shot_slopes)
-    assert {(root.shot.lam, root.a) for root in roots[0] + roots[1]} <= set(shot_slopes)
+    # each root set has its own (kind, lam), so no slope is shot twice within one
+    assert len(set(endpoint)) == len(endpoint)
+    assert len(shots) == len(gated)
+    assert {(spec.kind, spec.lam, a) for spec, a, _ in gated} <= set(endpoint)
+    found = [root for _, _, root in gated if root is not None]
+    assert found[:4] == roots[0] + roots[1]
+    assert [(root.shot.lam, root.a) for root in found[4:]] == [(p.lam, p.a) for p in points]
+    for spec, a, root in gated:
+        if root is not None:
+            assert root.a == a
+            assert _fields(root.shot) == _fields(real_shoot(spec, a)), (spec.lam, a)
 
 
 def _root_brackets(spec: ProblemSpec, slopes) -> None:
