@@ -1,7 +1,8 @@
 """Executable existence / nonexistence certificates and the monotone solver.
 
 Each certificate evaluates a closed-form inequality whose success settles
-solvability for the given deposition rate:
+solvability for the given deposition rate (``_CERTIFICATES`` holds each
+boundary kind's lower function and nonexistence criterion):
 
 * lower-function certificates: the explicit candidates
       alpha_D(t) = -48 t (1 - sqrt(2t)),   alpha_N(t) = -6 t (2 - sqrt(2t))
@@ -322,19 +323,16 @@ def universal_certificate(lam: float) -> Certificate:
     )
 
 
+_CERTIFICATES = {
+    BoundaryKind.DIRICHLET: (lower_function_dirichlet, nonexistence_dirichlet),
+    BoundaryKind.NAVIER: (lower_function_navier, nonexistence_navier),
+}
+
+
 def certificates_for(lam: float, kind: BoundaryKind) -> list[Certificate]:
     """The full set of certificates applicable to one (lam, boundary kind)."""
-    if kind is BoundaryKind.DIRICHLET:
-        return [
-            lower_function_dirichlet(lam),
-            nonexistence_dirichlet(lam),
-            universal_certificate(lam),
-        ]
-    return [
-        lower_function_navier(lam),
-        nonexistence_navier(lam),
-        universal_certificate(lam),
-    ]
+    lower, nonexist = _CERTIFICATES[kind]
+    return [lower(lam), nonexist(lam), universal_certificate(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +409,7 @@ def truncated_monotone_solve(spec: ProblemSpec) -> tuple[Trajectory, ValidationR
         If the lower-function certificate of spec.kind does not certify
         existence at spec.lam.
     """
-    if spec.kind is BoundaryKind.DIRICHLET:
-        cert = lower_function_dirichlet(spec.lam)
-    else:
-        cert = lower_function_navier(spec.lam)
+    cert = _CERTIFICATES[spec.kind][0](spec.lam)
     if cert.verdict is not Verdict.EXISTENCE:
         raise DomainError(
             f"no lower-function existence certificate at lam={spec.lam} "

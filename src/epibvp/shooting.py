@@ -17,7 +17,7 @@ The scan steps the slopes of one or several lams at once with
 scans all its lams in one call and each row is bit for bit a single-lam
 scan.  From the scan on, slopes and residuals are Python floats.  Diverged
 shots report +inf residual and count as the tail side of the extremum.
-A root set endpoint-shoots each slope once and keeps only its residual; the
+A root set endpoint-shoots each slope once into one table of s R; the
 gate shoots each candidate once more, recording its steps (:func:`shoot`),
 and validates it on those steps, so no output grid enters a verdict.  Every
 root returned carries that shot, whose launch slope is the root's slope,
@@ -288,7 +288,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     side of the dug point by safeguarded secant, or takes the dug point as
     the fold's double root when its residual is within BOUNDARY_TOL of 0.
     Each root whose shot validates is kept, with that shot and its report;
-    each that does not goes to ``rejected`` with its slope and report.
+    each that does not goes to ``rejected`` with its slope and report.  All
+    of it reads one table of s R, one DP5 shot per slope.
 
     Raises
     ------
@@ -298,43 +299,37 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     EpibvpError
         If the scan shows more than one extremum of the residual.
     """
-    # R of each slope's DP5 endpoint shot, +inf if it diverged, so that no
-    # slope is shot twice before the gate
-    residuals: dict[float, float] = {}
+    # g = s R of each slope's DP5 endpoint shot, +inf if it diverged, so that
+    # no slope is shot twice before the gate; s = +-1, so |g| = |R|
+    s = _DIP_SIGN[spec.kind]
+    table: dict[float, float] = {}
 
-    def residual(a: float) -> float:
-        if a not in residuals:
-            residuals[a] = _residual_at(spec, a)
-        return residuals[a]
+    def g(a: float) -> float:
+        if a not in table:
+            r = _residual_at(spec, a)
+            table[a] = s * r if math.isfinite(r) else math.inf
+        return table[a]
 
-    # window adequacy, before any bracket: no root may sit at a true edge,
-    # and a window of one slope is judged by its edge alone
-    f_lo_edge = residual(spec.slope_min)
-    if math.isfinite(f_lo_edge) and abs(f_lo_edge) <= BOUNDARY_TOL:
+    # window adequacy, both edges shot before any bracket: no root may sit at
+    # a true edge, and a window of one slope is judged by its edge alone
+    if abs(g(spec.slope_min)) <= BOUNDARY_TOL:
         raise WindowTooSmallError("slope_min", spec.slope_min)
-    f_hi_edge = residual(spec.slope_max)
-    if spec.slope_max < 0.0 and math.isfinite(f_hi_edge) and abs(f_hi_edge) <= BOUNDARY_TOL:
+    if abs(g(spec.slope_max)) <= BOUNDARY_TOL and spec.slope_max < 0.0:
         raise WindowTooSmallError("slope_max", spec.slope_max)
 
     if scan is None:
         scan = _scan_residuals(spec, [spec.lam])[0]
-    # slopes and g = s R in Python floats, for _dp45's scalar loop
-    s = _DIP_SIGN[spec.kind]
+    # slopes and scan g in Python floats, for _dp45's scalar loop
     a_grid = _scan_grid(spec).tolist()
     coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
     cells = _extremum_cells(spec, coarse)
-
-    def g(a: float) -> float:
-        """s R at slope a, each slope shot once; a diverged shot counts as +inf."""
-        r = residual(a)
-        return s * r if math.isfinite(r) else math.inf
 
     candidates: list[float] = []
     extremum = None
     if cells is not None:
         lo, start, hi = (a_grid[i] for i in cells)
         x, gx = _dig(g, lo, hi, start, g(start))
-        extremum = (x, residuals[x])
+        extremum = (x, s * gx if gx < math.inf else gx)
         if gx < 0.0:
             # the scan line through x, each slope once, with x's DP5 value
             line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
@@ -358,7 +353,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
             candidates.append(x)
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)
-    if spec.slope_max == 0.0 and abs(f_hi_edge) <= BOUNDARY_TOL:
+    if spec.slope_max == 0.0 and abs(g(0.0)) <= BOUNDARY_TOL:
         candidates.append(0.0)
 
     for a in candidates:

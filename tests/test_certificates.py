@@ -158,6 +158,13 @@ def test_fixed_point_domain():
         fixed_point_c0(-1e-9)
 
 
+@pytest.mark.parametrize("lam", [384.0 + 1e-9, -1e-9, math.inf, math.nan])
+def test_closed_form_domain(lam):
+    """The closed form takes exactly the lams of the iterated fixed point, [0, 384]."""
+    with pytest.raises(DomainError):
+        c0_closed_form(lam)
+
+
 # --- nonexistence certificates ------------------------------------------------
 
 def test_f_criterion_anchor():

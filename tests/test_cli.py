@@ -608,14 +608,22 @@ def test_config_sets_format(tmp_path):
     ("sweep", {"lambdas": [1, 2], "bc": "navier"}),
     ("certify", [1, 2]),
     ("certify", {"lambda": 5, "bc": "navier", "tolerance": 1}),
-], ids=["lambda-not-a-number", "grid-not-an-int", "list-value", "not-an-object", "unknown-key"])
+    ("certify", None),
+    ("certify", '{"lambda": 5, "bc": '),
+], ids=["lambda-not-a-number", "grid-not-an-int", "list-value", "not-an-object", "unknown-key",
+        "missing-file", "not-json"])
 def test_config_usage_error(tmp_path, capsys, command, config):
+    """A config that is not a flat object of flag values, and one that
+    cannot be read (None: no file; a string: that text), is a usage error."""
     path = os.path.join(tmp_path, "run.json")
-    with open(path, "w") as handle:
-        json.dump(config, handle)
+    if config is not None:
+        with open(path, "w") as handle:
+            handle.write(config if isinstance(config, str) else json.dumps(config))
     code, out = run(tmp_path, command, "--config", path)
     assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    unreadable = config is None or isinstance(config, str)
+    prefix = "error: cannot read config" if unreadable else "error: "
+    assert capsys.readouterr().err.splitlines()[-1].startswith(prefix)
     assert not os.path.exists(out) or not os.listdir(out)
 
 
@@ -627,6 +635,24 @@ def _outcome(argv, out):
     names = sorted(os.listdir(out)) if os.path.isdir(out) else []
     files = {name: open(os.path.join(out, name), "rb").read() for name in names}
     return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+_NAVIER_ROOT = ["--a", "-4.742307280271374"]
+
+
+@pytest.mark.parametrize("value, extra, flags", [
+    (True, [], ["--monotone"]),
+    (False, _NAVIER_ROOT, _NAVIER_ROOT),
+], ids=["true-is-the-flag", "false-leaves-it-out"])
+def test_config_boolean_key_matches_flags(tmp_path, value, extra, flags):
+    """A true config key gives the bare flag, and a false one gives nothing:
+    with --a beside it, a --monotone would be a usage error."""
+    path = os.path.join(tmp_path, "run.json")
+    with open(path, "w") as handle:
+        json.dump({"monotone": value}, handle)
+    solve = ["solve", "--bc", "navier", "--lambda", "9", "--grid", "101"]
+    got = _outcome(solve + ["--config", path] + extra, os.path.join(tmp_path, "config"))
+    assert got[0] == 0 and got == _outcome(solve + flags, os.path.join(tmp_path, "flags"))
 
 
 def test_cached_parser_leaks_nothing_between_calls(tmp_path):

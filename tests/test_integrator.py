@@ -150,10 +150,14 @@ def test_event_shot_finds_the_sampled_sign_change(kind, lam_ref, x):
     (BoundaryKind.DIRICHLET, 307.0, 0.0),
     (BoundaryKind.NAVIER, 0.0, -1.0),
     (BoundaryKind.DIRICHLET, 307.0, -1e154),
-], ids=["dirichlet-lam-0", "dirichlet-slope-0", "navier-lam-0", "diverged"])
+    (BoundaryKind.DIRICHLET, 0.0, 0.0),
+    (BoundaryKind.NAVIER, 0.0, 0.0),
+], ids=["dirichlet-lam-0", "dirichlet-slope-0", "navier-lam-0", "diverged",
+        "dirichlet-launch-on-b-0", "navier-launch-on-b-0"])
 def test_event_shot_without_a_sign_change_is_none(kind, lam, a):
     """A shot whose b keeps its launch sign up to t = 1/2, or diverges before
-    it leaves it, is reported as None: no sample of the trajectory changes sign."""
+    it leaves it, is reported as None: no sample of the trajectory changes sign.
+    The zero solution launches on b = 0, which has no sign to leave."""
     spec = ProblemSpec(lam=lam, kind=kind, grid_n=2001)
     assert shoot_event(spec, a) is None
     traj = integrate(spec, a)

@@ -68,6 +68,12 @@ def test_trajectory_requires_increasing_t():
         )
 
 
+def test_trajectory_requires_identical_shapes():
+    with pytest.raises(DomainError, match="identical shapes"):
+        Trajectory(lam=0.0, kind=BoundaryKind.DIRICHLET, t=np.array([0.1, 0.5]),
+                   u=np.zeros(2), du=np.zeros(3), a=0.0)
+
+
 def test_reconstruct_zero_solution():
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET, grid_n=2001)
     traj = integrate(spec, 0.0)

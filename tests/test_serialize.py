@@ -204,6 +204,29 @@ def test_solve_csv_bytes_are_pinned(tmp_path):
             assert hashlib.sha256(handle.read()).hexdigest() == digest, name
 
 
+# sha256 of the root list and validation reports of an all-roots solve, and
+# of a monotone solve's report: a report's residuals move with the last bits
+# of the quadrature nodes, which no tolerance-based test sees
+SOLVE_REPORT_SHA256 = [
+    (["solve", "--bc", "dirichlet", "--lambda", "100", "--grid", "2001"], {
+        "roots.json": "a0c735f799e3941dbf10db8831ac693b0b93ad79c426b9feded96184152fbc8b",
+        "validation_root0.json": "0929339ba00eb877960052d4a1cb45ff278dc7fb3a8c7602b08b648e56b1758f",
+        "validation_root1.json": "cc8d68afc295e42332059663a8eaddd27b21e35ac6f0ef0a9fb5ae66bcff29a6",
+    }),
+    (["solve", "--bc", "dirichlet", "--lambda", "144", "--monotone", "--grid", "101"], {
+        "validation.json": "445363edbe2cc011813c05acdb3034135e90093e9be7011d39ec69ceb8b165ea",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, digests", SOLVE_REPORT_SHA256, ids=["roots", "monotone"])
+def test_solve_report_bytes_are_pinned(tmp_path, argv, digests):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        with open(os.path.join(tmp_path, name), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+
+
 # sha256 of trajectory.csv, profile.csv and validation.json from
 # `solve --lambda 0 --monotone` of either kind at the default grid: u, du and
 # every residual are +0.0, so no "-0" reaches the CSVs
