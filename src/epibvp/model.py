@@ -69,8 +69,10 @@ class ProblemSpec:
         every shot here, with an O(eps^3) error, far below step_tol at the
         default.
     step_tol : float
-        Local error tolerance per step of the adaptive integrator, finite
-        and > 0.
+        Local error tolerance per step of the adaptive integrator (DOP853),
+        relative to 1 + |y| on y = (u, u'), finite and > 0.  The default
+        1e-11 keeps the validator's first-integral residuals of roots near
+        1e-10.
     slope_min, slope_max : float
         Shooting-slope scan window, finite with slope_min <= slope_max <= 0.
     grid_n : int
@@ -89,7 +91,7 @@ class ProblemSpec:
     lam: float
     kind: BoundaryKind
     eps: float = 1e-8
-    step_tol: float = 1e-10
+    step_tol: float = 1e-11
     slope_min: float = -500.0
     slope_max: float = 0.0
     grid_n: int = 16001

@@ -10,7 +10,7 @@ the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default folds);
 at most one root on each side of the dug point, which is also the root's
 branch, refined on [dug point, window edge] by a secant from the scan's
 cubic; and the final validation gate.  The scan only guides: every sign
-that decides a count is an adaptive (DP5) residual.
+that decides a count is an adaptive (DOP853) residual.
 
 The scan steps the slopes of one or several lams at once with
 ``_rk4_scan``, in place and in one fixed order of operations, so a sweep
@@ -45,7 +45,7 @@ from .model import BoundaryKind, ProblemSpec
 
 # graded scan grid of 125 RK4 steps, geometric out of eps, uniform after the
 # switch; its residuals are off by up to 1e-3 of the window's largest |R|, and
-# that is enough, as the scan only picks cells and DP5 decides every sign
+# that is enough, as the scan only picks cells and DOP853 decides every sign
 _SCAN_SWITCH = 5e-3
 _SCAN_GEO_N = 25
 _SCAN_UNI_N = 100
@@ -136,7 +136,7 @@ def _scan_residuals(spec: ProblemSpec, lams: Sequence[float]) -> np.ndarray:
 
 
 def _residual_at(spec: ProblemSpec, a: float) -> float:
-    """Endpoint residual R(a) of the DP5 shot at a, +inf if it diverged."""
+    """Endpoint residual R(a) of the DOP853 shot at a, +inf if it diverged."""
     u, du, diverged = shoot_endpoint(spec, a)
     if diverged:
         return math.inf
@@ -289,7 +289,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     the fold's double root when its residual is within BOUNDARY_TOL of 0.
     Each root whose shot validates is kept, with that shot and its report;
     each that does not goes to ``rejected`` with its slope and report.  All
-    of it reads one table of s R, one DP5 shot per slope.
+    of it reads one table of s R, one DOP853 shot per slope.
 
     Raises
     ------
@@ -299,7 +299,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     EpibvpError
         If the scan shows more than one extremum of the residual.
     """
-    # g = s R of each slope's DP5 endpoint shot, +inf if it diverged, so that
+    # g = s R of each slope's DOP853 endpoint shot, +inf if it diverged, so that
     # no slope is shot twice before the gate; s = +-1, so |g| = |R|
     s = _DIP_SIGN[spec.kind]
     table: dict[float, float] = {}
@@ -319,7 +319,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
 
     if scan is None:
         scan = _scan_residuals(spec, [spec.lam])[0]
-    # slopes and scan g in Python floats, for _dp45's scalar loop
+    # slopes and scan g in Python floats, for _dop853's scalar loop
     a_grid = _scan_grid(spec).tolist()
     coarse = [s * r if math.isfinite(r) else math.inf for r in scan.tolist()]
     cells = _extremum_cells(spec, coarse)
@@ -331,12 +331,12 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         x, gx = _dig(g, lo, hi, start, g(start))
         extremum = (x, s * gx if gx < math.inf else gx)
         if gx < 0.0:
-            # the scan line through x, each slope once, with x's DP5 value
+            # the scan line through x, each slope once, with x's DOP853 value
             line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
             i = line.index((x, gx))
             for side, j in ((line[::-1], len(line) - 1 - i), (line, i)):
                 # x and the window edge, where g must turn positive, bracket the
-                # side's one root; the scan's cubic, with the edge's DP5 g, guesses it
+                # side's one root; the scan's cubic, with the edge's DOP853 g, guesses it
                 pts, vals = (list(v) for v in zip(*side))
                 if j == len(pts) - 1 or g(pts[-1]) <= 0.0:
                     continue

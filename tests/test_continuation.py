@@ -104,20 +104,19 @@ def test_single_root_labels():
     assert point.branch is Branch.LOWER and point.a < -50.0
 
 
-# sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`,
-# whose slopes are within 1.2e-11 of those of a 2000-slope scan per lam
-DIRICHLET_SWEEP_CSV_SHA256 = "d6abd61feb61303c913dd53778d270543801ce457170353349d07f0ed41c9d1d"
+# sha256 of diagram.csv from `sweep --lambdas 0,50,120,167 --bc dirichlet`
+DIRICHLET_SWEEP_CSV_SHA256 = "8e6a0e45d66365a20445c85af6435149b58ecfb240d9820aaf834c1d3a779595"
 
 # sha256 of the default folds' fold.json and of a Navier sweep's diagram.csv;
 # a scan that picks the same cells leaves the folds' bytes alone, while the
 # sweep's slopes also follow the scan values, whose cubic starts each secant
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "eb5ba4a1900d190ee11d31a348fbe03c2b83e6c3896cfa326f834c3f791d203a"),
+     "c9106deef187a12dd93243f8a9697411d062eea3d96827fc15c43fc1e583780c"),
     (["fold", "--bc", "navier"], "fold.json",
-     "6ed2be6de78d8954e65296724a97b6e584c535a9df1fd5191955f3b7f4c4c0cb"),
+     "afe7722be25a14d9ff4aa0dd4f02d721f2854137f0d76ca4d73fbbb3b292a2d6"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
-     "8b75d571a87072ca243010176c432b433305aae6986c31c732ecd9b060c52ac0"),
+     "710deb0f0d7aa5aea18aae7091818d04644222dd1d3c5eadfaeb16d4ab53474f"),
 ]
 
 
@@ -158,7 +157,7 @@ def test_locate_fold_navier():
     lo, hi, lam0, a_star = locate_fold(BoundaryKind.NAVIER, (9.0, 128.0 / 11.0), 0.05)
     assert 0.0 < hi - lo <= 1e-5
     assert lo <= NAVIER_FOLD <= hi
-    assert lam0 == pytest.approx(NAVIER_FOLD, rel=2e-11, abs=0.0)
+    assert lam0 == pytest.approx(NAVIER_FOLD, rel=1e-12, abs=0.0)
     assert lo < lam0 < hi <= 128.0 / 11.0
     assert -500.0 < a_star < 0.0
 
@@ -167,13 +166,13 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
     lo, hi, lam0, a_star = locate_fold(BoundaryKind.DIRICHLET, (144.0, 307.0), 0.5)
     assert 0.0 < hi - lo <= 1e-5
     assert lo <= DIRICHLET_FOLD <= hi
-    assert lam0 == pytest.approx(DIRICHLET_FOLD, rel=2e-11, abs=0.0)
+    assert lam0 == pytest.approx(DIRICHLET_FOLD, rel=1e-12, abs=0.0)
     assert 168.0 <= lo < lam0 < hi <= 171.0
     assert -500.0 < a_star < 0.0
 
 
 @pytest.mark.parametrize("kind, endpoint, event", [
-    (BoundaryKind.DIRICHLET, 15, 15), (BoundaryKind.NAVIER, 16, 20),
+    (BoundaryKind.DIRICHLET, 16, 15), (BoundaryKind.NAVIER, 18, 20),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, event):
     """A default fold's shots and calls, pinned: the Brent search's event
@@ -216,9 +215,8 @@ def test_default_fold_lower_shot_is_a_root(monkeypatch, kind):
 
 def test_sweep_lists_the_fold_root_once():
     """At the Navier fold lam the one root is a single upper point."""
-    lam = 11.340809421307341
-    points = sweep(BoundaryKind.NAVIER, [lam])
-    assert [(p.a, p.branch) for p in points] == [(-8.872504445680562, Branch.UPPER)]
+    points = sweep(BoundaryKind.NAVIER, [NAVIER_FOLD])
+    assert [(p.a, p.branch) for p in points] == [(-8.87250431327121, Branch.UPPER)]
 
 
 def test_locate_fold_bracket_independence():
@@ -276,7 +274,7 @@ def test_locate_fold_within_d_of_lo():
     with pytest.raises(BracketError) as err:
         locate_fold(BoundaryKind.NAVIER, (11.3408094, 11.5), 0.05)
     assert err.value.end == "lo"
-    assert "11.3408094213" in str(err.value)
+    assert "11.3408094214" in str(err.value)
 
 
 def test_locate_fold_scan_without_a_finite_residual():

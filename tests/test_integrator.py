@@ -165,55 +165,59 @@ def test_event_shot_without_a_sign_change_is_none(kind, lam, a):
     assert traj.diverged or np.all(np.sign(b) == np.sign(b[0]))
 
 
-def _dp45_loop(spec, a, on_step=None):
-    """Reference stepper: the Dormand-Prince pair as tableau loops, each stage
-    and error sum accumulated from 0.0 in tableau order, every stage checked
-    for finiteness."""
+def _dop853_loop(spec, a, on_step=None):
+    """Reference stepper: DOP853 as tableau loops over scipy's coefficients,
+    each stage and error sum accumulated from 0.0 in tableau order, every
+    stage checked for finiteness.  ``on_step(t, h, u, du)`` sees each
+    accepted step and stops the shot at its start when it returns True."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    c, tableau, e5, e3 = dop.C.tolist(), dop.A.tolist(), dop.E5.tolist(), dop.E3.tolist()
     lam = spec.lam
     tol = spec.step_tol
     u, du = launch_state(a, lam, spec.eps)
     t = spec.eps
-    h = min(1e-4, 0.5 - t)
+    h = min(1e-3, 0.5 - t)
     k0 = (du, u * u / (8.0 * t * t) + lam / 2.0)
     while True:
         final = h >= 0.5 - t
         if final:
             h = 0.5 - t
         k = [k0]
-        for s in range(6):
+        for s in range(1, 13):
             au = 0.0
             av = 0.0
-            for j, aij in enumerate(integrator._DP_A[s]):
-                au += aij * k[j][0]
-                av += aij * k[j][1]
-            ts = t + integrator._DP_C[s] * h
+            for j in range(s):
+                au += tableau[s][j] * k[j][0]
+                av += tableau[s][j] * k[j][1]
+            ts = t + c[s] * h
             uu = u + h * au
             vv = du + h * av
             if not (math.isfinite(uu) and math.isfinite(vv)):
                 return u, du, True
             k.append((vv, uu * uu / (8.0 * ts * ts) + lam / 2.0))
-        err_u = 0.0
-        err_v = 0.0
-        for e, (ku, kv) in zip(integrator._DP_E, k):
-            err_u += e * ku
-            err_v += e * kv
-        err = max(
-            abs(h * err_u) / (tol * (1.0 + abs(u))),
-            abs(h * err_v) / (tol * (1.0 + abs(du))),
-        )
+        sums = [0.0, 0.0, 0.0, 0.0]
+        for j in range(12):
+            for i, (weight, comp) in enumerate(((e5, 0), (e5, 1), (e3, 0), (e3, 1))):
+                sums[i] += weight[j] * k[j][comp]
+        scale = (tol * (1.0 + abs(u)), tol * (1.0 + abs(du)))
+        e5u, e5v, e3u, e3v = (x / scale[i % 2] for i, x in enumerate(sums))
+        err5 = e5u * e5u + e5v * e5v
+        den = err5 + 0.01 * (e3u * e3u + e3v * e3v)
+        err = h * err5 / math.sqrt(2.0 * den) if err5 != 0.0 else 0.0
         if not math.isfinite(err):
             err = 1e16
         if err <= 1.0:
-            if on_step is not None and on_step(t, h, u, du, tuple(x for stage in k for x in stage)):
+            if on_step is not None and on_step(t, h, u, du):
                 return u, du, False
             t += h
             u, du = uu, vv
-            k0 = k[6]
+            k0 = k[12]
             if abs(u) > integrator.BLOWUP:
                 return u, du, True
             if final:
                 return u, du, False
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+        factor = 0.9 * (1.0 / err) ** 0.125 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < integrator._MIN_STEP:
             raise IntegrationError(f"step size underflow at t={t!r} (a={a!r}, lam={lam!r})")
@@ -228,24 +232,24 @@ def _end(call):
 
 
 def _shot_record(spec, a, stop=None):
-    """The end of a _dp45_loop shot and the bytes of every accepted step's
-    (t, h, u, u') and stages; ``on_step`` stops the shot at the start of
-    step ``stop``."""
+    """The end of a _dop853_loop shot and the bytes of every accepted step's
+    start (t, h, u, u'); ``on_step`` stops the shot at the start of step
+    ``stop``."""
     steps = []
 
-    def record(t, h, u, du, k):
+    def record(t, h, u, du):
         if len(steps) == stop:
             return True
-        steps.append((t, h, u, du, *k))
+        steps.append((t, h, u, du))
 
-    return _end(lambda: _dp45_loop(spec, a, record)), np.array(steps).tobytes()
+    return _end(lambda: _dop853_loop(spec, a, record)), np.array(steps).tobytes()
 
 
 def _stepper_record(spec, a, stop=None):
-    """:func:`_shot_record` of the unrolled _dp45, read off its own record
-    of each accepted step, stages included, and its end state.  ``stop``
-    ends the shot at the end of step ``stop - 1``, which the shot hands
-    back in the record's layout instead of recording it."""
+    """:func:`_shot_record` of the unrolled _dop853, read off its own record
+    of each accepted step and its end state.  ``stop`` ends the shot at the
+    end of step ``stop - 1``, which the shot hands back in the record's
+    layout instead of recording it."""
     steps, ends = [], []
 
     def at_end(t, u, du):
@@ -253,7 +257,7 @@ def _stepper_record(spec, a, stop=None):
         return len(ends) == stop
 
     def shot():
-        end = integrator._dp45(spec, a, steps, at_end)
+        end = integrator._dop853(spec, a, steps, at_end)
         if len(end) == 4:
             steps.extend(end[3])
         return end[:3]
@@ -262,22 +266,28 @@ def _stepper_record(spec, a, stop=None):
 
 
 _SHOT_CASES = [
-    (kind, lam, eps, a)
+    (kind, lam, eps, a, ProblemSpec.step_tol)
     for kind in BoundaryKind
     for lam in (0.0, 1.0, 9.0, 100.0, 168.7694, 5000.0)
     for eps in (1e-8, 1e-3, 1.5e-154)
     for a in (-1e154, -1e30, -1e6, -2000.0, -52.35, -16.2635630662405, -4.742307280271374, 0.0, 3.0)
+] + [
+    # a tolerance no step can meet: the controller shrinks h until it underflows
+    (kind, 100.0, eps, a, 1e-100)
+    for kind in BoundaryKind
+    for eps in (1e-8, 1.5e-154)
+    for a in (-16.2635630662405, -4.742307280271374)
 ]
 
 
 def test_unrolled_stepper_matches_tableau_loops():
-    """The unrolled _dp45 reproduces the loop stepper bit for bit: end
-    states, divergence flags, every accepted step with the stages it
-    records, the step-underflow message, and the state and step where the
-    shot stops early."""
+    """The unrolled _dop853 reproduces the loop stepper bit for bit: end
+    states, divergence flags, every accepted step it records, the
+    step-underflow message, and the state and step where the shot stops
+    early."""
     outcomes = set()
-    for kind, lam, eps, a in _SHOT_CASES:
-        spec = ProblemSpec(lam=lam, kind=kind, eps=eps)
+    for kind, lam, eps, a, tol in _SHOT_CASES:
+        spec = ProblemSpec(lam=lam, kind=kind, eps=eps, step_tol=tol)
         want = _shot_record(spec, a)
         assert _stepper_record(spec, a) == want, (kind, lam, eps, a)
         stopped = _shot_record(spec, a, stop=3)
@@ -303,9 +313,9 @@ def test_shot_without_accepted_steps(a):
     shot = shoot(spec, a)
     assert shot.diverged and shot.a == a
     assert shot.t.tolist() == [spec.eps] and (shot.u.tolist(), shot.du.tolist()) == ([u], [du])
-    assert (shot.h.shape, shot.q.shape, shot.nodes.shape) == ((0,), (0, 2, 4), (6, 0))
+    assert (shot.h.shape, shot.q.shape, shot.nodes.shape) == ((0,), (0, 2, 10), (6, 0))
     steps = []
-    assert integrator._dp45(spec, a, steps) == (u, du, True) and steps == []
+    assert integrator._dop853(spec, a, steps) == (u, du, True) and steps == []
     assert shoot_endpoint(spec, a) == (u, du, True)
 
 
@@ -336,41 +346,40 @@ def test_scaling_identity_on_dense_trajectories(kind, lam, a):
     assert np.max(np.abs(du + t * ddu - a * du_a - 2.0 * lam * du_l)) < 1e-6
 
 
-def _dense_fill_by_sample(t0, h, y0, k, t_out, us, dus, idx):
+def _dense_fill_by_sample(q, t0, h, y0, t_out, us, dus, idx):
     """Sample-by-sample reference for the dense fill of one accepted step:
-    the samples before the step's end, from the first not yet filled."""
-    q = [[sum(k[2 * s + c] * integrator._DP_P[s][j] for s in range(7)) for j in range(4)]
-         for c in range(2)]
+    the samples before the step's end, from the first not yet filled, each
+    on the step's interpolants ``q`` in Python floats."""
     while idx < len(t_out) and t_out[idx] < t0 + h:
         theta = (t_out[idx] - t0) / h
-        poly = theta
-        acc_u = 0.0
-        acc_v = 0.0
-        for j in range(4):
-            acc_u += q[0][j] * poly
-            acc_v += q[1][j] * poly
-            poly *= theta
-        us[idx] = y0[0] + h * acc_u
-        dus[idx] = y0[1] + h * acc_v
+        s = 1.0 - theta
+        for out, qc, y in ((us, q[0], y0[0]), (dus, q[1], y0[1])):
+            left = (((qc[4] * theta + qc[3]) * theta + qc[2]) * theta + qc[1]) * theta + qc[0]
+            right = (((qc[9] * s + qc[8]) * s + qc[7]) * s + qc[6]) * s + qc[5]
+            s5 = (s * s) * (s * s) * s
+            theta5 = (theta * theta) * (theta * theta) * theta
+            out[idx] = y + (s5 * left + theta5 * right)
         idx += 1
     return idx
 
 
 def _integrate_by_sample(spec, a):
-    """Reference dense output: each accepted step of the loop stepper fills
-    its samples one at a time, from the stages that stepper computed;
-    samples past the last step take the end state at 1/2."""
+    """Reference dense output: the loop stepper's accepted steps fill their
+    samples one at a time, on the interpolants the package builds from their
+    ends; samples past the last step take the end state at 1/2."""
     t_out = np.linspace(spec.eps, 0.5, spec.grid_n)
     us = np.empty(spec.grid_n)
     dus = np.empty(spec.grid_n)
     us[0], dus[0] = launch_state(a, spec.lam, spec.eps)
+    starts = []
+    u, du, diverged = _dop853_loop(spec, a, lambda *step: starts.append(step))
+    t_end = starts[-1][0] + starts[-1][1] if starts else spec.eps
+    q = integrator._interpolant(spec, a, np.array([s[0] for s in starts] + [t_end]),
+                                np.array([s[2] for s in starts] + [u]),
+                                np.array([s[3] for s in starts] + [du])).tolist()
     idx = 1
-
-    def fill(t, h, u, du, k):
-        nonlocal idx
-        idx = _dense_fill_by_sample(t, h, (u, du), k, t_out, us, dus, idx)
-
-    u, du, diverged = _dp45_loop(spec, a, fill)
+    for qs, (t0, h, u0, du0) in zip(q, starts):
+        idx = _dense_fill_by_sample(qs, t0, h, (u0, du0), t_out, us, dus, idx)
     if not diverged:
         us[idx:], dus[idx:] = u, du
         idx = spec.grid_n
@@ -413,9 +422,9 @@ def test_first_integral_zero_case():
 
 def _on_steps(shot, theta):
     """(u, u') at the points theta in [0, 1] of every step of shot, from its
-    quartic interpolant: one row a step, one column a theta."""
-    powers = np.asarray(theta, dtype=float)[None, :] ** np.arange(1, 5)[:, None]
-    return [y[:, None] + shot.h[:, None] * (shot.q[:, c, :] @ powers)
+    interpolants: one row a step, one column a theta."""
+    theta = np.asarray(theta, dtype=float)[None, :]
+    return [y[:, None] + integrator._hermite(shot.q[:, c, None, :], theta)
             for c, y in enumerate((shot.u[:-1], shot.du[:-1]))]
 
 
@@ -449,8 +458,7 @@ def test_validate_shares_one_singular_integral(kind, lam, a):
 
     def step_integral(f, i):
         def u_at(s):
-            theta = (s - t[i]) / h[i]
-            return u[i] + h[i] * sum(shot.q[i, 0, j] * theta ** (j + 1) for j in range(4))
+            return u[i] + integrator._hermite(shot.q[i, 0], (s - t[i]) / h[i])
         return quad(lambda s: f(u_at(s), s), t[i], t[i + 1], epsabs=0.0, epsrel=1e-13)[0]
 
     beta = _beta(a, lam)
@@ -599,3 +607,47 @@ def test_quadrature_independence_on_subgrid(root_cache):
     fi_sub = validate(_refined(shot, 2)).first_integral_resid
     assert fi_sub <= 8.0 * fi_full
     assert fi_full <= 1.5 * fi_sub
+
+
+def test_tableau_literals_are_scipys_dop853():
+    """Every literal of the unrolled stepper's tableau is the float of
+    scipy's DOP853 coefficient in the same place, and the weights left out
+    (stage 12's error weights) are zero there."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    assert integrator._C == tuple(dop.C[1:13].tolist())
+    for s, row in enumerate(integrator._A, start=1):
+        assert row == tuple(dop.A[s, :s].tolist()), s
+    assert integrator._E5 == tuple(dop.E5[:12].tolist()) and dop.E5[12] == 0.0
+    assert integrator._E3 == tuple(dop.E3[:12].tolist()) and dop.E3[12] == 0.0
+
+
+@pytest.mark.parametrize("kind, lam, a", [
+    (BoundaryKind.DIRICHLET, 100.0, -108.5),
+    (BoundaryKind.DIRICHLET, 168.7694, -52.35),
+    (BoundaryKind.NAVIER, 9.0, -13.2),
+], ids=["dirichlet-100", "dirichlet-near-fold", "navier-9"])
+def test_interpolant_matches_the_step_ends_and_an_independent_solution(kind, lam, a):
+    """Each step's interpolants meet the stepped states at both ends, the
+    launch step's u'' included, and between them both stay within 1e-9 of
+    scipy's DOP853 at rtol 2.3e-14 and steps of at most 5e-4."""
+    from scipy.integrate import solve_ivp
+
+    spec = ProblemSpec(lam=lam, kind=kind)
+    shot = shoot(spec, a)
+    at_end = integrator._hermite(shot.q, 1.0)
+    assert np.array_equal(shot.u[:-1] + at_end[:, 0], shot.u[1:])
+    assert np.array_equal(shot.du[:-1] + at_end[:, 1], shot.du[1:])
+    # u'' at the launch: the slope in theta of the u' interpolant is h u''
+    eps, h = spec.eps, shot.h[0]
+    d = 1e-7
+    slope = (integrator._hermite(shot.q[0, 1], d) - integrator._hermite(shot.q[0, 1], 0.0)) / d
+    assert slope == pytest.approx(h * (shot.u[0] ** 2 / (8.0 * eps * eps) + lam / 2.0), rel=1e-6)
+    ref = solve_ivp(lambda t, y: [y[1], y[0] ** 2 / (8.0 * t * t) + lam / 2.0], (eps, 0.5),
+                    launch_state(a, lam, eps), method="DOP853", rtol=2.3e-14, atol=1e-300,
+                    dense_output=True, max_step=5e-4)
+    theta = np.linspace(0.0, 1.0, 17)[1:-1]
+    for c, bound in ((0, 1e-9), (1, 1e-9)):
+        y = (shot.u, shot.du)[c][:-1, None] + integrator._hermite(shot.q[:, c, None, :], theta)
+        want = ref.sol((shot.t[:-1, None] + shot.h[:, None] * theta).ravel())[c]
+        assert np.max(np.abs(y.ravel() - want)) < bound, c

@@ -189,9 +189,9 @@ def test_kernel_takes_almost_every_solution_cell(root_cache):
 # were written by one %.17g format per block of rows, and validation.json
 # holds the residuals of the step validator on the same shot
 NAVIER_SOLVE_CSV_SHA256 = {
-    "trajectory.csv": "40988b5cad6980f6804300b81fbd980045435999cb3fc0047698e80682083afd",
-    "profile.csv": "0abb03573b036295ba98258724c0225c2297852652ee89e5221ccc22951f7b3f",
-    "validation.json": "498e4f7d7edc7db1ea6a2b09b574763c69a624e0eee30f5725772d15b2b09b15",
+    "trajectory.csv": "45e4bf65175469e9ab3d977d8fecc446b08d865149801c6045dfc39dec16707d",
+    "profile.csv": "30d924f1f9c888911d06d33af94e7a368d724abbe4d6c60aafae028225000b0a",
+    "validation.json": "6e06b68e68c814663db600cae273b924a958f5c99b3b4d00bf8a0ce1367d37fb",
 }
 
 
@@ -209,9 +209,9 @@ def test_solve_csv_bytes_are_pinned(tmp_path):
 # of the quadrature nodes, which no tolerance-based test sees
 SOLVE_REPORT_SHA256 = [
     (["solve", "--bc", "dirichlet", "--lambda", "100", "--grid", "2001"], {
-        "roots.json": "a0c735f799e3941dbf10db8831ac693b0b93ad79c426b9feded96184152fbc8b",
-        "validation_root0.json": "0929339ba00eb877960052d4a1cb45ff278dc7fb3a8c7602b08b648e56b1758f",
-        "validation_root1.json": "cc8d68afc295e42332059663a8eaddd27b21e35ac6f0ef0a9fb5ae66bcff29a6",
+        "roots.json": "f95c93f7ae64d6ef1e5837d0902618dc22e910d4bc9bc7e9c68c76c8efd412f6",
+        "validation_root0.json": "dad998740108fc69e70ce11314c21c6f8dddda64c737049bc35fc1e8f5d32ede",
+        "validation_root1.json": "e5401282f2899fcb67ee2b3f630ea88557011b39213705a9818cd15d2b2362ab",
     }),
     (["solve", "--bc", "dirichlet", "--lambda", "144", "--monotone", "--grid", "101"], {
         "validation.json": "445363edbe2cc011813c05acdb3034135e90093e9be7011d39ec69ceb8b165ea",

@@ -26,8 +26,8 @@ from epibvp.shooting import (
 )
 
 # production root values, frozen from refined runs at default tolerances
-LAM0_DIRICHLET_NONTRIVIAL = -161.11280742612547
-LAM100_DIRICHLET = (-108.52567289833944, -16.2635630662405)
+LAM0_DIRICHLET_NONTRIVIAL = -161.11280742326542
+LAM100_DIRICHLET = (-108.52567289521774, -16.26356306543258)
 
 
 def test_boundary_residual_zero_solution():
@@ -288,8 +288,8 @@ def test_near_fold_roots_recovered_below_scan_resolution(monkeypatch):
     assert crossings == 0  # the scan alone would report no roots
     rs = find_shooting_roots(spec)
     assert len(rs.roots) == 2
-    assert rs.roots[0].a == pytest.approx(-52.86091514090039, abs=1e-9)
-    assert rs.roots[1].a == pytest.approx(-51.850827418593774, abs=1e-9)
+    assert rs.roots[0].a == pytest.approx(-52.86091520902445, abs=1e-9)
+    assert rs.roots[1].a == pytest.approx(-51.85082734721711, abs=1e-9)
 
 
 def test_root_within_coarse_error_of_a_scan_node():
@@ -400,7 +400,7 @@ def test_root_set_endpoint_shoots_each_slope_once_and_gates_fresh_shots(monkeypa
 
 def _root_brackets(spec: ProblemSpec, slopes) -> None:
     """Each nontrivial slope meets the boundary condition to BOUNDARY_TOL / 2
-    and lies inside a DP5 sign change _ROOT_TOL wide."""
+    and lies inside a DOP853 sign change _ROOT_TOL wide."""
     for a in (a for a in slopes if a != 0.0):
         assert abs(_residual_at(spec, a)) <= 0.5 * BOUNDARY_TOL, (spec.lam, a)
         below, above = (_residual_at(spec, a + d) for d in (-_ROOT_TOL, _ROOT_TOL))
@@ -439,8 +439,8 @@ def test_diverged_window_edge_keeps_both_roots(lam, kind, slope_min):
 # the dug minimum of s R is designed to be about 4e-8, and the dig's shot
 # budget there; a dig down to a _ROOT_TOL bracket takes 28 and 29 shots
 _CERT_HI = {
-    BoundaryKind.DIRICHLET: (168.76943220563186, 14),
-    BoundaryKind.NAVIER: (11.340809688926408, 22),
+    BoundaryKind.DIRICHLET: (168.7694322082279, 14),
+    BoundaryKind.NAVIER: (11.340809689074925, 22),
 }
 
 
@@ -472,12 +472,12 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
     assert len(dig_shots) == 1 and dig_shots[0] <= budget
 
 
-# the default folds' lam0 to within 2e-12 relative and, at lam0 (1 + r), the root
+# the lam0 that the default folds print and, at lam0 (1 + r), the root
 # counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
 # tangency root just above it, none further up
 _NEAR_FOLD = {
-    BoundaryKind.DIRICHLET: (168.76943127403896, [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
-    BoundaryKind.NAVIER: (11.340809421307341, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
+    BoundaryKind.DIRICHLET: (168.769431276635, [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
+    BoundaryKind.NAVIER: (11.340809421455862, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
 }
 _NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
 
@@ -499,13 +499,14 @@ def test_near_fold_root_counts(monkeypatch, kind):
 
 
 def test_root_at_the_fold_is_listed_once():
-    """At both fold lams the residual's minimum lies within BOUNDARY_TOL / 2
-    past zero, and both sides' secants stop within _ROOT_TOL of the dug
-    point: the double root is that point, one root, not the same root twice,
+    """At both folds of an independent solver (scipy's DOP853 on the
+    variational system) the residual's minimum lies within BOUNDARY_TOL / 2
+    of zero, and both sides' secants stop within _ROOT_TOL of the dug point:
+    the double root is that point, one root, not the same root twice,
     whichever side's noise-level residual comes out smaller."""
     for kind, lam, dug in [
-        (BoundaryKind.NAVIER, 11.340809421307341, -8.872504445680562),
-        (BoundaryKind.DIRICHLET, 168.76943127403896, -52.35461071141806),
+        (BoundaryKind.NAVIER, 11.340809421457, -8.87250431327121),
+        (BoundaryKind.DIRICHLET, 168.769431276654, -52.35460993680647),
     ]:
         rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
         assert rs.slopes() == [dug], kind
@@ -514,7 +515,7 @@ def test_root_at_the_fold_is_listed_once():
 
 @pytest.mark.parametrize("lam, kind, a, text", [
     (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1],
-     "root at scan-window edge slope_min (a = -16.2635630662405); widen the window"),
+     "root at scan-window edge slope_min (a = -16.26356306543258); widen the window"),
     (0.0, BoundaryKind.NAVIER, 0.0,
      "root at scan-window edge slope_min (a = 0.0); widen the window"),
     (100.0, BoundaryKind.DIRICHLET, LAM100_DIRICHLET[1] + 1e-3, None),
