@@ -6,10 +6,11 @@ DOP853, Dormand and Prince's embedded 8th-order pair, whose one step-size
 controller serves every shot.  Its stages are spelled out on Python floats,
 each sum in tableau order, so a shot costs little more than its
 arithmetic.  A shot can record each accepted step as its start (t, h, u,
-u') and its stages, three more computed for the pair's 7th-order
-interpolant: a :class:`Shot` is built from that record and fills the
-samples of any uniform grid in one vectorized pass from that interpolant,
-so step sizes are chosen by the error controller alone.  lam is a pure
+u'): a :class:`Shot` is built from that record, with each step's u and u'
+interpolated between its ends by the two-point Taylor polynomials that the
+equation's derivatives at both ends fix (:func:`_interpolant`), and fills
+the samples of any uniform grid in one vectorized pass, so step sizes are
+chosen by the error controller alone.  lam is a pure
 scale of the equation: if u(t) solves it, u(kt) solves it with k^2 lam and
 launch slope k a, so the event shot at one lam (:func:`shoot_event`) gives
 a solution at another lam for each slope.
@@ -24,9 +25,9 @@ genuine solution satisfies:
 with the singular integral I(t) = int_0^t u^2/(8s) ds, which both share.
 :func:`validate` checks both at the ends of a solution's panels.  A shot's
 panels are its accepted steps: a 6-node Gauss-Legendre rule integrates the
-step's interpolant (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6),
-and the s < eps tail of I comes analytically from the series launch.  The rule's error is far below the shot's own, so the residuals
-measure the solution, and no output grid enters them.
+step's interpolant of u, and the s < eps tail of I comes analytically from
+the series launch.  The rule's error is far below the shot's own, so the
+residuals measure the solution, and no output grid enters them.
 """
 
 from __future__ import annotations
