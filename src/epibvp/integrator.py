@@ -380,14 +380,11 @@ def _interpolant(spec: ProblemSpec, a: float, t: np.ndarray, u: np.ndarray,
     return q.reshape(5, 2, 2, h.size).transpose(3, 2, 1, 0).reshape(h.size, 2, 10)
 
 
-def _hermite(q: np.ndarray, theta, counts=None):
-    """y(theta) - y(t[i]) of the interpolants ``q`` (last axis P_0..P_4,
-    Q_0..Q_4) at theta, elementwise and broadcast, each sum in Horner order.
-    With ``counts``, q holds one row per step and step i's row serves the
-    next counts[i] entries of theta, one coefficient column at a time."""
-    def coef(k):
-        return q[..., k] if counts is None else np.repeat(q[:, k], counts)
-
+def _hermite(coef, theta):
+    """y(theta) - y(t[i]) of interpolants at theta, whose coefficients
+    (P_0..P_4, Q_0..Q_4) are ``coef(0)``..``coef(9)``: floats, or arrays
+    broadcast with theta.  Each sum is in Horner order, elementwise, so a
+    float and an array entry give the same bits."""
     s = 1.0 - theta
     left = coef(4) * theta
     right = coef(9) * s
@@ -434,10 +431,10 @@ class Shot(Panels):
     """One :func:`_dop853` shot at slope ``a``, its accepted steps as panels.
 
     Step i starts at t[i] with size ``h[i]``; ``q[i, c]`` are the
-    coefficients of its degree-7 interpolant of (u, u')[c] in the two-point
-    form of :func:`_interpolant`: y(t[i] + theta h[i]) = y(t[i]) +
-    ``_hermite(q[i, c], theta)``.  Built by :func:`shoot` from the step ends
-    the stepper records.
+    coefficients of its interpolant of (u, u')[c] in the two-point form of
+    :func:`_interpolant`: y(t[i] + theta h[i]) = y(t[i]) +
+    ``_hermite(q[i, c].__getitem__, theta)``.  Built by :func:`shoot` from
+    the step ends the stepper records.
     """
 
     a: float
@@ -469,8 +466,10 @@ class Shot(Panels):
         idx = int(stops[-1]) if h.size else 1
         theta = t_out[1:idx] - np.repeat(t0, counts)
         theta /= np.repeat(h, counts)
-        for c, (y0, out) in enumerate(((self.u[:-1], us), (self.du[:-1], dus))):
-            out[1:idx] = np.repeat(y0, counts) + _hermite(self.q[:, c], theta, counts)
+        for qc, y0, out in ((self.q[:, 0], self.u[:-1], us), (self.q[:, 1], self.du[:-1], dus)):
+            # each coefficient repeated over its step's samples as Horner reaches it
+            out[1:idx] = np.repeat(y0, counts) + _hermite(
+                lambda k: np.repeat(qc[:, k], counts), theta)
         if not self.diverged:
             us[idx:], dus[idx:] = self.u[-1], self.du[-1]
             idx = grid_n
@@ -502,7 +501,7 @@ def shoot(spec: ProblemSpec, a: float) -> Shot:
     u, du = np.append(u0, u_end), np.append(du0, du_end)
     q = _interpolant(spec, a, t, u, du)
     # u at each step's Gauss-Legendre nodes, on the same interpolant
-    nodes = u0 + _hermite(q[:, 0], _GL_THETA[:, None])
+    nodes = u0 + _hermite(lambda k: q[:, 0, k], _GL_THETA[:, None])
     # the series u = a s + beta s^2 makes u^2/(8s) a polynomial below eps
     eps, beta = spec.eps, _beta(a, spec.lam)
     tail = (a * a * eps ** 2 / 2.0 + 2.0 * a * beta * eps ** 3 / 3.0
@@ -530,8 +529,9 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     at 4 t*^2 lam with slope 2 t* a.  The :func:`_dop853` shot tests b at the
     end of each accepted step and stops at the first that has left the
     sign, with both ends of that step in hand; Newton, kept inside the sign
-    change, places t* on the step's interpolant (:func:`_interpolant`).  A
-    launch on b = 0 has no sign to leave, and gives None.
+    change, places t* on the step's interpolant (:func:`_interpolant`), and
+    the state there is that interpolant's, as :meth:`Shot.trajectory`
+    evaluates it.  A launch on b = 0 has no sign to leave, and gives None.
     """
     # the residual is linear, so b = residual(u, 2 t u') = u + c t u'
     c = 2.0 * spec.kind.residual(0.0, 1.0)
@@ -550,21 +550,18 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     b1 = u + c * (t0 + h) * du
     (qu, qv), = _interpolant(spec, a, np.array([t0, t0 + h]), np.array([u0, u]),
                              np.array([du0, du])).tolist()
+    half_lam = spec.lam / 2.0
 
-    def value(q, y0, theta):
-        """y and dy/dtheta on one step's interpolant q (:func:`_hermite`)."""
-        s = 1.0 - theta
-        left = (((q[4] * theta + q[3]) * theta + q[2]) * theta + q[1]) * theta + q[0]
-        d_left = ((4.0 * q[4] * theta + 3.0 * q[3]) * theta + 2.0 * q[2]) * theta + q[1]
-        right = (((q[9] * s + q[8]) * s + q[7]) * s + q[6]) * s + q[5]
-        d_right = ((4.0 * q[9] * s + 3.0 * q[8]) * s + 2.0 * q[7]) * s + q[6]
-        return (y0 + s ** 5 * left + theta ** 5 * right,
-                s ** 4 * (s * d_left - 5.0 * left) + theta ** 4 * (5.0 * right - theta * d_right))
+    def state(theta):
+        """(u, u') at theta on the step's interpolant, as Shot.trajectory has it."""
+        return u0 + _hermite(qu.__getitem__, theta), du0 + _hermite(qv.__getitem__, theta)
 
     def b_at(theta):
-        (x, dx), (v, dv) = value(qu, u0, theta), value(qv, du0, theta)
+        """b and db/dtheta at theta on the step's interpolant, the slope from
+        the equation's u'' = u^2/(8 t^2) + lam/2 there."""
+        x, v = state(theta)
         t = t0 + theta * h
-        return x + c * t * v, dx + c * (h * v + t * dv)
+        return x + c * t * v, h * ((1.0 + c) * v + c * t * (x * x / (8.0 * t * t) + half_lam))
 
     lo, hi = 0.0, 1.0
     b0 = u0 + c * t0 * du0
@@ -578,7 +575,7 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
         if abs(step - theta) <= 1e-14:
             break
         theta = step
-    return t0 + theta * h, value(qu, u0, theta)[0], value(qv, du0, theta)[0]
+    return (t0 + theta * h, *state(theta))
 
 
 def _rk4_scan(grid, u, du, half_lam):

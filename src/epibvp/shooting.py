@@ -4,13 +4,13 @@ The endpoint residual R(a) has one extremum on the slope window (Dirichlet
 R is convex, Navier R has one maximum), so s R falls, then rises, with
 s = +1 or -1.  A root set is read off that shape: a coarse fixed-grid RK4
 scan, checked to be unimodal; Brent's minimization of s R around the scan's
-lowest point (the extremum dig), which stops at the first value of the other
-sign, or once it has placed the minimum to sqrt(eps_mach) |a|, which moves
-the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default folds);
-at most one root on each side of the dug point, which is also the root's
-branch, refined on [dug point, window edge] by a secant from the scan's
-cubic; and the final validation gate.  The scan only guides: every sign
-that decides a count is an adaptive (DOP853) residual.
+lowest point (the extremum dig), which stops at the first value below
+-_NOISE_FLOOR, or once it has placed the minimum to sqrt(eps_mach) |a|, which
+moves the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default
+folds); at most one root on each side of a dug point below the floor, which
+is also the root's branch, refined on [dug point, window edge] by a secant
+from the scan's cubic; and the final validation gate.  The scan only
+guides: every sign that decides a count is an adaptive (DOP853) residual.
 
 The scan steps the slopes of one or several lams at once with
 ``_rk4_scan``, in place and in one fixed order of operations, so a sweep
@@ -23,7 +23,8 @@ and validates it on those steps, so no output grid enters a verdict.  Every
 root returned carries that shot, whose launch slope is the root's slope,
 and the report that accepted it; every candidate the gate turned down is
 kept with its report.  A root set refines its roots to a slope bracket of
-_ROOT_TOL, since it lists them, and lists a double root as the dug point.
+_ROOT_TOL, since it lists them, and lists a double root as the dug point:
+a minimum of s R above -_NOISE_FLOOR is a tangency within R's noise.
 The same gate (:func:`_gated_root`) judges the one shot at the lower end of
 the fold's certified bracket, whose slope the fold's turning point names.
 """
@@ -61,6 +62,12 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _ROOT_TOL = 1e-10
 # a nontrivial root closer than this to a window edge sits on the edge
 _CLUSTER_TOL = 1e-6
+# R's rounding noise from slope to neighbouring slope is 1e-15 to 8e-15
+# (standard deviation), at most about 3e-14, at the default folds and the
+# roots of lam = 0, 9 and 100; a minimum of s R no deeper than this floor is a
+# tangency within that noise, whose two roots no secant can tell from the dug
+# point
+_NOISE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -223,10 +230,11 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
     """Brent's parabolic minimization of a unimodal g on [lo, hi] from x, g(x) = gx.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 5.
-    Returns (x, g(x)) at the first x where g < 0 (for g = s R, a root pair
-    straddles it), or else within 2 tol of the minimum, tol = max(_ROOT_TOL,
-    sqrt(eps_mach) |x|), as values of g cannot place a minimum closer; g(x)
-    then exceeds the minimum by at most g''/2 (2 tol)^2.
+    Returns (x, g(x)) at the first x where g < -_NOISE_FLOOR (for g = s R,
+    a root pair straddles it, deeper than R's noise), or else within 2 tol of
+    the minimum, tol = max(_ROOT_TOL, sqrt(eps_mach) |x|), as values of g
+    cannot place a minimum closer; g(x) then exceeds the minimum by at most
+    g''/2 (2 tol)^2.
     """
     v = w = x
     gv = gw = gx
@@ -234,7 +242,7 @@ def _dig(g, lo: float, hi: float, x: float, gx: float):
     for _ in range(_DIG_MAX_ITER):
         mid = 0.5 * (lo + hi)
         tol = max(_ROOT_TOL, _DIG_RTOL * abs(x))
-        if gx < 0.0 or abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
+        if gx < -_NOISE_FLOOR or abs(x - mid) <= 2.0 * tol - 0.5 * (hi - lo):
             break
         # a parabola through (v, w, x) while its steps keep shrinking
         r = (x - w) * (gx - gv)
@@ -285,8 +293,9 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     Scans ``spec.scan_n`` slopes over [slope_min, slope_max], or takes
     ``scan``, the row of :func:`_scan_residuals` for ``spec.lam``; digs out
     the one extremum of s R (:func:`_dig`); refines at most one root on each
-    side of the dug point by safeguarded secant, or takes the dug point as
-    the fold's double root when its residual is within BOUNDARY_TOL of 0.
+    side of the dug point by safeguarded secant when its s R is below
+    -_NOISE_FLOOR, or else takes the dug point as the fold's double root
+    when its residual is within BOUNDARY_TOL of 0.
     Each root whose shot validates is kept, with that shot and its report;
     each that does not goes to ``rejected`` with its slope and report.  All
     of it reads one table of s R, one DOP853 shot per slope.
@@ -330,7 +339,7 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         lo, start, hi = (a_grid[i] for i in cells)
         x, gx = _dig(g, lo, hi, start, g(start))
         extremum = (x, s * gx if gx < math.inf else gx)
-        if gx < 0.0:
+        if gx < -_NOISE_FLOOR:
             # the scan line through x, each slope once, with x's DOP853 value
             line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
             i = line.index((x, gx))
@@ -344,12 +353,8 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
                 vals[-1] = g(pts[-1])
                 lo, hi = sorted((x, pts[-1]))
                 candidates.append(_refine_bracket(g, lo, hi, *_scan_guess(pts, vals, k)))
-            # a double root: both sides stop on the dug point's noise level
-            if (len(candidates) == 2 and max(abs(a - x) for a in candidates) <= _ROOT_TOL
-                    and -gx <= 0.5 * BOUNDARY_TOL):
-                candidates = [x]
         elif gx <= BOUNDARY_TOL:
-            # tangency: double root at the fold
+            # tangency, within R's noise or above zero: double root at the fold
             candidates.append(x)
 
     # trivial root at the a = 0 edge (only root allowed to touch the window)

@@ -424,7 +424,7 @@ def _on_steps(shot, theta):
     """(u, u') at the points theta in [0, 1] of every step of shot, from its
     interpolants: one row a step, one column a theta."""
     theta = np.asarray(theta, dtype=float)[None, :]
-    return [y[:, None] + integrator._hermite(shot.q[:, c, None, :], theta)
+    return [y[:, None] + integrator._hermite(lambda k: shot.q[:, c, None, k], theta)
             for c, y in enumerate((shot.u[:-1], shot.du[:-1]))]
 
 
@@ -458,7 +458,7 @@ def test_validate_shares_one_singular_integral(kind, lam, a):
 
     def step_integral(f, i):
         def u_at(s):
-            return u[i] + integrator._hermite(shot.q[i, 0], (s - t[i]) / h[i])
+            return u[i] + integrator._hermite(shot.q[i, 0].__getitem__, (s - t[i]) / h[i])
         return quad(lambda s: f(u_at(s), s), t[i], t[i + 1], epsabs=0.0, epsrel=1e-13)[0]
 
     beta = _beta(a, lam)
@@ -635,19 +635,21 @@ def test_interpolant_matches_the_step_ends_and_an_independent_solution(kind, lam
 
     spec = ProblemSpec(lam=lam, kind=kind)
     shot = shoot(spec, a)
-    at_end = integrator._hermite(shot.q, 1.0)
+    at_end = integrator._hermite(lambda k: shot.q[..., k], 1.0)
     assert np.array_equal(shot.u[:-1] + at_end[:, 0], shot.u[1:])
     assert np.array_equal(shot.du[:-1] + at_end[:, 1], shot.du[1:])
     # u'' at the launch: the slope in theta of the u' interpolant is h u''
     eps, h = spec.eps, shot.h[0]
     d = 1e-7
-    slope = (integrator._hermite(shot.q[0, 1], d) - integrator._hermite(shot.q[0, 1], 0.0)) / d
+    coef = shot.q[0, 1].__getitem__
+    slope = (integrator._hermite(coef, d) - integrator._hermite(coef, 0.0)) / d
     assert slope == pytest.approx(h * (shot.u[0] ** 2 / (8.0 * eps * eps) + lam / 2.0), rel=1e-6)
     ref = solve_ivp(lambda t, y: [y[1], y[0] ** 2 / (8.0 * t * t) + lam / 2.0], (eps, 0.5),
                     launch_state(a, lam, eps), method="DOP853", rtol=2.3e-14, atol=1e-300,
                     dense_output=True, max_step=5e-4)
     theta = np.linspace(0.0, 1.0, 17)[1:-1]
     for c, bound in ((0, 1e-9), (1, 1e-9)):
-        y = (shot.u, shot.du)[c][:-1, None] + integrator._hermite(shot.q[:, c, None, :], theta)
+        y = (shot.u, shot.du)[c][:-1, None] + integrator._hermite(
+            lambda k: shot.q[:, c, None, k], theta)
         want = ref.sol((shot.t[:-1, None] + shot.h[:, None] * theta).ravel())[c]
         assert np.max(np.abs(y.ravel() - want)) < bound, c

