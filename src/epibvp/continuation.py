@@ -173,10 +173,10 @@ def locate_fold(
         report), or a nontrivial root at lam0 + d.
     """
     lo, hi = bracket
+    if not math.isfinite(hi):
+        raise BracketError("hi", f"need a finite hi, got {hi}")
     if not 0.0 <= lo < hi:
         raise BracketError("lo", f"need 0 <= lo < hi, got ({lo}, {hi})")
-    if hi == math.inf:
-        raise BracketError("hi", "need a finite hi")
     if not 0.0 < fold_tol < math.inf:
         raise DomainError(f"need a finite fold_tol > 0, got {fold_tol}")
     if spec_defaults is None:

@@ -8,9 +8,9 @@ lowest point (the extremum dig), which stops at the first value below
 -_NOISE_FLOOR, or once it has placed the minimum to sqrt(eps_mach) |a|, which
 moves the dug value by at most 2 |R_aa| eps_mach a^2 (4e-15 at the default
 folds); at most one root on each side of a dug point below the floor, which
-is also the root's branch, refined on [dug point, window edge] by a secant
-from the scan's cubic; and the final validation gate.  The scan only
-guides: every sign that decides a count is an adaptive (DOP853) residual.
+is also the root's branch, refined by secant from the scan's cubic between
+that point and the nearest slope shot past it with s R > 0; the final gate.
+The scan only guides: every sign that decides a count is a DOP853 residual.
 
 The scan steps the slopes of one or several lams at once with
 ``_rk4_scan``, in place and in one fixed order of operations, so a sweep
@@ -294,8 +294,9 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     ``scan``, the row of :func:`_scan_residuals` for ``spec.lam``; digs out
     the one extremum of s R (:func:`_dig`); refines at most one root on each
     side of the dug point by safeguarded secant when its s R is below
-    -_NOISE_FLOOR, or else takes the dug point as the fold's double root
-    when its residual is within BOUNDARY_TOL of 0.
+    -_NOISE_FLOOR, bracketed by the nearest slope shot past it where s R > 0
+    (none: no root that side), or else takes the dug point as the fold's
+    double root when its residual is within BOUNDARY_TOL of 0.
     Each root whose shot validates is kept, with that shot and its report;
     each that does not goes to ``rejected`` with its slope and report.  All
     of it reads one table of s R, one DOP853 shot per slope.
@@ -340,19 +341,18 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
         x, gx = _dig(g, lo, hi, start, g(start))
         extremum = (x, s * gx if gx < math.inf else gx)
         if gx < -_NOISE_FLOOR:
-            # the scan line through x, each slope once, with x's DOP853 value
-            line = sorted({**dict(zip(a_grid, coarse)), x: gx}.items())
+            # one line of g: the scan's, with each DOP853 g of the table in its place
+            line = sorted({**dict(zip(a_grid, coarse)), **table}.items())
             i = line.index((x, gx))
             for side, j in ((line[::-1], len(line) - 1 - i), (line, i)):
-                # x and the window edge, where g must turn positive, bracket the
-                # side's one root; the scan's cubic, with the edge's DOP853 g, guesses it
+                # x and the nearest tabled slope past it with g > 0, if any, bracket
+                # the side's one root; the line's cubic at its first g > 0 guesses it
                 pts, vals = (list(v) for v in zip(*side))
-                if j == len(pts) - 1 or g(pts[-1]) <= 0.0:
-                    continue
-                k = next((k for k in range(j + 1, len(vals)) if vals[k] > 0.0), len(vals) - 1)
-                vals[-1] = g(pts[-1])
-                lo, hi = sorted((x, pts[-1]))
-                candidates.append(_refine_bracket(g, lo, hi, *_scan_guess(pts, vals, k)))
+                ends = [a for a in pts[j + 1:] if table.get(a, 0.0) > 0.0]
+                if ends:
+                    k = next(k for k in range(j + 1, len(vals)) if vals[k] > 0.0)
+                    lo, hi = sorted((x, ends[0]))
+                    candidates.append(_refine_bracket(g, lo, hi, *_scan_guess(pts, vals, k)))
         elif gx <= BOUNDARY_TOL:
             # tangency, within R's noise or above zero: double root at the fold
             candidates.append(x)

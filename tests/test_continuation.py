@@ -311,10 +311,12 @@ def test_locate_fold_rejects_reversed():
 
 
 def test_locate_fold_rejects_infinite_hi():
-    # checked before any root set
-    with pytest.raises(BracketError) as err:
-        locate_fold(BoundaryKind.NAVIER, (12.0, math.inf), 0.05)
-    assert err.value.end == "hi"
+    # checked before any root set, and before the order check, which a NaN
+    # hi would fail at "lo"
+    for hi in (math.inf, math.nan):
+        with pytest.raises(BracketError) as err:
+            locate_fold(BoundaryKind.NAVIER, (12.0, hi), 0.05)
+        assert err.value.end == "hi", hi
 
 
 def test_locate_fold_rejects_bad_tol():

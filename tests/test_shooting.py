@@ -472,29 +472,34 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
     assert len(dig_shots) == 1 and dig_shots[0] <= budget
 
 
-# the lam0 that the default folds print and, at lam0 (1 + r), the root
+# the lam0 and a* that the default folds print and, at lam0 (1 + r), the root
 # counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
 # tangency root just above it, none further up
 _NEAR_FOLD = {
-    BoundaryKind.DIRICHLET: (168.769431276635, [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
-    BoundaryKind.NAVIER: (11.34080942145586, [2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
+    BoundaryKind.DIRICHLET: (168.769431276635, -52.354610812595496,
+                             [2, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
+    BoundaryKind.NAVIER: (11.34080942145586, -8.872504456489859,
+                          [2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
 }
-_NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
+_NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, -1e-13, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
 
 
 @pytest.mark.parametrize("kind", list(_NEAR_FOLD), ids=lambda k: k.value)
 def test_near_fold_root_counts(monkeypatch, kind):
-    """The dig's coarser stop changes no root count around the fold, and a
-    root set there, where the scan's cubic guesses poorly, stays within 100
-    endpoint shots."""
-    lam0, counts = _NEAR_FOLD[kind]
+    """The dig's coarser stop changes no root count around the fold; a root
+    set there, where the scan's cubic guesses poorly, stays within 64
+    endpoint shots, and each pair below the fold straddles the fold's a*."""
+    lam0, a_star, counts = _NEAR_FOLD[kind]
     spec = ProblemSpec(lam=lam0, kind=kind)
     shots = _count_shots(monkeypatch)
     got = []
     for r in _NEAR_FOLD_R:
         shots.clear()
-        got.append(len(find_shooting_roots(replace(spec, lam=lam0 * (1.0 + r))).roots))
-        assert len(shots) <= 100, r
+        roots = find_shooting_roots(replace(spec, lam=lam0 * (1.0 + r))).slopes()
+        got.append(len(roots))
+        assert len(shots) <= 64, r
+        if r < 0.0:
+            assert roots[0] < a_star < roots[1], r
     assert got == counts
 
 
