@@ -179,32 +179,35 @@ def _save(write, path: str, *data) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_solution(args, traj, report, suffix: str = "") -> None:
-    profile = reconstruct_phi(traj, report)
-    if args.format == "csv":
-        paths = [os.path.join(args.out, f"{n}{suffix}.csv") for n in ("trajectory", "profile")]
-        _save(serialize.solution_to_csv, *paths, traj, profile)
-    else:
-        _write(args, f"trajectory{suffix}.json", serialize.trajectory_to_json(traj))
-        _write(args, f"profile{suffix}.json", serialize.profile_to_json(profile))
-    _write(args, f"validation{suffix}.json", serialize.validation_to_json(report))
+def _emit_solutions(args, solutions) -> None:
+    """Write each (suffix, trajectory, report), all profiles made first: a failure writes none."""
+    profiles = [reconstruct_phi(traj, report) for _, traj, report in solutions]
+    for (suffix, traj, report), profile in zip(solutions, profiles):
+        if args.format == "csv":
+            paths = [os.path.join(args.out, f"{n}{suffix}.csv") for n in ("trajectory", "profile")]
+            _save(serialize.solution_to_csv, *paths, traj, profile)
+        else:
+            _write(args, f"trajectory{suffix}.json", serialize.trajectory_to_json(traj))
+            _write(args, f"profile{suffix}.json", serialize.profile_to_json(profile))
+        _write(args, f"validation{suffix}.json", serialize.validation_to_json(report))
 
 
 def _cmd_solve(args) -> int:
     spec = _spec_from_args(args, args.lam)
     if args.monotone:
-        _emit_solution(args, *truncated_monotone_solve(spec))
+        _emit_solutions(args, [("", *truncated_monotone_solve(spec))])
         return EXIT_OK
     if args.a is not None:
         if not math.isfinite(args.a):
             raise DomainError(f"the shooting slope --a must be finite, got {args.a}")
         shot = shoot(spec, args.a)
-        _emit_solution(args, shot.trajectory(spec.grid_n), validate(shot))
+        _emit_solutions(args, [("", shot.trajectory(spec.grid_n), validate(shot))])
         return EXIT_OK
     roots = shooting.find_shooting_roots(spec)
+    # every root sampled before any file is written, roots.json last
+    _emit_solutions(args, [(f"_root{i}", root.shot.trajectory(spec.grid_n), root.report)
+                           for i, root in enumerate(roots.roots)])
     _write(args, "roots.json", serialize.rootset_to_json(roots))
-    for i, root in enumerate(roots.roots):
-        _emit_solution(args, root.shot.trajectory(spec.grid_n), root.report, suffix=f"_root{i}")
     return EXIT_OK
 
 

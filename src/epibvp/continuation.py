@@ -122,7 +122,8 @@ def _fold_point(spec: ProblemSpec) -> tuple[float, float, float, float]:
     r_lam = spec.kind.residual(du, 2.0 * du + 0.5 * (u * u + lam)) / (4.0 * lam)
 
     at = replace(spec, lam=lam)
-    h = 1e-4 * abs(a)
+    # R_a's truncation R_aaa h^2 / 6 and noise 5e-15 / h leave a* ~1e-10 off R's vertex
+    h = 1e-5 * abs(a)
     r_lo, r, r_hi = (_residual_at(at, a + k * h) for k in (-1.0, 0.0, 1.0))
     r_a = (r_hi - r_lo) / (2.0 * h)
     r_aa = (r_hi - 2.0 * r + r_lo) / (h * h)

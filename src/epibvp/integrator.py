@@ -461,7 +461,6 @@ class Shot(Panels):
         us[0], dus[0] = self.u[0], self.du[0]
         # step s fills the samples before its end that no earlier step took
         stops = np.searchsorted(t_out, t0 + h, "left")
-        np.maximum(stops, 1, out=stops)
         counts = np.diff(stops, prepend=1)
         idx = int(stops[-1]) if h.size else 1
         theta = t_out[1:idx] - np.repeat(t0, counts)
@@ -521,6 +520,41 @@ def shoot_endpoint(spec: ProblemSpec, a: float) -> tuple:
     return _dop853(spec, a)
 
 
+def _refine_bracket(g, lo: float, glo: float, hi: float, ghi: float, x: float, slope: float,
+                    width: float, bound: float) -> float:
+    """Bracket-safeguarded secant for a root of g on [lo, hi], where g is glo
+    and ghi, of opposite signs, from x along ``slope``.
+
+    A step within width / 2 of the best point (first the bracket end of
+    smaller |g|) goes width / 2 from it toward the sign change, Brent's
+    minimum step (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), so that one call of g can close the bracket; a step out of the
+    bracket, or not finite, goes to the midpoint.  Returns the point of
+    smallest |g| once the bracket is no wider than ``width`` and that |g| is
+    within ``bound``, or 4 ulp wide, or after 60 steps."""
+    best_x, best_g = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
+    x_prev = g_prev = None
+    for _ in range(60):
+        if hi - lo <= 4.0 * abs(np.spacing(lo)) or (hi - lo <= width and abs(best_g) <= bound):
+            break
+        if abs(x - best_x) < 0.5 * width:
+            x = best_x + math.copysign(0.5 * width, lo + hi - 2.0 * best_x)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        gx = g(x)
+        if abs(gx) < abs(best_g):
+            best_x, best_g = x, gx
+        if glo * gx <= 0.0:
+            hi = x
+        else:
+            lo, glo = x, gx
+        if x_prev is not None:
+            slope = (gx - g_prev) / (x - x_prev)
+        x_prev, g_prev = x, gx
+        x = x - gx / slope if slope != 0.0 else math.nan
+    return best_x
+
+
 def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | None:
     """(t*, u, u') where b = ``spec.kind.residual(u, 2 t u')`` first leaves its
     launch sign, or None if b keeps it up to t = 1/2 or to divergence.
@@ -528,10 +562,12 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     b is u (Dirichlet) or u - 2 t u' (Navier), so u(2 t* t) is the solution
     at 4 t*^2 lam with slope 2 t* a.  The :func:`_dop853` shot tests b at the
     end of each accepted step and stops at the first that has left the
-    sign, with both ends of that step in hand; Newton, kept inside the sign
-    change, places t* on the step's interpolant (:func:`_interpolant`), and
-    the state there is that interpolant's, as :meth:`Shot.trajectory`
-    evaluates it.  A launch on b = 0 has no sign to leave, and gives None.
+    sign, with both ends of that step in hand.  The secant of
+    :func:`_refine_bracket`, from the chord, places t* on the step's
+    interpolant (:func:`_interpolant`) to 1e-14 of the step, bracketed by b
+    at the step's two ends, and the state there is that interpolant's, as
+    :meth:`Shot.trajectory` evaluates it.  A launch on b = 0 has no sign to
+    leave, and gives None.
     """
     # the residual is linear, so b = residual(u, 2 t u') = u + c t u'
     c = 2.0 * spec.kind.residual(0.0, 1.0)
@@ -547,34 +583,19 @@ def shoot_event(spec: ProblemSpec, a: float) -> tuple[float, float, float] | Non
     if len(end) == 3:  # b kept its sign to t = 1/2 or to divergence
         return None
     u, du, _, (t0, h, u0, du0) = end
-    b1 = u + c * (t0 + h) * du
     (qu, qv), = _interpolant(spec, a, np.array([t0, t0 + h]), np.array([u0, u]),
                              np.array([du0, du])).tolist()
-    half_lam = spec.lam / 2.0
 
     def state(theta):
         """(u, u') at theta on the step's interpolant, as Shot.trajectory has it."""
         return u0 + _hermite(qu.__getitem__, theta), du0 + _hermite(qv.__getitem__, theta)
 
     def b_at(theta):
-        """b and db/dtheta at theta on the step's interpolant, the slope from
-        the equation's u'' = u^2/(8 t^2) + lam/2 there."""
         x, v = state(theta)
-        t = t0 + theta * h
-        return x + c * t * v, h * ((1.0 + c) * v + c * t * (x * x / (8.0 * t * t) + half_lam))
+        return x + c * (t0 + theta * h) * v
 
-    lo, hi = 0.0, 1.0
-    b0 = u0 + c * t0 * du0
-    theta = b0 / (b0 - b1)
-    for _ in range(60):
-        b, db = b_at(theta)
-        lo, hi = (theta, hi) if sign * b > 0.0 else (lo, theta)
-        step = theta - b / db if db != 0.0 else math.nan
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - theta) <= 1e-14:
-            break
-        theta = step
+    b0, b1 = u0 + c * t0 * du0, u + c * (t0 + h) * du
+    theta = _refine_bracket(b_at, 0.0, b0, 1.0, b1, b0 / (b0 - b1), b1 - b0, 1e-14, math.inf)
     return (t0 + theta * h, *state(theta))
 
 

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import EpibvpError, WindowTooSmallError
 from .integrator import (
-    BLOWUP, BOUNDARY_TOL, Shot, ValidationReport, _rk4_scan, launch_state, shoot, shoot_endpoint,
-    validate,
+    BLOWUP, BOUNDARY_TOL, Shot, ValidationReport, _refine_bracket, _rk4_scan, launch_state, shoot,
+    shoot_endpoint, validate,
 )
 from .model import BoundaryKind, ProblemSpec
 
@@ -173,41 +173,6 @@ def _scan_guess(pts: list, vals: list, k: int) -> tuple[float, float]:
     return t, dv
 
 
-def _refine_bracket(g, lo: float, hi: float, x: float, slope: float) -> float:
-    """Bracket-safeguarded secant for a root of g on [lo, hi], from x along
-    ``slope``; g keeps the values it has shot, those at lo and hi included.
-
-    A step within _ROOT_TOL / 2 of the best point (first the bracket end of
-    smaller |g|) goes _ROOT_TOL / 2 from it toward the sign change, Brent's
-    minimum step (1973, ch. 4), so that one shot can close the bracket; a
-    step out of the bracket, or not finite, goes to the midpoint.  Returns
-    the slope of smallest |g| once the bracket is no wider than _ROOT_TOL
-    and that |g| is within BOUNDARY_TOL / 2, or 4 ulp wide, or after 60 steps."""
-    glo = g(lo)
-    best_x, best_g = (lo, glo) if abs(glo) < abs(g(hi)) else (hi, g(hi))
-    x_prev = g_prev = None
-    for _ in range(60):
-        if hi - lo <= 4.0 * abs(np.spacing(lo)) or (
-                hi - lo <= _ROOT_TOL and abs(best_g) <= 0.5 * BOUNDARY_TOL):
-            break
-        if abs(x - best_x) < 0.5 * _ROOT_TOL:
-            x = best_x + math.copysign(0.5 * _ROOT_TOL, lo + hi - 2.0 * best_x)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        gx = g(x)
-        if abs(gx) < abs(best_g):
-            best_x, best_g = x, gx
-        if glo * gx <= 0.0:
-            hi = x
-        else:
-            lo, glo = x, gx
-        if x_prev is not None:
-            slope = (gx - g_prev) / (x - x_prev)
-        x_prev, g_prev = x, gx
-        x = x - gx / slope if slope != 0.0 else math.nan
-    return best_x
-
-
 def _extremum_cells(spec: ProblemSpec, g: list[float]) -> Optional[tuple[int, int, int]]:
     """Scan indices of the lowest finite g = s R and of its finite neighbours
     (None if no entry is finite); the finite g must fall, then rise."""
@@ -293,8 +258,9 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
     Scans ``spec.scan_n`` slopes over [slope_min, slope_max], or takes
     ``scan``, the row of :func:`_scan_residuals` for ``spec.lam``; digs out
     the one extremum of s R (:func:`_dig`); refines at most one root on each
-    side of the dug point by safeguarded secant when its s R is below
-    -_NOISE_FLOOR, bracketed by the nearest slope shot past it where s R > 0
+    side of the dug point by the safeguarded secant of :func:`_refine_bracket`
+    when its s R is below -_NOISE_FLOOR, to a _ROOT_TOL bracket and |R| within
+    BOUNDARY_TOL / 2, bracketed by the nearest slope shot past it where s R > 0
     (none: no root that side), or else takes the dug point as the fold's
     double root when its residual is within BOUNDARY_TOL of 0.
     Each root whose shot validates is kept, with that shot and its report;
@@ -351,8 +317,10 @@ def find_shooting_roots(spec: ProblemSpec, scan: Optional[np.ndarray] = None) ->
                 ends = [a for a in pts[j + 1:] if table.get(a, 0.0) > 0.0]
                 if ends:
                     k = next(k for k in range(j + 1, len(vals)) if vals[k] > 0.0)
-                    lo, hi = sorted((x, ends[0]))
-                    candidates.append(_refine_bracket(g, lo, hi, *_scan_guess(pts, vals, k)))
+                    (lo, glo), (hi, ghi) = sorted([(x, gx), (ends[0], table[ends[0]])])
+                    x0, slope = _scan_guess(pts, vals, k)
+                    candidates.append(_refine_bracket(g, lo, glo, hi, ghi, x0, slope, _ROOT_TOL,
+                                                      0.5 * BOUNDARY_TOL))
         elif gx <= BOUNDARY_TOL:
             # tangency, within R's noise or above zero: double root at the fold
             candidates.append(x)

@@ -323,18 +323,21 @@ def test_monotone_solve_runs_the_picard_iteration_once(tmp_path, monkeypatch):
 
 def test_out_of_memory_is_a_precondition_error(tmp_path, capsys, monkeypatch):
     """A MemoryError, e.g. from a --grid the host cannot hold, exits 2 with
-    one line; the stand-in sampler allocates nothing."""
+    one line and writes no file, for one slope and for all roots (whose
+    roots.json waits for every root's samples); the stand-in sampler
+    allocates nothing."""
     def no_memory(shot, grid_n):
         raise MemoryError(f"Unable to allocate {8 * grid_n} bytes")
 
     monkeypatch.setattr(integrator.Shot, "trajectory", no_memory)
-    code, out = run(tmp_path, "solve", "--lambda", "0", "--bc", "dirichlet", "--a", "0",
-                    "--grid", "100000000000")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("precondition error: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert not os.path.exists(out) or not os.listdir(out)
+    for i, slope in enumerate([["--a", "0"], []]):
+        code, out = run(tmp_path / str(i), "solve", "--lambda", "0", "--bc", "dirichlet",
+                        *slope, "--grid", "100000000000")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("precondition error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not os.path.exists(out) or not os.listdir(out)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from epibvp import continuation, shooting
@@ -112,9 +113,9 @@ DIRICHLET_SWEEP_CSV_SHA256 = "8e6a0e45d66365a20445c85af6435149b58ecfb240d9820aaf
 # sweep's slopes also follow the scan values, whose cubic starts each secant
 PINNED_SHA256 = [
     (["fold", "--bc", "dirichlet"], "fold.json",
-     "c9106deef187a12dd93243f8a9697411d062eea3d96827fc15c43fc1e583780c"),
+     "75bcc49b9d70df583c238519fdb2b264a9f14f91ad97902e1147c8c26c57e28e"),
     (["fold", "--bc", "navier"], "fold.json",
-     "9d9f34f53b19cebc54a6149617cc35fe5351abed4362da62cf7faf4518197b1e"),
+     "a36c473d1a8125098e5818a7e52e02b4c1cb7a523c669790e40e6eea9636ba84"),
     (["sweep", "--bc", "navier", "--lambdas", "0,5,11.2"], "diagram.csv",
      "710deb0f0d7aa5aea18aae7091818d04644222dd1d3c5eadfaeb16d4ab53474f"),
 ]
@@ -171,8 +172,22 @@ def test_locate_fold_dirichlet_from_certificate_bracket():
     assert -500.0 < a_star < 0.0
 
 
+@pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+def test_fold_a_star_is_the_residual_vertex(kind):
+    """The a* that a default fold prints is the vertex of R(., lam0) to 1e-9
+    relative: a quartic least-squares fit of 41 endpoint shots on a* +- 0.01,
+    whose slope vanishes there."""
+    *_, lam0, a_star = locate_fold(kind, default_fold_bracket(kind), default_fold_tol(kind))
+    spec = ProblemSpec(lam=lam0, kind=kind)
+    x = np.linspace(-1.0, 1.0, 41)
+    r = [shooting._residual_at(spec, a_star + 0.01 * xi) for xi in x.tolist()]
+    slope = np.polynomial.Polynomial.fit(x, r, 4, domain=[-1.0, 1.0]).deriv()
+    vertex = a_star + 0.01 * min(slope.roots(), key=abs).real
+    assert abs(a_star - vertex) <= 1e-9 * abs(vertex)
+
+
 @pytest.mark.parametrize("kind, endpoint, event", [
-    (BoundaryKind.DIRICHLET, 16, 15), (BoundaryKind.NAVIER, 17, 24),
+    (BoundaryKind.DIRICHLET, 14, 16), (BoundaryKind.NAVIER, 16, 21),
 ], ids=["dirichlet", "navier"])
 def test_default_fold_shot_counts(monkeypatch, kind, endpoint, event):
     """A default fold's shots and calls, pinned: the Brent search's event
@@ -214,7 +229,8 @@ def test_default_fold_lower_shot_is_a_root(monkeypatch, kind):
 
 
 def test_sweep_lists_the_fold_root_once():
-    """At the lam0 that the default Navier fold prints the one root is a
+    """At the lam0 that the default Navier fold printed while shoot_event
+    placed t* by Newton, 2.3e-14 above its print now, the one root is a
     single upper point."""
     points = sweep(BoundaryKind.NAVIER, [11.34080942145586])
     assert [(p.a, p.branch) for p in points] == [(-8.872504312348994, Branch.UPPER)]

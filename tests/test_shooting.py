@@ -87,12 +87,18 @@ def test_lam0_dirichlet_roots(root_cache):
     assert nontrivial[0] == pytest.approx(LAM0_DIRICHLET_NONTRIVIAL, abs=1e-9)
 
 
-def test_lam0_nontrivial_root_against_brute_force_scan(monkeypatch):
-    """Independent check: a 10^4-slope residual scan brackets the same root."""
-    monkeypatch.setattr(ProblemSpec, "scan_n", 10001)
+def test_lam0_nontrivial_root_against_brute_force_scan():
+    """Independent check: a 10^4-slope RK4 scan brackets the same root, on a
+    time grid of its own, not the production scan's: 50 geometric steps out
+    of eps to 5e-3 and 300 uniform ones after."""
     spec = ProblemSpec(lam=0.0, kind=BoundaryKind.DIRICHLET)
     a_grid = np.linspace(spec.slope_min, spec.slope_max, 10001)
-    res = _scan_residuals(spec, [spec.lam])[0]
+    times = np.concatenate([np.geomspace(spec.eps, 5e-3, 51)[:-1], np.linspace(5e-3, 0.5, 301)])
+    lam = np.zeros(a_grid.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u, du, peak = integrator._rk4_scan(
+            times.tolist(), *launch_state(a_grid, lam, spec.eps), lam / 2.0)
+        res = np.where(peak <= BLOWUP, spec.kind.residual(u, du), np.inf)
     finite = np.isfinite(res)
     crossings = [
         (a_grid[i], a_grid[i + 1])
@@ -193,7 +199,7 @@ _FOLD_LAMS = {
 
 
 @pytest.mark.parametrize("kind", list(_FOLD_LAMS), ids=lambda k: k.value)
-def test_scan_picks_the_cells_dp5_would_pick(kind):
+def test_scan_picks_the_cells_adaptive_residuals_pick(kind):
     """The coarse scan only picks cells: on the scan row, the extremum cells
     and each side's first positive cell are those that adaptive residuals at
     the same slopes give, from lam = 0 up to just below the fold."""
@@ -435,9 +441,11 @@ def test_diverged_window_edge_keeps_both_roots(lam, kind, slope_min):
     assert got == pytest.approx(want, abs=1e-10)
 
 
-# lams about d above the default folds (near fold.json's upper end), where
-# the dug minimum of s R is designed to be about 4e-8, and the dig's shot
-# budget there; a dig down to a _ROOT_TOL bracket takes 28 and 29 shots
+# lams about d above the default folds, where the dug minimum of s R is
+# designed to be about 4e-8, and the dig's shot budget there; a dig down to
+# a _ROOT_TOL bracket takes 28 and 29 shots.  The lams are the upper ends
+# that fold.json printed while shoot_event placed t* by Newton, 3.4e-13 below
+# and 2.8e-14 above those it prints now
 _CERT_HI = {
     BoundaryKind.DIRICHLET: (168.7694322082279, 14),
     BoundaryKind.NAVIER: (11.340809689074929, 22),
@@ -476,9 +484,9 @@ def test_dig_stops_at_brents_tolerance(monkeypatch, kind):
 # counts that a dig down to _ROOT_TOL gives: a root pair below the fold, one
 # tangency root just above it, none further up
 _NEAR_FOLD = {
-    BoundaryKind.DIRICHLET: (168.769431276635, -52.354610812595496,
+    BoundaryKind.DIRICHLET: (168.76943127663534, -52.35461061910923,
                              [2, 2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0]),
-    BoundaryKind.NAVIER: (11.34080942145586, -8.872504456489859,
+    BoundaryKind.NAVIER: (11.340809421455837, -8.872504442974822,
                           [2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0, 0]),
 }
 _NEAR_FOLD_R = [-1e-3, -1e-6, -1e-9, -1e-12, -1e-13, 1e-12, 1e-10, 1e-9, 2e-9, 5e-9, 1e-8, 1e-5]
@@ -504,12 +512,14 @@ def test_near_fold_root_counts(monkeypatch, kind):
 
 
 def test_root_at_the_fold_is_listed_once():
-    """At the lam0 that each default fold prints, the residual's minimum lies
+    """At a lam0 that a default fold printed, the residual's minimum lies
     within _NOISE_FLOOR of zero, below it for Dirichlet: the double root is
     the dug point, one root, not a pair of roots inside R's noise."""
+    # the lam0 printed while shoot_event placed t* by Newton; at the lam0
+    # printed now the Dirichlet minimum is +3.9e-15
     for kind, lam, dug in [
-        (BoundaryKind.NAVIER, _NEAR_FOLD[BoundaryKind.NAVIER][0], -8.872504312348994),
-        (BoundaryKind.DIRICHLET, _NEAR_FOLD[BoundaryKind.DIRICHLET][0], -52.35460993095646),
+        (BoundaryKind.NAVIER, 11.34080942145586, -8.872504312348994),
+        (BoundaryKind.DIRICHLET, 168.769431276635, -52.35460993095646),
     ]:
         rs = find_shooting_roots(ProblemSpec(lam=lam, kind=kind))
         assert rs.slopes() == [dug], kind
